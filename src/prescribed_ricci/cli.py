@@ -17,7 +17,7 @@ import numpy as np
 
 from .curvature import ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
-from .groups import as_group, group_from_name, structure_constants
+from .groups import group_from_name, structure_constants
 from .solver import SolverConfig, classify_signature, solve
 from .verify import certify
 
@@ -26,8 +26,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_CERT_FAILURE = 3
-
-COMMANDS = ("solve", "certify", "classify", "sweep", "oracle-ricci")
 
 
 class InputError(Exception):
@@ -112,27 +110,34 @@ class Reporter:
 # Field parsing
 # ---------------------------------------------------------------------------
 
-def _parse_triple(text: str, fieldname: str) -> tuple[float, float, float]:
-    parts = [p for p in str(text).replace(" ", "").split(",") if p]
-    if len(parts) != 3:
-        raise InputError(f"field {fieldname!r}: expected three comma-separated "
-                         f"numbers, got {text!r}")
+def _parse_number(value, fieldname: str) -> float:
+    """One finite number from command-line text or a JSON value."""
+    if value is None:
+        raise InputError(f"field {fieldname!r}: missing")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise InputError(f"field {fieldname!r}: non-numeric entry in {text!r}")
+        x = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"field {fieldname!r}: non-numeric entry {value!r}")
+    if not math.isfinite(x):
+        raise InputError(f"field {fieldname!r}: non-finite entry {value!r}")
+    return x
+
+
+def _parse_numbers(value, fieldname: str, count: int = 3) -> tuple:
+    """`count` finite numbers from "a,b,c" text or a JSON list."""
+    parts = value
+    if isinstance(value, str):
+        parts = [p for p in value.replace(" ", "").split(",") if p]
+    if not isinstance(parts, (list, tuple)) or len(parts) != count:
+        raise InputError(f"field {fieldname!r}: expected {count} numbers, "
+                         f"got {value!r}")
+    return tuple(_parse_number(p, fieldname) for p in parts)
 
 
 def _parse_range(text: str, fieldname: str) -> tuple[float, float]:
     if ".." not in str(text):
         raise InputError(f"field {fieldname!r}: expected lo..hi, got {text!r}")
-    lo_s, hi_s = str(text).split("..", 1)
-    try:
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError:
-        raise InputError(f"field {fieldname!r}: non-numeric bound in {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"field {fieldname!r}: bounds must be finite, got {text!r}")
+    lo, hi = (_parse_number(b, fieldname) for b in str(text).split("..", 1))
     if not lo < hi:
         raise InputError(f"field {fieldname!r}: need lo < hi, got {text!r}")
     return lo, hi
@@ -153,6 +158,29 @@ def _resolve_group(args):
     return _group_or_fail(name)
 
 
+def _json_lines(path: str, fieldname: str):
+    """(line number, object) for each job line of a json-lines file; blank
+    lines and lines starting with # are skipped."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"field {fieldname!r}: cannot read {path!r}: {exc}")
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"field {fieldname!r}: line {lineno} is not "
+                             f"valid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise InputError(f"field {fieldname!r}: line {lineno} is not a "
+                             f"JSON object")
+        yield lineno, obj
+
+
 # ---------------------------------------------------------------------------
 # Record builders
 # ---------------------------------------------------------------------------
@@ -165,6 +193,7 @@ def _solution_record(group, T, sol) -> dict:
 
 
 def _solve_record(group, T, cfg) -> dict:
+    T = _parse_numbers(T, "T")
     outcome = solve(group, T, cfg)
     record = {"command": "solve", "group": group.name.lower(), "T": list(T),
               "kind": outcome.kind, "case_label": outcome.case_label}
@@ -185,14 +214,42 @@ def _solve_record(group, T, cfg) -> dict:
     return record
 
 
-def _record_all_passed(record: dict) -> bool:
-    ok = True
-    for sol in record.get("solutions", []):
-        ok = ok and sol.get("pass", False)
-    fam = record.get("family")
-    if fam is not None:
-        ok = ok and fam["sample"].get("pass", False)
-    return ok
+def _classify_record(group, T) -> dict:
+    T = _parse_numbers(T, "T")
+    return {"command": "classify", "group": group.name.lower(), "T": list(T),
+            "case_label": classify_signature(group, T)}
+
+
+def _certify_record(group, T, v, c) -> dict:
+    T, v = _parse_numbers(T, "T"), _parse_numbers(v, "v")
+    c = _parse_number(c, "c")
+    try:
+        cert = certify(group, v, c, T)
+    except ValueError as exc:
+        raise InputError(f"field 'v': {exc}")
+    return {"command": "certify", "group": group.name.lower(),
+            "T": list(T), "v": list(v), "c": c,
+            "residual_closed_form": cert.residual_closed_form,
+            "residual_oracle": cert.residual_oracle,
+            "normalized": cert.normalized, "pass": cert.passed}
+
+
+def _passed(record: dict) -> bool:
+    """Whether every certificate in a solve, classify or certify record
+    passed."""
+    checks = [record] + record.get("solutions", [])
+    if record.get("family") is not None:
+        checks.append(record["family"]["sample"])
+    return all(r.get("pass", True) for r in checks)
+
+
+# the jobs a batch file may hold, each built from its JSON fields
+_BATCH_JOBS = {
+    "solve": lambda group, job: _solve_record(group, job.get("T"), None),
+    "classify": lambda group, job: _classify_record(group, job.get("T")),
+    "certify": lambda group, job: _certify_record(
+        group, job.get("T"), job.get("v"), job.get("c")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +258,10 @@ def _record_all_passed(record: dict) -> bool:
 
 def _run_solve(args, reporter) -> int:
     group = _resolve_group(args)
-    T = _parse_triple(args.T, "T")
     cfg = SolverConfig(root_tol=args.tol) if args.tol else None
-    record = _solve_record(group, T, cfg)
+    record = _solve_record(group, args.T, cfg)
     reporter.emit(record)
-    return EXIT_OK if _record_all_passed(record) else EXIT_CERT_FAILURE
+    return EXIT_OK if _passed(record) else EXIT_CERT_FAILURE
 
 
 def _run_certify(args, reporter) -> int:
@@ -214,68 +270,38 @@ def _run_certify(args, reporter) -> int:
     if args.T is None or args.v is None or args.c is None:
         raise InputError("field 'v'/'c'/'T': certify needs --T, --v and --c "
                          "(or --from FILE)")
-    group = _resolve_group(args)
-    T = _parse_triple(args.T, "T")
-    v = _parse_triple(args.v, "v")
-    try:
-        cert = certify(group, v, float(args.c), T)
-    except ValueError as exc:
-        raise InputError(f"field 'v': {exc}")
-    reporter.emit({"command": "certify", "group": group.name.lower(),
-                   "T": list(T), "v": list(v), "c": float(args.c),
-                   "residual_closed_form": cert.residual_closed_form,
-                   "residual_oracle": cert.residual_oracle,
-                   "normalized": cert.normalized, "pass": cert.passed})
-    return EXIT_OK if cert.passed else EXIT_CERT_FAILURE
+    record = _certify_record(_resolve_group(args), args.T, args.v, args.c)
+    reporter.emit(record)
+    return EXIT_OK if record["pass"] else EXIT_CERT_FAILURE
 
 
 def _certify_from_file(args, reporter) -> int:
     ok = True
     checked = 0
-    try:
-        with open(args.from_file, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"field 'from': cannot read {args.from_file!r}: {exc}")
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"field 'from': line {lineno} is not valid JSON: {exc}")
+    for lineno, record in _json_lines(args.from_file, "from"):
         if record.get("command") != "solve":
             continue
-        group = _group_or_fail(record.get("group", ""))
-        T = record.get("T")
-        if not isinstance(T, list) or len(T) != 3:
-            raise InputError(f"field 'T': line {lineno} needs a 3-component T")
-        claims = [(s["v"], s["c"]) for s in record.get("solutions", [])]
-        fam = record.get("family")
-        if fam is not None:
-            claims.append((fam["sample"]["v"], fam["sample"]["c"]))
-        for v, c in claims:
-            cert = certify(group, v, c, T)
+        try:
+            group = _group_or_fail(record.get("group", ""))
+            T = _parse_numbers(record.get("T"), "T")
+            claims = list(record.get("solutions", []))
+            if record.get("family") is not None:
+                claims.append(record["family"]["sample"])
+            certs = [_certify_record(group, T, s.get("v"), s.get("c"))
+                     for s in claims]
+        except InputError as exc:
+            raise InputError(f"{exc} on line {lineno}") from None
+        for cert in certs:
             checked += 1
-            ok = ok and cert.passed
-            reporter.emit({"command": "certify", "group": group.name.lower(),
-                           "T": list(map(float, T)), "v": list(map(float, v)),
-                           "c": float(c),
-                           "residual_closed_form": cert.residual_closed_form,
-                           "residual_oracle": cert.residual_oracle,
-                           "normalized": cert.normalized, "pass": cert.passed})
+            ok = ok and cert["pass"]
+            reporter.emit(cert)
     reporter.emit({"command": "certify-summary", "checked": checked,
                    "all_passed": ok})
     return EXIT_OK if ok else EXIT_CERT_FAILURE
 
 
 def _run_classify(args, reporter) -> int:
-    group = _resolve_group(args)
-    T = _parse_triple(args.T, "T")
-    label = classify_signature(group, T)
-    reporter.emit({"command": "classify", "group": group.name.lower(),
-                   "T": list(T), "case_label": label})
+    reporter.emit(_classify_record(_resolve_group(args), args.T))
     return EXIT_OK
 
 
@@ -283,10 +309,7 @@ def _grid_axis(fixed, rng_text, steps, name):
     if fixed is not None and rng_text is not None:
         raise InputError(f"field {name!r}: give either a fixed value or a range")
     if fixed is not None:
-        try:
-            return [float(fixed)]
-        except ValueError:
-            raise InputError(f"field {name!r}: non-numeric value {fixed!r}")
+        return [_parse_number(fixed, name)]
     if rng_text is not None:
         lo, hi = _parse_range(rng_text, name)
         # half-open grid [lo, hi): lo + k*(hi-lo)/steps, k = 0..steps-1
@@ -335,7 +358,7 @@ def _run_oracle_ricci(args, reporter) -> int:
                          "--v v1,v2,v3 or --g six upper-triangle entries")
     sc = structure_constants(group)
     if args.v is not None:
-        v = _parse_triple(args.v, "v")
+        v = _parse_numbers(args.v, "v")
         if min(v) <= 0:
             raise InputError("field 'v': metric components must be positive")
         ric_cf = ricci_diagonal(group, v)
@@ -345,78 +368,32 @@ def _run_oracle_ricci(args, reporter) -> int:
                        "ricci_closed_form": [float(t) for t in ric_cf],
                        "ricci_koszul": [[float(t) for t in row] for row in ric_k]})
         return EXIT_OK
-    parts = [p for p in str(args.g).replace(" ", "").split(",") if p]
-    if len(parts) != 6:
-        raise InputError(f"field 'g': expected 6 upper-triangle entries, got "
-                         f"{len(parts)}")
+    upper = _parse_numbers(args.g, "g", 6)
     try:
-        gram = symmetric_from_upper([float(p) for p in parts])
-    except ValueError as exc:
-        raise InputError(f"field 'g': {exc}")
-    try:
-        ric_k = ricci_koszul(sc, gram)
+        ric_k = ricci_koszul(sc, symmetric_from_upper(upper))
     except ValueError as exc:
         raise InputError(f"field 'g': {exc}")
     reporter.emit({"command": "oracle-ricci", "group": group.name.lower(),
-                   "g": [float(p) for p in parts],
+                   "g": list(upper),
                    "ricci_koszul": [[float(t) for t in row] for row in ric_k]})
     return EXIT_OK
 
 
 def _run_batch(args, reporter) -> int:
-    try:
-        with open(args.jobs, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"field 'jobs': cannot read {args.jobs!r}: {exc}")
     status = EXIT_OK
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, job in _json_lines(args.jobs, "jobs"):
+        build = _BATCH_JOBS.get(job.get("command"))
+        if build is None:
+            raise InputError(f"field 'command': line {lineno}: unknown "
+                             f"command {job.get('command')!r}; expected one "
+                             f"of {tuple(_BATCH_JOBS)}")
         try:
-            job = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"field 'jobs': line {lineno} is not valid JSON: {exc}")
-        command = job.get("command")
-        if command not in COMMANDS:
-            raise InputError(f"field 'command': line {lineno}: unknown command "
-                             f"{command!r}; expected one of {COMMANDS}")
-        if command == "solve":
-            group = _group_or_fail(job.get("group", ""))
-            T = job.get("T")
-            if not isinstance(T, list) or len(T) != 3:
-                raise InputError(f"field 'T': line {lineno} needs 3 components")
-            record = _solve_record(group, tuple(map(float, T)), None)
-            reporter.emit(record)
-            if not _record_all_passed(record):
-                status = EXIT_CERT_FAILURE
-        elif command == "classify":
-            group = _group_or_fail(job.get("group", ""))
-            T = job.get("T")
-            if not isinstance(T, list) or len(T) != 3:
-                raise InputError(f"field 'T': line {lineno} needs 3 components")
-            label = classify_signature(group, tuple(map(float, T)))
-            reporter.emit({"command": "classify", "group": group.name.lower(),
-                           "T": list(map(float, T)), "case_label": label})
-        elif command == "certify":
-            group = _group_or_fail(job.get("group", ""))
-            for key in ("T", "v", "c"):
-                if key not in job:
-                    raise InputError(f"field {key!r}: missing on line {lineno}")
-            cert = certify(group, tuple(map(float, job["v"])), float(job["c"]),
-                           tuple(map(float, job["T"])))
-            reporter.emit({"command": "certify", "group": group.name.lower(),
-                           "T": list(map(float, job["T"])),
-                           "v": list(map(float, job["v"])), "c": float(job["c"]),
-                           "residual_closed_form": cert.residual_closed_form,
-                           "residual_oracle": cert.residual_oracle,
-                           "normalized": cert.normalized, "pass": cert.passed})
-            if not cert.passed:
-                status = EXIT_CERT_FAILURE
-        else:
-            raise InputError(f"field 'command': line {lineno}: {command!r} is "
-                             f"not supported in batch files")
+            record = build(_group_or_fail(job.get("group", "")), job)
+        except InputError as exc:
+            raise InputError(f"{exc} on line {lineno}") from None
+        reporter.emit(record)
+        if not _passed(record):
+            status = EXIT_CERT_FAILURE
     return status
 
 
@@ -433,8 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="text", help="output record format")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write records to PATH instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="random seed recorded for reproducibility")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve Ric(g) = c T for one tensor")
@@ -496,7 +471,7 @@ _RUNNERS = {
 
 _VALUE_FLAGS = {"--T", "--v", "--g", "--c", "--group", "--T1", "--T2", "--T3",
                 "--T1-range", "--T2-range", "--T3-range", "--tol", "--steps",
-                "--seed", "--out", "--format", "--from"}
+                "--out", "--format", "--from"}
 
 
 def _fuse_values(argv: list[str]) -> list[str]:

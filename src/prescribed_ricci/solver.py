@@ -27,22 +27,20 @@ metrics are scaled so that v1*v2*v3*c = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cubic import CubicPoly, roots_in_interval
-from .curvature import DiagonalMetric, ricci_diagonal
-from .groups import UnimodularGroup, as_group
+from .curvature import DiagonalMetric
+from .groups import as_group
+from .verify import residual
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
     "SolverConfig", "solve", "reconstruct_from_p", "classify_signature",
     "so3_cubic", "sl2_cubic",
 ]
-
-KINDS = ("NoSolution", "Unique", "TwoSolutions", "FamilyFixedC", "FamilyAnyC")
-
 
 @dataclass(frozen=True)
 class DiagonalTensor:
@@ -128,7 +126,7 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 def _tensor(T) -> tuple[float, float, float]:
-    return DiagonalTensor(tuple(np.asarray(getattr(T, "T", T), dtype=float))).T
+    return DiagonalTensor(getattr(T, "T", T)).T
 
 
 def _sign(x: float, ztol: float) -> int:
@@ -137,14 +135,31 @@ def _sign(x: float, ztol: float) -> int:
     return 1 if x > 0.0 else -1
 
 
+# the one sign that tells the SO3 and SL2 reductions apart: T3 enters the
+# cubic, the denominators p +- T3 and v3 = +-(x1+x2)/2 with it
+_T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
+
+
+def _reduction_cubic(name: str, T) -> CubicPoly:
+    """2 p^3 + (T1+T2+-T3) p^2 -+ T1 T2 T3 for an already validated T."""
+    T1, T2, T3 = T
+    sgn = _T3_SIGN[name]
+    return CubicPoly((2.0, T1 + T2 + sgn * T3, 0.0, -sgn * T1 * T2 * T3))
+
+
 def so3_cubic(T) -> CubicPoly:
-    T1, T2, T3 = _tensor(T)
-    return CubicPoly((2.0, T1 + T2 + T3, 0.0, -T1 * T2 * T3))
+    return _reduction_cubic("SO3", _tensor(T))
 
 
 def sl2_cubic(T) -> CubicPoly:
-    T1, T2, T3 = _tensor(T)
-    return CubicPoly((2.0, T1 + T2 - T3, 0.0, T1 * T2 * T3))
+    return _reduction_cubic("SL2", _tensor(T))
+
+
+def _correspondence(name: str, T, p: float):
+    """Denominators (p + T1, p + T2, p +- T3) and the real cube root q of
+    p times their product."""
+    d = (p + T[0], p + T[1], p + _T3_SIGN[name] * T[2])
+    return d, float(np.cbrt(p * d[0] * d[1] * d[2]))
 
 
 def _scaled_system(group, v, T):
@@ -215,22 +230,15 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     """
     group = as_group(group)
     T = _tensor(T)
-    T1, T2, T3 = T
-    if group.name == "SO3":
-        denoms = (p + T1, p + T2, p + T3)
-        v3_sign = 1.0
-    elif group.name == "SL2":
-        denoms = (p + T1, p + T2, p - T3)
-        v3_sign = -1.0
-    else:
+    if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
-    q = float(np.cbrt(p * denoms[0] * denoms[1] * denoms[2]))
+    denoms, q = _correspondence(group.name, T, p)
     x = tuple(q / d for d in denoms)
     # admissibility is the sign pattern of the averaged forms; allow exact
     # cancellation to zero there, since thin case intervals make the x_i
     # huge with opposite signs
     v_avg = ((x[1] + x[2]) / 2.0, (x[0] + x[2]) / 2.0,
-             v3_sign * (x[0] + x[1]) / 2.0)
+             _T3_SIGN[group.name] * (x[0] + x[1]) / 2.0)
     slack = (1e-12 * (abs(x[1]) + abs(x[2])), 1e-12 * (abs(x[0]) + abs(x[2])),
              1e-12 * (abs(x[0]) + abs(x[1])))
     if any(va + s <= 0.0 for va, s in zip(v_avg, slack)):
@@ -250,10 +258,8 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     return DiagonalMetric(v), c
 
 
-def _trace_for(group, T, p: float, mult: int) -> CubicSolveTrace:
-    T1, T2, T3 = _tensor(T)
-    sgn = 1.0 if as_group(group).name == "SO3" else -1.0
-    q = float(np.cbrt(p * (p + T1) * (p + T2) * (p + sgn * T3)))
+def _trace_for(name: str, T, p: float, mult: int) -> CubicSolveTrace:
+    _, q = _correspondence(name, T, p)
     return CubicSolveTrace(p=p, q=q, multiplicity=mult)
 
 
@@ -281,26 +287,28 @@ def solve(group, T, cfg: SolverConfig | None = None) -> SolveOutcome:
     cfg = cfg or DEFAULT_CONFIG
     T = _tensor(T)
     ztol = cfg.zero_tol_rel * max(1.0, max(abs(t) for t in T))
+    s = tuple(_sign(t, ztol) for t in T)
 
     if group.name == "SO3":
-        return _solve_so3(T, cfg, ztol)
+        return _solve_so3(T, s, cfg)
     if group.name == "SL2":
-        return _solve_sl2(T, cfg, ztol)
+        return _solve_sl2(T, s, cfg, ztol)
     if group.name in ("E2", "E11"):
-        return _solve_l3zero(group, T, ztol)
+        return _solve_l3zero(group, T, s, ztol)
     if group.name == "H3":
-        return _solve_h3(T, ztol)
-    return _solve_r3(T, ztol)
+        return _solve_h3(T, s)
+    return _solve_r3(s)
 
 
 # ---------------------------------------------------------------------------
 # SO3
 # ---------------------------------------------------------------------------
 
-def _solve_so3(T, cfg, ztol) -> SolveOutcome:
+def _solve_so3(T, s, cfg) -> SolveOutcome:
     order = sorted(range(3), key=lambda i: -T[i])
     Ts = tuple(T[i] for i in order)
-    s = tuple(_sign(t, ztol) for t in Ts)
+    # sorting is monotone, so the signs of Ts are the sorted signs of T
+    s = tuple(sorted(s, reverse=True))
 
     def unpermute(v_sorted) -> tuple[float, float, float]:
         v = [0.0, 0.0, 0.0]
@@ -309,7 +317,8 @@ def _solve_so3(T, cfg, ztol) -> SolveOutcome:
         return tuple(v)
 
     if s == (1, 1, 1):
-        rep = roots_in_interval(so3_cubic(Ts), 0.0, math.inf, cfg.root_tol)
+        rep = roots_in_interval(_reduction_cubic("SO3", Ts), 0.0, math.inf,
+                                cfg.root_tol)
         p = rep.roots[0]
         metric, c = reconstruct_from_p("SO3", Ts, p)
         return SolveOutcome(
@@ -326,7 +335,8 @@ def _solve_so3(T, cfg, ztol) -> SolveOutcome:
             family=Family(constraint=constraint, c=c, sample=Solution(sample, c)))
 
     if s[0] == 1 and s[1] == -1 and s[2] == -1:
-        rep = roots_in_interval(so3_cubic(Ts), -Ts[0], 0.0, cfg.root_tol)
+        rep = roots_in_interval(_reduction_cubic("SO3", Ts), -Ts[0], 0.0,
+                                cfg.root_tol)
         if len(rep) == 0:
             return SolveOutcome(kind="NoSolution", case_label="none")
         pairs = list(zip(rep.roots, rep.multiplicities))
@@ -353,7 +363,7 @@ def _solve_so3(T, cfg, ztol) -> SolveOutcome:
 # ---------------------------------------------------------------------------
 
 def _sl2_unique(T, cfg, lo, hi, label) -> SolveOutcome:
-    rep = roots_in_interval(sl2_cubic(T), lo, hi, cfg.root_tol)
+    rep = roots_in_interval(_reduction_cubic("SL2", T), lo, hi, cfg.root_tol)
     if len(rep) == 0:
         return SolveOutcome(kind="NoSolution", case_label="none")
     p, mult = rep.roots[0], rep.multiplicities[0]
@@ -363,7 +373,7 @@ def _sl2_unique(T, cfg, lo, hi, label) -> SolveOutcome:
                         traces=(_trace_for("SL2", T, p, mult),))
 
 
-def _sl2_zero_family(T, negative_index: int, ztol) -> SolveOutcome:
+def _sl2_zero_family(T, negative_index: int) -> SolveOutcome:
     """The two-zero families: T_i < 0 for i in {1, 2}, other components zero.
 
     The curvature equations force one x to vanish; the surviving equation
@@ -382,8 +392,8 @@ def _sl2_zero_family(T, negative_index: int, ztol) -> SolveOutcome:
         label = "SL2 case (vii)"
     sample = _normalized(raw_sample, c)
     alt = -Ti / 8.0
-    res_c = _family_residual("SL2", sample, c, T)
-    res_alt = _family_residual("SL2", sample, alt, T)
+    res_c = residual("SL2", sample, c, T)
+    res_alt = residual("SL2", sample, alt, T)
     note = (f"family constant computed from the curvature equations: "
             f"c = -8/T{negative_index + 1} = {c:.12g} "
             f"(sample residual {res_c:.3g}); the alternative reading "
@@ -395,15 +405,8 @@ def _sl2_zero_family(T, negative_index: int, ztol) -> SolveOutcome:
                         notes=(note,))
 
 
-def _family_residual(group, metric, c, T) -> float:
-    ric = ricci_diagonal(group, metric)
-    cT = c * np.asarray(T, dtype=float)
-    return float(np.max(np.abs(ric - cT)) / (1.0 + abs(c) * np.max(np.abs(T))))
-
-
-def _solve_sl2(T, cfg, ztol) -> SolveOutcome:
+def _solve_sl2(T, s, cfg, ztol) -> SolveOutcome:
     T1, T2, T3 = T
-    s = tuple(_sign(t, ztol) for t in T)
 
     if s == (1, -1, -1):
         if T1 + T3 > ztol:
@@ -432,9 +435,9 @@ def _solve_sl2(T, cfg, ztol) -> SolveOutcome:
         return SolveOutcome(kind="NoSolution", case_label="none")
 
     if s == (-1, 0, 0):
-        return _sl2_zero_family(T, 0, ztol)
+        return _sl2_zero_family(T, 0)
     if s == (0, -1, 0):
-        return _sl2_zero_family(T, 1, ztol)
+        return _sl2_zero_family(T, 1)
 
     return SolveOutcome(kind="NoSolution", case_label="none")
 
@@ -443,9 +446,8 @@ def _solve_sl2(T, cfg, ztol) -> SolveOutcome:
 # E2 and E11: third bracket coefficient zero, so the system collapses.
 # ---------------------------------------------------------------------------
 
-def _solve_l3zero(group, T, ztol) -> SolveOutcome:
+def _solve_l3zero(group, T, s, ztol) -> SolveOutcome:
     T1, T2, T3 = T
-    s = tuple(_sign(t, ztol) for t in T)
 
     if group.name == "E2" and s == (0, 0, 0):
         sample = Solution(DiagonalMetric((1.0, 1.0, 1.0)), 1.0)
@@ -494,9 +496,8 @@ def _l3zero_x(group, v1: float, v2: float) -> tuple[float, float, float]:
 # H3 and the abelian group
 # ---------------------------------------------------------------------------
 
-def _solve_h3(T, ztol) -> SolveOutcome:
+def _solve_h3(T, s) -> SolveOutcome:
     T1, T2, T3 = T
-    s = tuple(_sign(t, ztol) for t in T)
     if s != (1, -1, -1):
         return SolveOutcome(kind="NoSolution", case_label="none")
     c = 2.0 * T1 / (T2 * T3)
@@ -505,8 +506,8 @@ def _solve_h3(T, ztol) -> SolveOutcome:
                         solutions=(Solution(metric, c),))
 
 
-def _solve_r3(T, ztol) -> SolveOutcome:
-    if all(_sign(t, ztol) == 0 for t in T):
+def _solve_r3(s) -> SolveOutcome:
+    if s == (0, 0, 0):
         sample = Solution(DiagonalMetric((1.0, 1.0, 1.0)), 1.0)
         return SolveOutcome(kind="FamilyAnyC", case_label="R3 (0,0,0)",
                             family=Family(constraint=None, c=None,
@@ -515,80 +516,13 @@ def _solve_r3(T, ztol) -> SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Signature classification (pure sign and inequality logic)
+# Signature classification
 # ---------------------------------------------------------------------------
 
 def classify_signature(group, T, cfg: SolverConfig | None = None) -> str:
     """Name the existence-condition row matched by (group, T), or "none".
 
-    Pure sign/inequality logic; the only polynomial evaluations are the SO3
-    mixed-signature condition tests on the reduction cubic at -T1 and at the
-    critical point -(T1+T2+T3)/3.
+    This is `solve`'s case label, so the two never disagree; it raises
+    whatever `solve` raises.
     """
-    group = as_group(group)
-    cfg = cfg or DEFAULT_CONFIG
-    T = _tensor(T)
-    ztol = cfg.zero_tol_rel * max(1.0, max(abs(t) for t in T))
-    s = tuple(_sign(t, ztol) for t in T)
-
-    if group.name == "SO3":
-        Ts = tuple(sorted(T, reverse=True))
-        ss = tuple(_sign(t, ztol) for t in Ts)
-        if ss == (1, 1, 1):
-            return "SO3 (+,+,+)"
-        if ss == (1, 0, 0):
-            return "SO3 (+,0,0)"
-        if ss == (1, -1, -1):
-            fbar = so3_cubic(Ts)
-            A = Ts[0] + Ts[1] + Ts[2]
-            at_t1 = fbar(-Ts[0])
-            ftol1 = cfg.zero_tol_rel * max(1.0, fbar.value_scale(-Ts[0]))
-            exists = at_t1 > ftol1
-            two = False
-            if A > ztol:
-                crit = -A / 3.0
-                at_crit = fbar(crit)
-                ftolc = cfg.zero_tol_rel * max(1.0, fbar.value_scale(crit))
-                if at_crit >= -ftolc:
-                    exists = True
-                two = at_t1 < -ftol1 and at_crit > ftolc
-            if two:
-                return "SO3 (+,-,-) two-solution subcase"
-            if exists:
-                return "SO3 (+,-,-) unique subcase"
-        return "none"
-
-    if group.name == "SL2":
-        T1, T2, T3 = T
-        if s == (1, -1, -1):
-            return "SL2 case (i)" if T1 + T3 > ztol else "none"
-        if s == (-1, 1, -1):
-            return "SL2 case (ii)" if T2 + T3 > ztol else "none"
-        if s == (-1, -1, 1):
-            if abs(T1 - T2) <= ztol and abs(T1 + T3) <= ztol:
-                return "SL2 case (v)"
-            if T3 - max(-T1, -T2) > ztol:
-                return "SL2 case (iii)"
-            if min(-T1, -T2) - T3 > ztol:
-                return "SL2 case (iv)"
-            return "none"
-        if s == (-1, 0, 0):
-            return "SL2 case (vi)"
-        if s == (0, -1, 0):
-            return "SL2 case (vii)"
-        return "none"
-
-    if group.name in ("E2", "E11"):
-        if group.name == "E2" and s == (0, 0, 0):
-            return "E2 (0,0,0)"
-        if group.name == "E11" and s == (0, 0, -1):
-            return "E11 (0,0,-)"
-        if s[2] == -1 and T[0] + T[1] > ztol and s[0] * s[1] == -1:
-            pattern = "(+,-,-)" if s[0] == 1 else "(-,+,-)"
-            return f"{group.name} {pattern}"
-        return "none"
-
-    if group.name == "H3":
-        return "H3 (+,-,-)" if s == (1, -1, -1) else "none"
-
-    return "R3 (0,0,0)" if s == (0, 0, 0) else "none"
+    return solve(group, T, cfg).case_label

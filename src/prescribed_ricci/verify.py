@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul
+from .curvature import ricci_diagonal, ricci_koszul
 from .groups import as_group, structure_constants
 
 __all__ = ["Certificate", "residual", "certify"]
@@ -73,10 +73,3 @@ def certify(group, m, c: float, T,
                        residual_oracle=r_oracle,
                        normalized=normalized,
                        passed=bool(r_closed <= threshold and r_oracle <= threshold))
-
-
-def certify_metric(group, m, c: float, T) -> Certificate:
-    """Convenience wrapper accepting DiagonalMetric instances."""
-    if isinstance(m, DiagonalMetric):
-        return certify(group, m.v, c, T)
-    return certify(group, m, c, T)

@@ -182,3 +182,30 @@ def test_malformed_inputs_name_the_field(tmp_path, capsys):
 
 def test_unknown_flag_is_exit_2(capsys):
     assert main(["solve", "so3", "--T", "1,1,1", "--bogus", "1"]) == 2
+
+
+MALFORMED = {
+    "batch-certify-nonpositive-v": (
+        "batch", '{"command": "certify", "group": "so3", "T": [1, 1, 1], '
+                 '"v": [1, -1, 1], "c": 2}\n'),
+    "batch-solve-non-numeric-T": (
+        "batch", '{"command": "solve", "group": "so3", "T": ["a", 1, 1]}\n'),
+    "batch-certify-two-component-T": (
+        "batch", '{"command": "certify", "group": "so3", "T": [1, 1], '
+                 '"v": [1, 1, 1], "c": 2}\n'),
+    "certify-from-nonpositive-v": (
+        "certify --from", '{"command": "solve", "group": "so3", '
+                          '"T": [1, 1, 1], "solutions": '
+                          '[{"v": [1, 0, 1], "c": 2}], "family": null}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_input_is_exit_2(name, tmp_path, capsys):
+    command, content = MALFORMED[name]
+    path = tmp_path / "input.jsonl"
+    path.write_text(content)
+    code = main(command.split() + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert any(line.startswith("error: field") for line in err.splitlines()), err
