@@ -116,7 +116,7 @@ def _parse_number(value, fieldname: str) -> float:
         raise InputError(f"field {fieldname!r}: missing")
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"field {fieldname!r}: non-numeric entry {value!r}")
     if not math.isfinite(x):
         raise InputError(f"field {fieldname!r}: non-finite entry {value!r}")
@@ -124,14 +124,20 @@ def _parse_number(value, fieldname: str) -> float:
 
 
 def _parse_numbers(value, fieldname: str, count: int = 3) -> tuple:
-    """`count` finite numbers from "a,b,c" text or a JSON list."""
-    parts = value
-    if isinstance(value, str):
-        parts = [p for p in value.replace(" ", "").split(",") if p]
-    if not isinstance(parts, (list, tuple)) or len(parts) != count:
-        raise InputError(f"field {fieldname!r}: expected {count} numbers, "
-                         f"got {value!r}")
-    return tuple(_parse_number(p, fieldname) for p in parts)
+    """`count` finite numbers from a JSON list."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise InputError(f"field {fieldname!r}: expected a list of {count} "
+                         f"numbers, got {value!r}")
+    return tuple(_parse_number(p, fieldname) for p in value)
+
+
+def _flag_numbers(text: str, fieldname: str, count: int = 3) -> tuple:
+    """`count` finite numbers from comma-separated command-line text."""
+    parts = [p for p in text.replace(" ", "").split(",") if p]
+    if len(parts) != count:
+        raise InputError(f"field {fieldname!r}: expected {count} "
+                         f"comma-separated numbers, got {text!r}")
+    return _parse_numbers(parts, fieldname, count)
 
 
 def _parse_range(text: str, fieldname: str) -> tuple[float, float]:
@@ -164,7 +170,7 @@ def _json_lines(path: str, fieldname: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"field {fieldname!r}: cannot read {path!r}: {exc}")
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
@@ -172,7 +178,7 @@ def _json_lines(path: str, fieldname: str):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"field {fieldname!r}: line {lineno} is not "
                              f"valid JSON: {exc}")
         if not isinstance(obj, dict):
@@ -193,7 +199,6 @@ def _solution_record(group, T, sol) -> dict:
 
 
 def _solve_record(group, T, cfg) -> dict:
-    T = _parse_numbers(T, "T")
     outcome = solve(group, T, cfg)
     record = {"command": "solve", "group": group.name.lower(), "T": list(T),
               "kind": outcome.kind, "case_label": outcome.case_label}
@@ -215,14 +220,11 @@ def _solve_record(group, T, cfg) -> dict:
 
 
 def _classify_record(group, T) -> dict:
-    T = _parse_numbers(T, "T")
     return {"command": "classify", "group": group.name.lower(), "T": list(T),
             "case_label": classify_signature(group, T)}
 
 
 def _certify_record(group, T, v, c) -> dict:
-    T, v = _parse_numbers(T, "T"), _parse_numbers(v, "v")
-    c = _parse_number(c, "c")
     try:
         cert = certify(group, v, c, T)
     except ValueError as exc:
@@ -243,12 +245,17 @@ def _passed(record: dict) -> bool:
     return all(r.get("pass", True) for r in checks)
 
 
+def _job_T(job) -> tuple:
+    return _parse_numbers(job.get("T"), "T")
+
+
 # the jobs a batch file may hold, each built from its JSON fields
 _BATCH_JOBS = {
-    "solve": lambda group, job: _solve_record(group, job.get("T"), None),
-    "classify": lambda group, job: _classify_record(group, job.get("T")),
+    "solve": lambda group, job: _solve_record(group, _job_T(job), None),
+    "classify": lambda group, job: _classify_record(group, _job_T(job)),
     "certify": lambda group, job: _certify_record(
-        group, job.get("T"), job.get("v"), job.get("c")),
+        group, _job_T(job), _parse_numbers(job.get("v"), "v"),
+        _parse_number(job.get("c"), "c")),
 }
 
 
@@ -259,7 +266,7 @@ _BATCH_JOBS = {
 def _run_solve(args, reporter) -> int:
     group = _resolve_group(args)
     cfg = SolverConfig(root_tol=args.tol) if args.tol else None
-    record = _solve_record(group, args.T, cfg)
+    record = _solve_record(group, _flag_numbers(args.T, "T"), cfg)
     reporter.emit(record)
     return EXIT_OK if _passed(record) else EXIT_CERT_FAILURE
 
@@ -270,7 +277,9 @@ def _run_certify(args, reporter) -> int:
     if args.T is None or args.v is None or args.c is None:
         raise InputError("field 'v'/'c'/'T': certify needs --T, --v and --c "
                          "(or --from FILE)")
-    record = _certify_record(_resolve_group(args), args.T, args.v, args.c)
+    record = _certify_record(_resolve_group(args), _flag_numbers(args.T, "T"),
+                             _flag_numbers(args.v, "v"),
+                             _parse_number(args.c, "c"))
     reporter.emit(record)
     return EXIT_OK if record["pass"] else EXIT_CERT_FAILURE
 
@@ -284,10 +293,21 @@ def _certify_from_file(args, reporter) -> int:
         try:
             group = _group_or_fail(record.get("group", ""))
             T = _parse_numbers(record.get("T"), "T")
-            claims = list(record.get("solutions", []))
-            if record.get("family") is not None:
-                claims.append(record["family"]["sample"])
-            certs = [_certify_record(group, T, s.get("v"), s.get("c"))
+            claims = record.get("solutions", [])
+            if not (isinstance(claims, list)
+                    and all(isinstance(s, dict) for s in claims)):
+                raise InputError("field 'solutions': expected a list of "
+                                 "objects")
+            family = record.get("family")
+            if family is not None:
+                if not (isinstance(family, dict)
+                        and isinstance(family.get("sample"), dict)):
+                    raise InputError("field 'family': expected null or an "
+                                     "object with a 'sample' object")
+                claims = claims + [family["sample"]]
+            certs = [_certify_record(group, T,
+                                     _parse_numbers(s.get("v"), "v"),
+                                     _parse_number(s.get("c"), "c"))
                      for s in claims]
         except InputError as exc:
             raise InputError(f"{exc} on line {lineno}") from None
@@ -301,7 +321,8 @@ def _certify_from_file(args, reporter) -> int:
 
 
 def _run_classify(args, reporter) -> int:
-    reporter.emit(_classify_record(_resolve_group(args), args.T))
+    reporter.emit(_classify_record(_resolve_group(args),
+                                   _flag_numbers(args.T, "T")))
     return EXIT_OK
 
 
@@ -358,7 +379,7 @@ def _run_oracle_ricci(args, reporter) -> int:
                          "--v v1,v2,v3 or --g six upper-triangle entries")
     sc = structure_constants(group)
     if args.v is not None:
-        v = _parse_numbers(args.v, "v")
+        v = _flag_numbers(args.v, "v")
         if min(v) <= 0:
             raise InputError("field 'v': metric components must be positive")
         ric_cf = ricci_diagonal(group, v)
@@ -368,7 +389,7 @@ def _run_oracle_ricci(args, reporter) -> int:
                        "ricci_closed_form": [float(t) for t in ric_cf],
                        "ricci_koszul": [[float(t) for t in row] for row in ric_k]})
         return EXIT_OK
-    upper = _parse_numbers(args.g, "g", 6)
+    upper = _flag_numbers(args.g, "g", 6)
     try:
         ric_k = ricci_koszul(sc, symmetric_from_upper(upper))
     except ValueError as exc:
@@ -382,7 +403,8 @@ def _run_oracle_ricci(args, reporter) -> int:
 def _run_batch(args, reporter) -> int:
     status = EXIT_OK
     for lineno, job in _json_lines(args.jobs, "jobs"):
-        build = _BATCH_JOBS.get(job.get("command"))
+        command = job.get("command")
+        build = _BATCH_JOBS.get(command) if isinstance(command, str) else None
         if build is None:
             raise InputError(f"field 'command': line {lineno}: unknown "
                              f"command {job.get('command')!r}; expected one "

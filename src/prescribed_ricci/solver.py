@@ -49,6 +49,8 @@ class DiagonalTensor:
     T: tuple[float, float, float]
 
     def __post_init__(self):
+        if isinstance(self.T, (str, bytes)):
+            raise ValueError(f"tensor components must be numbers, got {self.T!r}")
         T = tuple(float(t) for t in self.T)
         object.__setattr__(self, "T", T)
         if len(T) != 3:
@@ -339,21 +341,17 @@ def _solve_so3(T, s, cfg) -> SolveOutcome:
                                 cfg.root_tol)
         if len(rep) == 0:
             return SolveOutcome(kind="NoSolution", case_label="none")
-        pairs = list(zip(rep.roots, rep.multiplicities))
-        solutions, traces = [], []
-        for p, mult in pairs:
+        found = []
+        for p, mult in zip(rep.roots, rep.multiplicities):
             metric, c = reconstruct_from_p("SO3", Ts, p)
-            solutions.append(Solution(DiagonalMetric(unpermute(metric.v)), c))
-            traces.append(_trace_for("SO3", Ts, p, mult))
-        if len(solutions) == 1:
-            return SolveOutcome(kind="Unique",
-                                case_label="SO3 (+,-,-) unique subcase",
-                                solutions=tuple(solutions), traces=tuple(traces))
-        by_c = sorted(zip(solutions, traces), key=lambda sc: sc[0].c)
-        return SolveOutcome(kind="TwoSolutions",
-                            case_label="SO3 (+,-,-) two-solution subcase",
-                            solutions=tuple(s for s, _ in by_c),
-                            traces=tuple(t for _, t in by_c))
+            found.append((Solution(DiagonalMetric(unpermute(metric.v)), c),
+                          _trace_for("SO3", Ts, p, mult)))
+        found.sort(key=lambda st: st[0].c)
+        kind, sub = (("Unique", "unique") if len(found) == 1
+                     else ("TwoSolutions", "two-solution"))
+        return SolveOutcome(kind=kind, case_label=f"SO3 (+,-,-) {sub} subcase",
+                            solutions=tuple(s for s, _ in found),
+                            traces=tuple(t for _, t in found))
 
     return SolveOutcome(kind="NoSolution", case_label="none")
 
@@ -373,6 +371,11 @@ def _sl2_unique(T, cfg, lo, hi, label) -> SolveOutcome:
                         traces=(_trace_for("SL2", T, p, mult),))
 
 
+# the two-zero families by negative index: constraint, raw sample, label
+_SL2_ZERO_FAMILIES = (("v2=v1+v3", (1.0, 2.0, 1.0), "SL2 case (vi)"),
+                      ("v1=v2+v3", (2.0, 1.0, 1.0), "SL2 case (vii)"))
+
+
 def _sl2_zero_family(T, negative_index: int) -> SolveOutcome:
     """The two-zero families: T_i < 0 for i in {1, 2}, other components zero.
 
@@ -382,14 +385,7 @@ def _sl2_zero_family(T, negative_index: int) -> SolveOutcome:
     """
     Ti = T[negative_index]
     c = -8.0 / Ti
-    if negative_index == 0:
-        constraint = "v2=v1+v3"
-        raw_sample = (1.0, 2.0, 1.0)
-        label = "SL2 case (vi)"
-    else:
-        constraint = "v1=v2+v3"
-        raw_sample = (2.0, 1.0, 1.0)
-        label = "SL2 case (vii)"
+    constraint, raw_sample, label = _SL2_ZERO_FAMILIES[negative_index]
     sample = _normalized(raw_sample, c)
     alt = -Ti / 8.0
     res_c = residual("SL2", sample, c, T)
@@ -408,15 +404,10 @@ def _sl2_zero_family(T, negative_index: int) -> SolveOutcome:
 def _solve_sl2(T, s, cfg, ztol) -> SolveOutcome:
     T1, T2, T3 = T
 
-    if s == (1, -1, -1):
-        if T1 + T3 > ztol:
-            return _sl2_unique(T, cfg, -T1, T3, "SL2 case (i)")
-        return SolveOutcome(kind="NoSolution", case_label="none")
-
-    if s == (-1, 1, -1):
-        if T2 + T3 > ztol:
-            return _sl2_unique(T, cfg, -T2, T3, "SL2 case (ii)")
-        return SolveOutcome(kind="NoSolution", case_label="none")
+    if s == (1, -1, -1) and T1 + T3 > ztol:
+        return _sl2_unique(T, cfg, -T1, T3, "SL2 case (i)")
+    if s == (-1, 1, -1) and T2 + T3 > ztol:
+        return _sl2_unique(T, cfg, -T2, T3, "SL2 case (ii)")
 
     if s == (-1, -1, 1):
         if abs(T1 - T2) <= ztol and abs(T1 + T3) <= ztol:
@@ -434,10 +425,8 @@ def _solve_sl2(T, s, cfg, ztol) -> SolveOutcome:
             return _sl2_unique(T, cfg, T3, min(-T1, -T2), "SL2 case (iv)")
         return SolveOutcome(kind="NoSolution", case_label="none")
 
-    if s == (-1, 0, 0):
-        return _sl2_zero_family(T, 0)
-    if s == (0, -1, 0):
-        return _sl2_zero_family(T, 1)
+    if s in ((-1, 0, 0), (0, -1, 0)):
+        return _sl2_zero_family(T, s.index(-1))
 
     return SolveOutcome(kind="NoSolution", case_label="none")
 

@@ -197,6 +197,26 @@ MALFORMED = {
         "certify --from", '{"command": "solve", "group": "so3", '
                           '"T": [1, 1, 1], "solutions": '
                           '[{"v": [1, 0, 1], "c": 2}], "family": null}\n'),
+    "certify-from-non-object-solution": (
+        "certify --from", '{"command": "solve", "group": "so3", '
+                          '"T": [1, 1, 1], "solutions": [1]}\n'),
+    "certify-from-string-solutions": (
+        "certify --from", '{"command": "solve", "group": "so3", '
+                          '"T": [1, 1, 1], "solutions": "x"}\n'),
+    "certify-from-null-solutions": (
+        "certify --from", '{"command": "solve", "group": "so3", '
+                          '"T": [1, 1, 1], "solutions": null}\n'),
+    "certify-from-family-without-sample": (
+        "certify --from", '{"command": "solve", "group": "so3", '
+                          '"T": [1, 1, 1], "solutions": [], '
+                          '"family": {"c_fixed": 2}}\n'),
+    "batch-certify-huge-integer-c": (
+        "batch", '{"command": "certify", "group": "so3", "T": [1, 1, 1], '
+                 '"v": [1, 1, 1], "c": 1' + "0" * 400 + '}\n'),
+    "batch-solve-T-as-text": (
+        "batch", '{"command": "solve", "group": "so3", "T": "1,1,1"}\n'),
+    "batch-command-not-a-string": (
+        "batch", '{"command": ["solve"], "group": "so3", "T": [1, 1, 1]}\n'),
 }
 
 

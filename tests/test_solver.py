@@ -419,7 +419,9 @@ def test_classify_agrees_with_solve(rng):
             T = (random_solvable(g, rng) if rng.random() < 0.5
                  else tuple(rng.uniform(-3, 3, size=3)))
             T = tuple(10.0 ** rng.uniform(-6, 6) * np.asarray(T))
-            assert classify_signature(g, T) == solve(g, T).case_label, (g.name, T)
+            out = solve(g, T)
+            assert classify_signature(g, T) == out.case_label, (g.name, T)
+            assert (out.case_label == "none") == (out.kind == "NoSolution"), (g.name, T)
 
 
 def test_invalid_tensor_rejected():
@@ -427,3 +429,5 @@ def test_invalid_tensor_rejected():
         DiagonalTensor((1.0, float("nan"), 0.0))
     with pytest.raises(ValueError):
         solve(SO3, (1.0, float("inf"), 0.0))
+    with pytest.raises(ValueError):
+        solve(SO3, "123")
