@@ -18,7 +18,7 @@ import numpy as np
 from .curvature import ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
-from .solver import SolverConfig, classify_signature, solve
+from .solver import classify_signature, solve
 from .verify import certify
 
 __all__ = ["main"]
@@ -51,7 +51,8 @@ def _to_json(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt(value)
+        # JSON has no nan or inf
+        return _fmt(value) if math.isfinite(value) else "null"
     if value is None:
         return "null"
     return json.dumps(value)
@@ -198,8 +199,8 @@ def _solution_record(group, T, sol) -> dict:
             "pass": cert.passed}
 
 
-def _solve_record(group, T, cfg) -> dict:
-    outcome = solve(group, T, cfg)
+def _solve_record(group, T) -> dict:
+    outcome = solve(group, T)
     record = {"command": "solve", "group": group.name.lower(), "T": list(T),
               "kind": outcome.kind, "case_label": outcome.case_label}
     record["solutions"] = [_solution_record(group, T, s) for s in outcome.solutions]
@@ -251,7 +252,7 @@ def _job_T(job) -> tuple:
 
 # the jobs a batch file may hold, each built from its JSON fields
 _BATCH_JOBS = {
-    "solve": lambda group, job: _solve_record(group, _job_T(job), None),
+    "solve": lambda group, job: _solve_record(group, _job_T(job)),
     "classify": lambda group, job: _classify_record(group, _job_T(job)),
     "certify": lambda group, job: _certify_record(
         group, _job_T(job), _parse_numbers(job.get("v"), "v"),
@@ -264,9 +265,7 @@ _BATCH_JOBS = {
 # ---------------------------------------------------------------------------
 
 def _run_solve(args, reporter) -> int:
-    group = _resolve_group(args)
-    cfg = SolverConfig(root_tol=args.tol) if args.tol else None
-    record = _solve_record(group, _flag_numbers(args.T, "T"), cfg)
+    record = _solve_record(_resolve_group(args), _flag_numbers(args.T, "T"))
     reporter.emit(record)
     return EXIT_OK if _passed(record) else EXIT_CERT_FAILURE
 
@@ -360,10 +359,9 @@ def _run_sweep(args, reporter) -> int:
                 kind_counts[outcome.kind] = kind_counts.get(outcome.kind, 0) + 1
                 record = {"command": "sweep-point", "T": list(T),
                           "kind": outcome.kind, "case_label": label}
-                if outcome.solutions:
-                    record["c"] = [s.c for s in outcome.solutions]
-                elif outcome.family is not None and outcome.family.c is not None:
-                    record["c"] = [outcome.family.c]
+                c = outcome.c_values()
+                if c:
+                    record["c"] = list(c)
                 reporter.emit(record)
     reporter.emit({"command": "sweep-summary", "group": group.name.lower(),
                    "points": len(axes[0]) * len(axes[1]) * len(axes[2]),
@@ -377,26 +375,23 @@ def _run_oracle_ricci(args, reporter) -> int:
     if (args.v is None) == (args.g is None):
         raise InputError("field 'v'/'g': oracle-ricci needs exactly one of "
                          "--v v1,v2,v3 or --g six upper-triangle entries")
-    sc = structure_constants(group)
+    record = {"command": "oracle-ricci", "group": group.name.lower()}
     if args.v is not None:
         v = _flag_numbers(args.v, "v")
         if min(v) <= 0:
             raise InputError("field 'v': metric components must be positive")
-        ric_cf = ricci_diagonal(group, v)
-        ric_k = ricci_koszul(sc, np.diag(v))
-        reporter.emit({"command": "oracle-ricci", "group": group.name.lower(),
-                       "v": list(v),
-                       "ricci_closed_form": [float(t) for t in ric_cf],
-                       "ricci_koszul": [[float(t) for t in row] for row in ric_k]})
-        return EXIT_OK
-    upper = _flag_numbers(args.g, "g", 6)
+        record["v"] = list(v)
+        record["ricci_closed_form"] = ricci_diagonal(group, v).tolist()
+        gram = np.diag(v)
+    else:
+        record["g"] = list(_flag_numbers(args.g, "g", 6))
+        gram = symmetric_from_upper(record["g"])
     try:
-        ric_k = ricci_koszul(sc, symmetric_from_upper(upper))
+        record["ricci_koszul"] = ricci_koszul(structure_constants(group),
+                                              gram).tolist()
     except ValueError as exc:
         raise InputError(f"field 'g': {exc}")
-    reporter.emit({"command": "oracle-ricci", "group": group.name.lower(),
-                   "g": list(upper),
-                   "ricci_koszul": [[float(t) for t in row] for row in ric_k]})
+    reporter.emit(record)
     return EXIT_OK
 
 
@@ -434,42 +429,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write records to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve Ric(g) = c T for one tensor")
-    p.add_argument("group", nargs="?", default=None)
-    p.add_argument("--group", dest="group_flag", default=None)
-    p.add_argument("--T", required=True, help="T1,T2,T3")
-    p.add_argument("--tol", type=float, default=None, help="cubic root tolerance")
+    def with_group(name, help):
+        """A subcommand taking its group positionally or via --group."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("group", nargs="?", default=None)
+        p.add_argument("--group", dest="group_flag", default=None)
+        return p
 
-    p = sub.add_parser("certify", help="certify a claimed (v, c) or a solve "
-                                       "record file")
-    p.add_argument("group", nargs="?", default=None)
-    p.add_argument("--group", dest="group_flag", default=None)
+    p = with_group("solve", "solve Ric(g) = c T for one tensor")
+    p.add_argument("--T", required=True, help="T1,T2,T3")
+
+    p = with_group("certify", "certify a claimed (v, c) or a solve record file")
     p.add_argument("--T", default=None, help="T1,T2,T3")
     p.add_argument("--v", default=None, help="v1,v2,v3")
     p.add_argument("--c", default=None, type=float)
     p.add_argument("--from", dest="from_file", default=None, metavar="FILE",
                    help="json-lines solve output to re-check")
 
-    p = sub.add_parser("classify", help="name the matched existence-condition row")
-    p.add_argument("group", nargs="?", default=None)
-    p.add_argument("--group", dest="group_flag", default=None)
+    p = with_group("classify", "name the matched existence-condition row")
     p.add_argument("--T", required=True, help="T1,T2,T3")
 
-    p = sub.add_parser("sweep", help="classify a grid of tensors")
-    p.add_argument("group", nargs="?", default=None)
-    p.add_argument("--group", dest="group_flag", default=None)
-    p.add_argument("--T1", default=None)
-    p.add_argument("--T1-range", dest="T1_range", default=None, metavar="LO..HI")
-    p.add_argument("--T2", default=None)
-    p.add_argument("--T2-range", dest="T2_range", default=None, metavar="LO..HI")
-    p.add_argument("--T3", default=None)
-    p.add_argument("--T3-range", dest="T3_range", default=None, metavar="LO..HI")
+    p = with_group("sweep", "classify a grid of tensors")
+    for axis in ("T1", "T2", "T3"):
+        p.add_argument(f"--{axis}", default=None)
+        p.add_argument(f"--{axis}-range", dest=f"{axis}_range", default=None,
+                       metavar="LO..HI")
     p.add_argument("--steps", type=int, default=10,
                    help="points per ranged axis; ranges are half-open [lo, hi)")
 
-    p = sub.add_parser("oracle-ricci", help="Ricci tensor of a given metric")
-    p.add_argument("group", nargs="?", default=None)
-    p.add_argument("--group", dest="group_flag", default=None)
+    p = with_group("oracle-ricci", "Ricci tensor of a given metric")
     p.add_argument("--v", default=None, help="diagonal metric v1,v2,v3")
     p.add_argument("--g", default=None,
                    help="full symmetric metric, 6 upper-triangle entries "
@@ -492,7 +480,7 @@ _RUNNERS = {
 
 
 _VALUE_FLAGS = {"--T", "--v", "--g", "--c", "--group", "--T1", "--T2", "--T3",
-                "--T1-range", "--T2-range", "--T3-range", "--tol", "--steps",
+                "--T1-range", "--T2-range", "--T3-range", "--steps",
                 "--out", "--format", "--from"}
 
 

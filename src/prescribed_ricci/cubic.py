@@ -17,6 +17,8 @@ from dataclasses import dataclass
 __all__ = ["CubicPoly", "RootReport", "roots_in_interval"]
 
 _TINY = 1e-290
+# roots are polished to |dp| <= ROOT_TOL * max(1, |p|)
+ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class RootReport:
         return len(self.roots)
 
 
-def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float, fb: float,
-                    tol: float) -> float:
+def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float,
+                    fb: float) -> float:
     """Newton with a sign-change bracket as safety net.  fa*fb < 0 required."""
     x = 0.5 * (a + b)
     for _ in range(200):
@@ -76,7 +78,7 @@ def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float, fb: float,
                 xn = 0.5 * (a + b)
         else:
             xn = 0.5 * (a + b)
-        if abs(xn - x) <= tol * max(1.0, abs(xn)):
+        if abs(xn - x) <= ROOT_TOL * max(1.0, abs(xn)):
             x = xn
             dfx = poly.deriv(x)
             if dfx != 0.0:
@@ -88,13 +90,13 @@ def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float, fb: float,
     return x
 
 
-def _critical_points(a3: float, a2: float, a1: float, tol: float):
+def _critical_points(a3: float, a2: float, a1: float):
     """Real roots of the derivative 3*a3*p^2 + 2*a2*p + a1, and whether the
     two coincide (within rounding, meaning an inflection-type critical point)."""
     disc = a2 * a2 - 3.0 * a3 * a1
     disc_scale = max(a2 * a2, abs(3.0 * a3 * a1))
-    if disc <= tol * disc_scale:
-        if disc < -tol * disc_scale:
+    if disc <= ROOT_TOL * disc_scale:
+        if disc < -ROOT_TOL * disc_scale:
             return [], False
         return [-a2 / (3.0 * a3)], True
     sq = math.sqrt(disc)
@@ -104,11 +106,11 @@ def _critical_points(a3: float, a2: float, a1: float, tol: float):
     return sorted((r1, r2)), False
 
 
-def _quadratic_roots(a2: float, a1: float, a0: float, tol: float):
+def _quadratic_roots(a2: float, a1: float, a0: float):
     """(root, multiplicity) pairs of a2*p^2 + a1*p + a0 with a2 != 0."""
     disc = a1 * a1 - 4.0 * a2 * a0
     scale = max(a1 * a1, abs(4.0 * a2 * a0))
-    if abs(disc) <= tol * scale:
+    if abs(disc) <= ROOT_TOL * scale:
         return [(-a1 / (2.0 * a2), 2)]
     if disc < 0.0:
         return []
@@ -118,13 +120,13 @@ def _quadratic_roots(a2: float, a1: float, a0: float, tol: float):
     return sorted([(q / a2, 1), (a0 / q, 1)])
 
 
-def roots_in_interval(poly: CubicPoly, lo: float, hi: float,
-                      tol: float = 1e-12) -> RootReport:
+def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
     """All real roots of `poly` strictly inside the open interval (lo, hi).
 
     Either endpoint may be +-inf.  Roots are polished to
-    |dp| <= tol * max(1, |p|); a critical point where |poly| <= tol * scale is
-    reported as a double root (triple when the critical points coincide).
+    |dp| <= ROOT_TOL * max(1, |p|); a critical point where |poly| <=
+    ROOT_TOL * scale is reported as a double root (triple when the critical
+    points coincide).
     Strict-inequality questions at interval endpoints are the caller's to
     adjudicate; endpoint roots are never reported.
 
@@ -141,7 +143,7 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float,
 
     if abs(a3) < _TINY:
         if abs(a2) >= _TINY:
-            candidates = _quadratic_roots(a2, a1, a0, tol)
+            candidates = _quadratic_roots(a2, a1, a0)
         elif abs(a1) >= _TINY:
             candidates = [(-a0 / a1, 1)]
         else:
@@ -158,12 +160,12 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float,
     if not wlo < whi:
         return _report([])
 
-    crits, coincident = _critical_points(a3, a2, a1, tol)
+    crits, coincident = _critical_points(a3, a2, a1)
     inner = [c for c in crits if wlo < c < whi]
 
     flagged: set[float] = set()
     for c in inner:
-        if abs(poly(c)) <= tol * max(poly.value_scale(c), 1e-30):
+        if abs(poly(c)) <= ROOT_TOL * max(poly.value_scale(c), 1e-30):
             mult = 3 if coincident else 2
             found.append((c, mult))
             flagged.add(c)
@@ -178,14 +180,14 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float,
         fa, fb = vals[i], vals[i + 1]
         if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
             continue
-        r = _refine_bracket(poly, nodes[i], nodes[i + 1], fa, fb, tol)
+        r = _refine_bracket(poly, nodes[i], nodes[i + 1], fa, fb)
         if lo < r < hi:
             found.append((r, 1))
 
     # Merge anything that collapsed onto an already-reported multiple root.
     merged: list[tuple[float, int]] = []
     for r, mult in sorted(found):
-        if merged and abs(r - merged[-1][0]) <= 16.0 * tol * max(1.0, abs(r)):
+        if merged and abs(r - merged[-1][0]) <= 16.0 * ROOT_TOL * max(1.0, abs(r)):
             prev_r, prev_m = merged[-1]
             merged[-1] = (prev_r if prev_m >= mult else r, min(3, prev_m + mult))
         else:

@@ -94,7 +94,7 @@ def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError(f"metric Gram matrix must be 3x3, got {g.shape}")
-    if np.max(np.abs(g - g.T)) > 1e-12 * max(1.0, np.max(np.abs(g))):
+    if np.max(np.abs(g - g.T)) > 1e-12 * np.max(np.abs(g)):
         raise ValueError("metric Gram matrix must be symmetric")
     try:
         np.linalg.cholesky(g)

@@ -42,30 +42,34 @@ def symmetric_from_upper(entries) -> np.ndarray:
     return np.array([[t11, t12, t13], [t12, t22, t23], [t13, t23, t33]])
 
 
-def jacobi_eigensystem(A, sweep_tol: float = 1e-14, max_sweeps: int = 20):
+SWEEP_TOL = 1e-14
+MAX_SWEEPS = 20
+
+
+def jacobi_eigensystem(A):
     """Cyclic Jacobi eigendecomposition of a symmetric 3x3 matrix.
 
     Returns (eigenvalues, V) with A = V diag(eigenvalues) V^T, V orthogonal.
-    Unsorted; sweeps stop when the off-diagonal norm drops below
-    sweep_tol * |A|_F.
+    Unsorted; at most MAX_SWEEPS sweeps, stopping when the off-diagonal norm
+    drops below SWEEP_TOL * |A|_F.  Symmetry is checked relative to |A|_max.
     """
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {A.shape}")
-    if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+    if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
         raise ValueError("matrix must be symmetric")
     a = A.copy()
     V = np.eye(3)
     norm = np.linalg.norm(a)
     if norm == 0.0:
         return np.zeros(3), V
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = math.sqrt(2.0 * (a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2))
-        if off <= sweep_tol * norm:
+        if off <= SWEEP_TOL * norm:
             break
         for p, q in ((0, 1), (0, 2), (1, 2)):
             apq = a[p, q]
-            if abs(apq) <= 0.25 * sweep_tol * norm:
+            if abs(apq) <= 0.25 * SWEEP_TOL * norm:
                 continue
             theta = 0.5 * (a[q, q] - a[p, p]) / apq
             t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))

@@ -114,11 +114,16 @@ def bracket(sc: np.ndarray, u, v) -> np.ndarray:
     return np.einsum("i,j,ijk->k", u, v, sc)
 
 
-def check_milnor_frame(group, M, tol: float = 1e-10) -> bool:
+# entrywise tolerance of the bracket check in check_milnor_frame
+FRAME_TOL = 1e-10
+
+
+def check_milnor_frame(group, M) -> bool:
     """True iff the columns of M form another frame with the same brackets.
 
     The candidate frame is X_i = sum_j M[j,i] V_j; the check is
-    [X_i, X_j] = sum_k eps_ijk l_k X_k for all i < j, entrywise within tol.
+    [X_i, X_j] = sum_k eps_ijk l_k X_k for all i < j, entrywise within
+    FRAME_TOL.
 
     Raises ValueError when M is singular (not a basis at all).
     """
@@ -126,15 +131,14 @@ def check_milnor_frame(group, M, tol: float = 1e-10) -> bool:
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3):
         raise ValueError(f"basis change must be 3x3, got shape {M.shape}")
-    scale = max(1.0, float(np.abs(M).max()))
-    if abs(np.linalg.det(M)) <= 1e-12 * scale**3:
+    if abs(np.linalg.det(M)) <= 1e-12 * float(np.abs(M).max()) ** 3:
         raise ValueError("singular matrix is not a valid basis change")
     C = structure_constants(group)
     for i in range(3):
         for j in range(i + 1, 3):
             lhs = bracket(C, M[:, i], M[:, j])
             rhs = M @ C[i, j]
-            if np.max(np.abs(lhs - rhs)) > tol:
+            if np.max(np.abs(lhs - rhs)) > FRAME_TOL:
                 return False
     return True
 

@@ -20,8 +20,11 @@ from .verify import oracle_residual
 
 __all__ = ["ProbeReport", "sample_diagonal_preserving_changes", "probe"]
 
+# every tolerance here is relative to the size of the tensor it tests
 EQUAL_TOL = 1e-10
 DIAG_TOL = 1e-10
+# agreement required of c, the pulled-back metrics and the oracle residual
+PROBE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,22 +37,16 @@ class ProbeReport:
     violations: tuple = ()
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _tensor(T) -> np.ndarray:
     return np.asarray(getattr(T, "T", T), dtype=float)
 
 
-def _equal_blocks(values, tol: float) -> list[list[int]]:
+def _equal_blocks(values) -> list[list[int]]:
     """Partition indices into runs of equal values (relative tolerance)."""
-    scale = max(1.0, float(np.max(np.abs(values))))
+    scale = float(np.max(np.abs(values)))
     blocks: list[list[int]] = []
     for i, t in enumerate(values):
-        if blocks and abs(t - values[blocks[-1][-1]]) <= tol * scale:
+        if blocks and abs(t - values[blocks[-1][-1]]) <= EQUAL_TOL * scale:
             blocks[-1].append(i)
         else:
             blocks.append([i])
@@ -66,7 +63,7 @@ def _so3_block_change(T, rng) -> np.ndarray:
     """
     order = sorted(range(3), key=lambda i: -T[i])
     Ts = [T[i] for i in order]
-    blocks = _equal_blocks(Ts, EQUAL_TOL)
+    blocks = _equal_blocks(Ts)
     M = np.zeros((3, 3))
     dets = []
     for block in blocks:
@@ -113,7 +110,7 @@ def _sl2_change(T, rng, ztol) -> np.ndarray:
         # a boost of the (2,3) or (1,3) plane keeps T diagonal only when the
         # matching component sum vanishes
         boost_ok = (abs(T1 * np.sin(theta) ** 2 + T2 * np.cos(theta) ** 2 + T3)
-                    <= max(ztol, 1e-9))
+                    <= ztol)
         phi = rng.normal() if boost_ok else 0.0
         s = 0.0
     a12_sign = int(rng.choice([-1, 1]))
@@ -121,34 +118,24 @@ def _sl2_change(T, rng, ztol) -> np.ndarray:
     return sl2_frame_change(theta, phi, s, a12_sign, branch)
 
 
-def _e2_change(T, rng, ztol) -> np.ndarray:
+def _planar_change(name, T, rng, ztol) -> np.ndarray:
+    """E2 (rotation-scaling) or E11 (hyperbolic) planar frame change; the
+    whole family when T1 = T2 = 0 (and T3 = 0 on E2), else a pure scaling."""
+    build, sign = ((e2_frame_change, 1.0) if name == "E2"
+                   else (e11_frame_change, -1.0))
     upper = bool(rng.random() < 0.5)
-    if np.max(np.abs(T)) <= ztol:
+    if (abs(T[0]) <= ztol and abs(T[1]) <= ztol
+            and (name == "E11" or abs(T[2]) <= ztol)):
         while True:
             a11, a12 = rng.normal(size=2)
-            if a11 * a11 + a12 * a12 > 0.01:
+            if abs(a11 * a11 + sign * a12 * a12) > 0.01:
                 break
         a13, a23 = rng.normal(size=2)
-        return e2_frame_change(a11, a12, a13, a23, upper)
+        return build(a11, a12, a13, a23, upper)
     scale = float(np.exp(rng.normal() * 0.5)) * float(rng.choice([-1.0, 1.0]))
     if rng.random() < 0.5:
-        return e2_frame_change(scale, 0.0, 0.0, 0.0, upper)
-    return e2_frame_change(0.0, scale, 0.0, 0.0, upper)
-
-
-def _e11_change(T, rng, ztol) -> np.ndarray:
-    upper = bool(rng.random() < 0.5)
-    if abs(T[0]) <= ztol and abs(T[1]) <= ztol:
-        while True:
-            a11, a12 = rng.normal(size=2)
-            if abs(a11 * a11 - a12 * a12) > 0.01:
-                break
-        a13, a23 = rng.normal(size=2)
-        return e11_frame_change(a11, a12, a13, a23, upper)
-    scale = float(np.exp(rng.normal() * 0.5)) * float(rng.choice([-1.0, 1.0]))
-    if rng.random() < 0.5:
-        return e11_frame_change(scale, 0.0, 0.0, 0.0, upper)
-    return e11_frame_change(0.0, scale, 0.0, 0.0, upper)
+        return build(scale, 0.0, 0.0, 0.0, upper)
+    return build(0.0, scale, 0.0, 0.0, upper)
 
 
 def _h3_change(T, rng) -> np.ndarray:
@@ -184,9 +171,8 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
     T = _tensor(T)
     if n < 1:
         raise ValueError("need at least one sample")
-    gen = _rng(rng)
-    scale = max(1.0, float(np.max(np.abs(T))))
-    ztol = EQUAL_TOL * scale
+    gen = np.random.default_rng(rng)  # a Generator passes through as is
+    ztol = EQUAL_TOL * float(np.max(np.abs(T)))
     out = []
     attempts = 0
     while len(out) < n:
@@ -198,22 +184,22 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
             M = _so3_block_change(T, gen)
         elif group.name == "SL2":
             M = _sl2_change(T, gen, ztol)
-        elif group.name == "E2":
-            M = _e2_change(T, gen, ztol)
-        elif group.name == "E11":
-            M = _e11_change(T, gen, ztol)
+        elif group.name in ("E2", "E11"):
+            M = _planar_change(group.name, T, gen, ztol)
         elif group.name == "H3":
             M = _h3_change(T, gen)
         else:
             M = _r3_change(gen)
-        if not check_milnor_frame(group, M):
-            continue
-        Tp = M.T @ np.diag(T) @ M
-        off = Tp - np.diag(np.diag(Tp))
-        if np.max(np.abs(off)) > DIAG_TOL * max(1.0, np.max(np.abs(Tp))):
-            continue
-        out.append(M)
+        if check_milnor_frame(group, M) and _keeps_diagonal(M, T):
+            out.append(M)
     return out
+
+
+def _keeps_diagonal(M: np.ndarray, T) -> bool:
+    """Whether M^T diag(T) M is diagonal to DIAG_TOL relative."""
+    Tp = M.T @ np.diag(T) @ M
+    off = Tp - np.diag(np.diag(Tp))
+    return bool(np.max(np.abs(off)) <= DIAG_TOL * np.max(np.abs(Tp)))
 
 
 def _pullback(M: np.ndarray, v) -> np.ndarray:
@@ -222,12 +208,13 @@ def _pullback(M: np.ndarray, v) -> np.ndarray:
     return Minv.T @ np.diag(np.asarray(v, dtype=float)) @ Minv
 
 
-def _proportional(G: np.ndarray, v_base, tol: float) -> bool:
+def _proportional(G: np.ndarray, v_base) -> bool:
     D = np.diag(np.asarray(v_base, dtype=float))
-    return bool(np.max(np.abs(G / np.max(np.abs(G)) - D / np.max(D))) <= tol)
+    return bool(np.max(np.abs(G / np.max(np.abs(G)) - D / np.max(D)))
+                <= PROBE_TOL)
 
 
-def probe(group, T, n: int = 16, rng=0, tol: float = 1e-8) -> ProbeReport:
+def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     """Re-solve (group, T) across n admissible frame changes and compare.
 
     c_spread is the worst relative deviation of the constant across frames
@@ -250,14 +237,11 @@ def probe(group, T, n: int = 16, rng=0, tol: float = 1e-8) -> ProbeReport:
     metric_match = True
     c_unconstrained = base.kind == "FamilyAnyC"
     violations = []
-    T_mat = np.diag(T)
 
     for M in changes:
         assert check_milnor_frame(group, M), "sampler returned a bad frame"
-        Tp = M.T @ T_mat @ M
-        assert np.max(np.abs(Tp - np.diag(np.diag(Tp)))) <= \
-            DIAG_TOL * max(1.0, np.max(np.abs(Tp))), "sampler broke diagonality"
-        out = solve(group, tuple(np.diag(Tp)))
+        assert _keeps_diagonal(M, T), "sampler broke diagonality"
+        out = solve(group, tuple(np.diag(M.T @ np.diag(T) @ M)))
         ok = out.kind == base.kind
 
         if ok and base.kind in ("Unique", "TwoSolutions"):
@@ -270,20 +254,20 @@ def probe(group, T, n: int = 16, rng=0, tol: float = 1e-8) -> ProbeReport:
                 rel = abs(others.c - sol.c) / max(abs(sol.c), 1e-300)
                 c_spread = max(c_spread, rel)
                 G = _pullback(M, others.metric.v)
-                prop = _proportional(G, sol.metric.v, tol)
+                prop = _proportional(G, sol.metric.v)
                 res = oracle_residual(group, G, others.c, T)
                 metric_match = metric_match and prop
-                ok = ok and prop and rel <= tol and res <= tol
+                ok = ok and prop and rel <= PROBE_TOL and res <= PROBE_TOL
         elif ok and base.kind == "FamilyFixedC":
             rel = abs(out.family.c - base.family.c) / abs(base.family.c)
             c_spread = max(c_spread, rel)
             G = _pullback(M, out.family.sample.metric.v)
             res = oracle_residual(group, G, out.family.sample.c, T)
-            ok = rel <= tol and res <= tol
+            ok = rel <= PROBE_TOL and res <= PROBE_TOL
         elif ok and base.kind == "FamilyAnyC":
             G = _pullback(M, out.family.sample.metric.v)
             res = oracle_residual(group, G, out.family.sample.c, T)
-            ok = res <= tol
+            ok = res <= PROBE_TOL
 
         if not ok:
             violations.append(M)

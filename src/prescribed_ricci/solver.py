@@ -38,9 +38,16 @@ from .verify import residual
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
-    "SolverConfig", "solve", "reconstruct_from_p", "classify_signature",
-    "so3_cubic", "sl2_cubic",
+    "solve", "reconstruct_from_p", "classify_signature", "so3_cubic",
+    "sl2_cubic",
 ]
+
+# a component of T counts as zero, and two as equal, within ZERO_TOL * |T|_inf
+ZERO_TOL = 1e-11
+# the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
+# in the last place
+POLISH_TOL = 5.0 * 2.0 ** -52
+
 
 @dataclass(frozen=True)
 class DiagonalTensor:
@@ -57,12 +64,6 @@ class DiagonalTensor:
             raise ValueError("diagonal tensor needs exactly three components")
         if not all(math.isfinite(t) for t in T):
             raise ValueError(f"non-finite tensor components {T}")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.T, dtype=dtype or float)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.T, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,6 @@ class Family:
     constraint: str | None
     c: float | None
     sample: Solution
-
-    @property
-    def c_unconstrained(self) -> bool:
-        return self.c is None
 
 
 @dataclass(frozen=True)
@@ -115,26 +112,8 @@ class SolveOutcome:
         return ()
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical policy.  zero_tol_rel decides when a component counts as
-    zero or two components count as equal, relative to max(1, |T|_inf)."""
-
-    zero_tol_rel: float = 1e-11
-    root_tol: float = 1e-12
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
 def _tensor(T) -> tuple[float, float, float]:
     return DiagonalTensor(getattr(T, "T", T)).T
-
-
-def _sign(x: float, ztol: float) -> int:
-    if abs(x) <= ztol:
-        return 0
-    return 1 if x > 0.0 else -1
 
 
 # the one sign that tells the SO3 and SL2 reductions apart: T3 enters the
@@ -180,11 +159,12 @@ def _polish_metric(group, v, T, iterations: int = 4):
     Reconstruction through the cubic variable p loses relative accuracy when
     a correspondence denominator p +- T_i is small (thin case intervals); a
     couple of Newton steps directly in metric space restore residuals to
-    rounding level.  Keeps the best iterate; never leaves the positive octant.
+    rounding level, POLISH_TOL * |T|_inf.  Keeps the best iterate; never
+    leaves the positive octant.
     """
     lam = group.lambdas
     v = np.asarray(v, dtype=float).copy()
-    scale = 1.0 + max(abs(t) for t in T)
+    done = POLISH_TOL * max(abs(t) for t in T)
 
     def res(w):
         F, _ = _scaled_system(group, w, T)
@@ -192,7 +172,7 @@ def _polish_metric(group, v, T, iterations: int = 4):
 
     best, best_res = v.copy(), res(v)
     for _ in range(iterations):
-        if best_res <= 1e-15 * scale:
+        if best_res <= done:
             break
         F, x = _scaled_system(group, v, T)
         J = np.empty((3, 3))
@@ -260,115 +240,146 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     return DiagonalMetric(v), c
 
 
-def _trace_for(name: str, T, p: float, mult: int) -> CubicSolveTrace:
-    _, q = _correspondence(name, T, p)
-    return CubicSolveTrace(p=p, q=q, multiplicity=mult)
-
-
-def _normalized(v, c: float) -> DiagonalMetric:
+def _normalized(v, c: float) -> tuple[float, float, float]:
     """Rescale v so that v1*v2*v3*c = 1 (c itself is scale-invariant)."""
-    v = np.asarray(v, dtype=float)
     s = (v[0] * v[1] * v[2] * c) ** (-1.0 / 3.0)
-    return DiagonalMetric(tuple(v * s))
+    return (v[0] * s, v[1] * s, v[2] * s)
 
 
-def _constraint_string(i: int, j: int, k: int) -> str:
-    j, k = sorted((j, k))
-    return f"v{i + 1}=v{j + 1}+v{k + 1}"
-
-
-def solve(group, T, cfg: SolverConfig | None = None) -> SolveOutcome:
+def solve(group, T) -> SolveOutcome:
     """Classify (group, T) and construct every solution of Ric(g) = c T.
 
     Every finite input maps to an outcome; NoSolution is an answer, not an
     error.  SO3 inputs are re-sorted descending internally (signed
     permutations of an SO3 frame preserve the brackets) and results are
     returned in the caller's component order.
+
+    Ric(g) is unchanged by g -> lambda g, so only the ray of T matters: the
+    case table runs on T / 8^k with |T / 8^k|_inf in [1, 8), where a
+    component counts as zero within ZERO_TOL * |T|_inf, and `_outcome` maps
+    the answer back.  Raises ValueError for a non-finite or malformed T, and
+    for a c that leaves the float range (only possible for |T|_inf outside
+    [1e-300, 1e300]).
     """
     group = as_group(group)
-    cfg = cfg or DEFAULT_CONFIG
     T = _tensor(T)
-    ztol = cfg.zero_tol_rel * max(1.0, max(abs(t) for t in T))
-    s = tuple(_sign(t, ztol) for t in T)
+    m = max(abs(T[0]), abs(T[1]), abs(T[2]))
+    # m = f * 2^e with f in [0.5, 1), so m / 8^k is in [1, 8); T = 0 keeps k = 0
+    k = (math.frexp(m or 1.0)[1] - 1) // 3
+    if k:
+        e = -3 * k
+        T = (math.ldexp(T[0], e), math.ldexp(T[1], e), math.ldexp(T[2], e))
+        m = math.ldexp(m, e)
+    ztol = ZERO_TOL * m
+    s = tuple([0 if abs(t) <= ztol else (1 if t > 0.0 else -1) for t in T])
+    return _outcome(k, *_BRANCHES[group.name](group, T, s, ztol))
 
-    if group.name == "SO3":
-        return _solve_so3(T, s, cfg)
-    if group.name == "SL2":
-        return _solve_sl2(T, s, cfg, ztol)
-    if group.name in ("E2", "E11"):
-        return _solve_l3zero(group, T, s, ztol)
-    if group.name == "H3":
-        return _solve_h3(T, s)
-    return _solve_r3(s)
+
+# Each branch below takes (group, normalized T, its signs, zero tolerance)
+# and returns a raw outcome (kind, label, solutions, traces, constraint,
+# notes): solutions are (v, c) pairs (a family's one pair is its sample, with
+# c = 1 when c is free), traces are (p, q, multiplicity) and notes are
+# `_sl2_note` arguments.
+_NONE = ("NoSolution", "none")
+_NO_SOLUTION = SolveOutcome(kind="NoSolution", case_label="none")
+
+
+def _outcome(k: int, kind: str, label: str, sols=(), traces=(),
+             constraint=None, notes=()) -> SolveOutcome:
+    """Build the public records of a raw outcome for T / 8^k, mapped back
+    to T: v * 2^k, c * 8^-k, p * 8^k and q * 16^k, each exact."""
+    if not sols:
+        return _NO_SOLUTION  # records are frozen, so one instance serves
+    v_up, p_up = math.ldexp(1.0, k), math.ldexp(1.0, 3 * k)
+    solutions = []
+    for v, c in sols:
+        c = float(c) / p_up
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"c = {c} is outside the float range "
+                             f"(|T|_inf ~ 8^{k})")
+        solutions.append(Solution(
+            DiagonalMetric((v[0] * v_up, v[1] * v_up, v[2] * v_up)), c))
+    if kind.startswith("Family"):
+        (sample,) = solutions
+        c = sample.c if kind == "FamilyFixedC" else None
+        return SolveOutcome(kind=kind, case_label=label,
+                            family=Family(constraint, c, sample),
+                            notes=tuple(_sl2_note(p_up, c, *n) for n in notes))
+    # 16^k as two factors: from |T|_inf ~ 8^256 ~ 1.6e231 on, 16^k is no
+    # float (ldexp would raise) and q * 16^k is inf
+    q_up = math.ldexp(1.0, 2 * k)
+    return SolveOutcome(
+        kind=kind, case_label=label, solutions=tuple(solutions),
+        traces=tuple(CubicSolveTrace(p * p_up, q * q_up * q_up, mult)
+                     for p, q, mult in traces))
+
+
+def _unsorted(order, v_sorted) -> list[float]:
+    """Components given by sorted position, back in the caller's order."""
+    v = [0.0, 0.0, 0.0]
+    for pos, axis in enumerate(order):
+        v[axis] = v_sorted[pos]
+    return v
+
+
+def _cubic_solutions(name: str, T, roots, order=(0, 1, 2)):
+    """((v, c), trace) for each (root, multiplicity) of the reduction cubic,
+    v in the caller's component order (`order` maps sorted positions to
+    axes)."""
+    found = []
+    for p, mult in roots:
+        metric, c = reconstruct_from_p(name, T, p)
+        found.append(((_unsorted(order, metric.v), c),
+                      (p, _correspondence(name, T, p)[1], mult)))
+    return found
 
 
 # ---------------------------------------------------------------------------
 # SO3
 # ---------------------------------------------------------------------------
 
-def _solve_so3(T, s, cfg) -> SolveOutcome:
+def _solve_so3(group, T, s, ztol):
     order = sorted(range(3), key=lambda i: -T[i])
     Ts = tuple(T[i] for i in order)
     # sorting is monotone, so the signs of Ts are the sorted signs of T
     s = tuple(sorted(s, reverse=True))
 
-    def unpermute(v_sorted) -> tuple[float, float, float]:
-        v = [0.0, 0.0, 0.0]
-        for pos, axis in enumerate(order):
-            v[axis] = float(v_sorted[pos])
-        return tuple(v)
-
-    if s == (1, 1, 1):
-        rep = roots_in_interval(_reduction_cubic("SO3", Ts), 0.0, math.inf,
-                                cfg.root_tol)
-        p = rep.roots[0]
-        metric, c = reconstruct_from_p("SO3", Ts, p)
-        return SolveOutcome(
-            kind="Unique", case_label="SO3 (+,+,+)",
-            solutions=(Solution(DiagonalMetric(unpermute(metric.v)), c),),
-            traces=(_trace_for("SO3", Ts, p, rep.multiplicities[0]),))
-
     if s == (1, 0, 0):
         c = 8.0 / Ts[0]
-        sample = _normalized(unpermute((2.0, 1.0, 1.0)), c)
-        constraint = _constraint_string(order[0], order[1], order[2])
-        return SolveOutcome(
-            kind="FamilyFixedC", case_label="SO3 (+,0,0)",
-            family=Family(constraint=constraint, c=c, sample=Solution(sample, c)))
-
-    if s[0] == 1 and s[1] == -1 and s[2] == -1:
-        rep = roots_in_interval(_reduction_cubic("SO3", Ts), -Ts[0], 0.0,
-                                cfg.root_tol)
-        if len(rep) == 0:
-            return SolveOutcome(kind="NoSolution", case_label="none")
-        found = []
-        for p, mult in zip(rep.roots, rep.multiplicities):
-            metric, c = reconstruct_from_p("SO3", Ts, p)
-            found.append((Solution(DiagonalMetric(unpermute(metric.v)), c),
-                          _trace_for("SO3", Ts, p, mult)))
-        found.sort(key=lambda st: st[0].c)
-        kind, sub = (("Unique", "unique") if len(found) == 1
-                     else ("TwoSolutions", "two-solution"))
-        return SolveOutcome(kind=kind, case_label=f"SO3 (+,-,-) {sub} subcase",
-                            solutions=tuple(s for s, _ in found),
-                            traces=tuple(t for _, t in found))
-
-    return SolveOutcome(kind="NoSolution", case_label="none")
+        v = _normalized(_unsorted(order, (2.0, 1.0, 1.0)), c)
+        j, k = sorted(order[1:])
+        return ("FamilyFixedC", "SO3 (+,0,0)", ((v, c),), (),
+                f"v{order[0] + 1}=v{j + 1}+v{k + 1}")
+    if s == (1, 1, 1):
+        lo, hi, label = 0.0, math.inf, "SO3 (+,+,+)"
+    elif s == (1, -1, -1):
+        lo, hi, label = -Ts[0], 0.0, "SO3 (+,-,-)"
+    else:
+        return _NONE
+    rep = roots_in_interval(_reduction_cubic("SO3", Ts), lo, hi)
+    found = _cubic_solutions("SO3", Ts, zip(rep.roots, rep.multiplicities),
+                             order)
+    if not found:
+        return _NONE
+    found.sort(key=lambda st: st[0][1])
+    if s[1] == -1:
+        label += (" unique subcase" if len(found) == 1
+                  else " two-solution subcase")
+    return ("Unique" if len(found) == 1 else "TwoSolutions", label,
+            tuple(sol for sol, _ in found), tuple(t for _, t in found))
 
 
 # ---------------------------------------------------------------------------
 # SL2
 # ---------------------------------------------------------------------------
 
-def _sl2_unique(T, cfg, lo, hi, label) -> SolveOutcome:
-    rep = roots_in_interval(_reduction_cubic("SL2", T), lo, hi, cfg.root_tol)
+def _sl2_unique(T, lo, hi, label):
+    rep = roots_in_interval(_reduction_cubic("SL2", T), lo, hi)
     if len(rep) == 0:
-        return SolveOutcome(kind="NoSolution", case_label="none")
-    p, mult = rep.roots[0], rep.multiplicities[0]
-    metric, c = reconstruct_from_p("SL2", T, p)
-    return SolveOutcome(kind="Unique", case_label=label,
-                        solutions=(Solution(metric, c),),
-                        traces=(_trace_for("SL2", T, p, mult),))
+        return _NONE
+    ((sol, trace),) = _cubic_solutions(
+        "SL2", T, [(rep.roots[0], rep.multiplicities[0])])
+    return ("Unique", label, (sol,), (trace,))
 
 
 # the two-zero families by negative index: constraint, raw sample, label
@@ -376,142 +387,127 @@ _SL2_ZERO_FAMILIES = (("v2=v1+v3", (1.0, 2.0, 1.0), "SL2 case (vi)"),
                       ("v1=v2+v3", (2.0, 1.0, 1.0), "SL2 case (vii)"))
 
 
-def _sl2_zero_family(T, negative_index: int) -> SolveOutcome:
+def _sl2_zero_family(T, negative_index: int):
     """The two-zero families: T_i < 0 for i in {1, 2}, other components zero.
 
     The curvature equations force one x to vanish; the surviving equation
     reads -8 = c*T_i, so c = -8/T_i.  The sign convention matters: the other
-    orientation, c = -T_i/8, is checked live against the residual and flagged.
+    orientation, c = -T_i/8, is checked live against the residual and flagged
+    (both residuals are taken on the normalized T, where neither overflows).
     """
-    Ti = T[negative_index]
-    c = -8.0 / Ti
+    c = -8.0 / T[negative_index]
     constraint, raw_sample, label = _SL2_ZERO_FAMILIES[negative_index]
     sample = _normalized(raw_sample, c)
-    alt = -Ti / 8.0
     res_c = residual("SL2", sample, c, T)
-    res_alt = residual("SL2", sample, alt, T)
-    note = (f"family constant computed from the curvature equations: "
-            f"c = -8/T{negative_index + 1} = {c:.12g} "
-            f"(sample residual {res_c:.3g}); the alternative reading "
-            f"-T{negative_index + 1}/8 = {alt:.12g} is inconsistent "
-            f"(sample residual {res_alt:.3g})")
-    return SolveOutcome(kind="FamilyFixedC", case_label=label,
-                        family=Family(constraint=constraint, c=c,
-                                      sample=Solution(sample, c)),
-                        notes=(note,))
+    res_alt = residual("SL2", sample, -T[negative_index] / 8.0, T)
+    return ("FamilyFixedC", label, ((sample, c),), (), constraint,
+            ((negative_index, -T[negative_index] / 8.0, res_c, res_alt),))
 
 
-def _solve_sl2(T, s, cfg, ztol) -> SolveOutcome:
+def _sl2_note(p_up: float, c: float, i: int, alt: float, res_c: float,
+              res_alt: float) -> str:
+    """The (vi)/(vii) note in the caller's units: alt ~ T_i scales as p."""
+    return (f"family constant computed from the curvature equations: "
+            f"c = -8/T{i + 1} = {c:.12g} (sample residual {res_c:.3g}); "
+            f"the alternative reading -T{i + 1}/8 = {alt * p_up:.12g} is "
+            f"inconsistent (sample residual {res_alt:.3g})")
+
+
+def _solve_sl2(group, T, s, ztol):
     T1, T2, T3 = T
 
     if s == (1, -1, -1) and T1 + T3 > ztol:
-        return _sl2_unique(T, cfg, -T1, T3, "SL2 case (i)")
+        return _sl2_unique(T, -T1, T3, "SL2 case (i)")
     if s == (-1, 1, -1) and T2 + T3 > ztol:
-        return _sl2_unique(T, cfg, -T2, T3, "SL2 case (ii)")
+        return _sl2_unique(T, -T2, T3, "SL2 case (ii)")
 
     if s == (-1, -1, 1):
         if abs(T1 - T2) <= ztol and abs(T1 + T3) <= ztol:
             c = 8.0 / T3
-            sample = _normalized((1.0, 1.0, 2.0), c)
-            return SolveOutcome(
-                kind="FamilyFixedC", case_label="SL2 case (v)",
-                family=Family(constraint="v3=v1+v2", c=c,
-                              sample=Solution(sample, c)))
+            return ("FamilyFixedC", "SL2 case (v)",
+                    ((_normalized((1.0, 1.0, 2.0), c), c),), (), "v3=v1+v2")
         hi_gap = T3 - max(-T1, -T2)
         lo_gap = min(-T1, -T2) - T3
         if hi_gap > ztol:
-            return _sl2_unique(T, cfg, max(-T1, -T2), T3, "SL2 case (iii)")
+            return _sl2_unique(T, max(-T1, -T2), T3, "SL2 case (iii)")
         if lo_gap > ztol:
-            return _sl2_unique(T, cfg, T3, min(-T1, -T2), "SL2 case (iv)")
-        return SolveOutcome(kind="NoSolution", case_label="none")
+            return _sl2_unique(T, T3, min(-T1, -T2), "SL2 case (iv)")
+        return _NONE
 
     if s in ((-1, 0, 0), (0, -1, 0)):
         return _sl2_zero_family(T, s.index(-1))
 
-    return SolveOutcome(kind="NoSolution", case_label="none")
+    return _NONE
 
 
 # ---------------------------------------------------------------------------
 # E2 and E11: third bracket coefficient zero, so the system collapses.
 # ---------------------------------------------------------------------------
 
-def _solve_l3zero(group, T, s, ztol) -> SolveOutcome:
+def _solve_l3zero(group, T, s, ztol):
     T1, T2, T3 = T
 
     if group.name == "E2" and s == (0, 0, 0):
-        sample = Solution(DiagonalMetric((1.0, 1.0, 1.0)), 1.0)
-        return SolveOutcome(kind="FamilyAnyC", case_label="E2 (0,0,0)",
-                            family=Family(constraint="v1=v2", c=None,
-                                          sample=sample))
+        return ("FamilyAnyC", "E2 (0,0,0)", (((1.0, 1.0, 1.0), 1.0),), (),
+                "v1=v2")
 
     if group.name == "E11" and s[0] == 0 and s[1] == 0 and s[2] == -1:
         c = -8.0 / T3
-        sample = _normalized((1.0, 1.0, 1.0), c)
-        return SolveOutcome(kind="FamilyFixedC", case_label="E11 (0,0,-)",
-                            family=Family(constraint="v1=v2", c=c,
-                                          sample=Solution(sample, c)))
+        return ("FamilyFixedC", "E11 (0,0,-)",
+                ((_normalized((1.0, 1.0, 1.0), c), c),), (), "v1=v2")
 
     if s[2] == -1 and T1 + T2 > ztol and s[0] * s[1] == -1:
         # Ratio of the first two equations pins v1/v2 = -T1/T2; the third
         # equation (independent of v3) pins c; the first recovers v3.
+        # x-coefficients of the metric (v1, v2, .); none of them involve v3
         v1, v2 = -T1 / T2, 1.0
-        x = _l3zero_x(group, v1, v2)
+        l1, l2, _ = group.lambdas
+        x = ((l2 * v2 - l1 * v1) / 2.0, (l1 * v1 - l2 * v2) / 2.0,
+             (l1 * v1 + l2 * v2) / 2.0)
         c = (2.0 * x[0] * x[1] / (v1 * v2)) / T3
         if c <= 0.0:
-            return SolveOutcome(kind="NoSolution", case_label="none")
+            return _NONE
         v3 = 2.0 * x[1] * x[2] / (v2 * c * T1)
         if v3 <= 0.0:
-            return SolveOutcome(kind="NoSolution", case_label="none")
-        metric = _normalized((v1, v2, v3), c)
+            return _NONE
         pattern = "(+,-,-)" if s[0] == 1 else "(-,+,-)"
-        return SolveOutcome(kind="Unique",
-                            case_label=f"{group.name} {pattern}",
-                            solutions=(Solution(metric, c),))
+        return ("Unique", f"{group.name} {pattern}",
+                ((_normalized((v1, v2, v3), c), c),))
 
-    return SolveOutcome(kind="NoSolution", case_label="none")
-
-
-def _l3zero_x(group, v1: float, v2: float) -> tuple[float, float, float]:
-    """x-coefficients for the two groups with vanishing third bracket
-    coefficient; none of them involve v3."""
-    l1, l2, _ = group.lambdas
-    x1 = (l2 * v2 - l1 * v1) / 2.0
-    x2 = (l1 * v1 - l2 * v2) / 2.0
-    x3 = (l1 * v1 + l2 * v2) / 2.0
-    return x1, x2, x3
+    return _NONE
 
 
 # ---------------------------------------------------------------------------
 # H3 and the abelian group
 # ---------------------------------------------------------------------------
 
-def _solve_h3(T, s) -> SolveOutcome:
+def _solve_h3(group, T, s, ztol):
     T1, T2, T3 = T
     if s != (1, -1, -1):
-        return SolveOutcome(kind="NoSolution", case_label="none")
+        return _NONE
     c = 2.0 * T1 / (T2 * T3)
-    metric = _normalized((1.0, -T2 / T1, -T3 / T1), c)
-    return SolveOutcome(kind="Unique", case_label="H3 (+,-,-)",
-                        solutions=(Solution(metric, c),))
+    return ("Unique", "H3 (+,-,-)",
+            ((_normalized((1.0, -T2 / T1, -T3 / T1), c), c),))
 
 
-def _solve_r3(s) -> SolveOutcome:
+def _solve_r3(group, T, s, ztol):
     if s == (0, 0, 0):
-        sample = Solution(DiagonalMetric((1.0, 1.0, 1.0)), 1.0)
-        return SolveOutcome(kind="FamilyAnyC", case_label="R3 (0,0,0)",
-                            family=Family(constraint=None, c=None,
-                                          sample=sample))
-    return SolveOutcome(kind="NoSolution", case_label="none")
+        return ("FamilyAnyC", "R3 (0,0,0)", (((1.0, 1.0, 1.0), 1.0),))
+    return _NONE
+
+
+_BRANCHES = {"SO3": _solve_so3, "SL2": _solve_sl2, "E2": _solve_l3zero,
+             "E11": _solve_l3zero, "H3": _solve_h3, "R3": _solve_r3}
 
 
 # ---------------------------------------------------------------------------
 # Signature classification
 # ---------------------------------------------------------------------------
 
-def classify_signature(group, T, cfg: SolverConfig | None = None) -> str:
+def classify_signature(group, T) -> str:
     """Name the existence-condition row matched by (group, T), or "none".
 
     This is `solve`'s case label, so the two never disagree; it raises
     whatever `solve` raises.
     """
-    return solve(group, T, cfg).case_label
+    return solve(group, T).case_label

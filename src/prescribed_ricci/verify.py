@@ -60,16 +60,15 @@ def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
                  / (1.0 + abs(c) * np.max(np.abs(t))))
 
 
-def certify(group, m, c: float, T,
-            threshold: float = PASS_THRESHOLD,
-            normalization_tol: float = NORMALIZATION_TOL) -> Certificate:
+def certify(group, m, c: float, T) -> Certificate:
     """Certify a claimed solution against both curvature implementations."""
     group = as_group(group)
     v = _unwrap(m)
     r_closed = residual(group, v, c, T)
     r_oracle = oracle_residual(group, np.diag(v), c, T)
-    normalized = bool(abs(v[0] * v[1] * v[2] * c - 1.0) <= normalization_tol)
+    normalized = bool(abs(v[0] * v[1] * v[2] * c - 1.0) <= NORMALIZATION_TOL)
     return Certificate(residual_closed_form=r_closed,
                        residual_oracle=r_oracle,
                        normalized=normalized,
-                       passed=bool(r_closed <= threshold and r_oracle <= threshold))
+                       passed=bool(r_closed <= PASS_THRESHOLD
+                                   and r_oracle <= PASS_THRESHOLD))

@@ -61,6 +61,15 @@ def test_certify_pass_and_fail(capsys):
     (rec,) = jsonl(out)
     assert rec["pass"] is False
 
+    # c*T overflows, so both residuals are nan: json-lines writes null
+    code, out = run(capsys, "--format", "json-lines", "certify", "so3",
+                    "--T", "1e300,1e300,1e300", "--v", "1,1,1", "--c", "1e300")
+    assert code == 3
+    (rec,) = jsonl(out)
+    assert rec["pass"] is False
+    assert rec["residual_closed_form"] is None
+    assert rec["residual_oracle"] is None
+
 
 def test_round_trip_solve_then_certify(tmp_path, capsys):
     path = tmp_path / "solve.jsonl"

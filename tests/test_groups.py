@@ -123,6 +123,8 @@ def test_check_milnor_frame_so3_rejects_non_rotations(rng):
 def test_check_milnor_frame_singular_raises():
     with pytest.raises(ValueError):
         check_milnor_frame(SO3, np.zeros((3, 3)))
+    # singularity is relative to the size of M: a small basis is a basis
+    assert not check_milnor_frame(SO3, 1e-5 * np.eye(3))
 
 
 def test_sl2_family_passes(rng):

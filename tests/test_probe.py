@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,33 +60,41 @@ def test_probe_requires_solvable_input():
         probe(SO3, (0.0, 0.0, 0.0), n=4)
 
 
+# the probe's tolerances are relative, so every verdict holds at any scale;
+# the unit-scale pass comes first and draws the same frames as it always did
+SCALES = (1.0, 1e-12, 1e100)
+
+
 def test_probe_unique_rows(rng):
-    for g, T in ((SO3, (3.0, 2.0, 1.0)), (SO3, (1.0, 1.0, 1.0)),
-                 (SL2, (2.0, -1.0, -1.0)), (SL2, (-3.0, -2.0, 1.0)),
-                 (E2, (2.0, -1.0, -1.0)), (E11, (1.0, -0.5, -1.0)),
-                 (H3, (1.0, -1.0, -2.0))):
-        rep = probe(g, T, n=16, rng=rng)
+    for s, (g, T) in itertools.product(SCALES, (
+            (SO3, (3.0, 2.0, 1.0)), (SO3, (1.0, 1.0, 1.0)),
+            (SL2, (2.0, -1.0, -1.0)), (SL2, (-3.0, -2.0, 1.0)),
+            (E2, (2.0, -1.0, -1.0)), (E11, (1.0, -0.5, -1.0)),
+            (H3, (1.0, -1.0, -2.0)))):
+        rep = probe(g, tuple(s * np.asarray(T)), n=16, rng=rng)
         assert rep.samples == 16
         assert rep.base_kind in ("Unique",)
-        assert rep.c_spread <= 1e-9
+        assert rep.c_spread <= 1e-9, (g.name, T, s)
         assert rep.metric_match
         assert rep.violations == ()
 
 
 def test_probe_two_solution_branches_stable(rng):
-    rep = probe(SO3, (10.0, -1.0, -1.0), n=16, rng=rng)
-    assert rep.base_kind == "TwoSolutions"
-    assert rep.c_spread <= 1e-9
-    assert rep.metric_match
-    assert rep.violations == ()
+    for s in SCALES:
+        rep = probe(SO3, (10.0 * s, -s, -s), n=16, rng=rng)
+        assert rep.base_kind == "TwoSolutions"
+        assert rep.c_spread <= 1e-9, s
+        assert rep.metric_match
+        assert rep.violations == ()
 
 
 def test_probe_families_fixed_c(rng):
-    for g, T in ((SO3, (1.0, 0.0, 0.0)), (SL2, (-1.0, -1.0, 1.0)),
-                 (SL2, (-2.0, 0.0, 0.0)), (E11, (0.0, 0.0, -2.0))):
-        rep = probe(g, T, n=16, rng=rng)
+    for s, (g, T) in itertools.product(SCALES, (
+            (SO3, (1.0, 0.0, 0.0)), (SL2, (-1.0, -1.0, 1.0)),
+            (SL2, (-2.0, 0.0, 0.0)), (E11, (0.0, 0.0, -2.0)))):
+        rep = probe(g, tuple(s * np.asarray(T)), n=16, rng=rng)
         assert rep.base_kind == "FamilyFixedC"
-        assert rep.c_spread <= 1e-8
+        assert rep.c_spread <= 1e-8, (g.name, T, s)
         assert not rep.c_unconstrained
         assert rep.violations == ()
 

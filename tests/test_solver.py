@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, DiagonalTensor,
-                              classify_signature, reconstruct_from_p,
+                              certify, classify_signature, reconstruct_from_p,
                               ricci_diagonal, ricci_koszul, residual, solve,
                               structure_constants)
 from prescribed_ricci.solver import sl2_cubic, so3_cubic
@@ -354,30 +357,37 @@ def test_soundness_and_normalization_random(rng):
                 assert abs(v[0] * v[1] * v[2] * out.family.c - 1.0) <= 1e-10
 
 
-def test_scaling_law(rng):
-    for g in ALL_GROUPS:
-        for _ in range(25):
-            T = np.asarray(random_solvable(g, rng), dtype=float)
-            base = solve(g, tuple(T))
-            for s in (0.1, 3.0, 10.0):
-                out = solve(g, tuple(s * T))
-                assert out.kind == base.kind
-                for sb, so in zip(base.c_values(), sorted(out.c_values())):
-                    pass
-                cb = sorted(base.c_values())
-                co = sorted(out.c_values())
-                assert len(cb) == len(co)
-                for b, o in zip(cb, co):
-                    assert abs(o - b / s) <= 1e-9 * abs(b / s)
-                # metrics match up to scaling
-                if base.solutions:
-                    for b_sol, o_sol in zip(
-                            sorted(base.solutions, key=lambda x: x.c),
-                            sorted(out.solutions, key=lambda x: x.c)):
-                        vb = np.asarray(b_sol.metric.v)
-                        vo = np.asarray(o_sol.metric.v)
-                        ratio = vo / vb
-                        assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * ratio[0]
+def _all_solutions(outcome):
+    sols = sorted(outcome.solutions, key=lambda x: x.c)
+    return sols + ([outcome.family.sample] if outcome.family else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.sampled_from(ALL_GROUPS), seed=st.integers(0, 2 ** 32 - 1),
+       exponent=st.floats(-300.0, 300.0))
+def test_scaling_law(g, seed, exponent):
+    # Ric(g) = c T holds exactly when Ric(g) = (c/s)(sT): the label, c/s and
+    # the metric class carry over to every scale in [1e-300, 1e300]
+    s = 10.0 ** exponent
+    T = np.asarray(random_solvable(g, np.random.default_rng(seed)))
+    sT = tuple(s * T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = solve(g, tuple(T))
+        out = solve(g, sT)
+        assert out.case_label == base.case_label
+        assert classify_signature(g, sT) == out.case_label
+        assert out.kind == base.kind
+        cb, co = sorted(base.c_values()), sorted(out.c_values())
+        assert len(cb) == len(co)
+        for b, o in zip(cb, co):
+            assert abs(o - b / s) <= 1e-12 * (b / s)
+        # metrics match up to scaling
+        for b_sol, o_sol in zip(_all_solutions(base), _all_solutions(out)):
+            ratio = np.asarray(o_sol.metric.v) / np.asarray(b_sol.metric.v)
+            assert np.max(np.abs(ratio - ratio[0])) <= 1e-12 * ratio[0]
+        for sol in _all_solutions(out):
+            assert certify(g, sol.metric.v, sol.c, sT).passed
 
 
 def test_c_uniqueness_taxonomy(rng):
@@ -411,6 +421,26 @@ def test_classify_examples():
     assert (classify_signature(SO3, (2.4431595e-4, -1.6630743e-5,
                                      -5.8849653e-6))
             == "SO3 (+,-,-) two-solution subcase")
+    # far from unit scale: the label and c of the unit-scale copy, c / s
+    for g, T, label, c in (
+            (SO3, (1e200,) * 3, "SO3 (+,+,+)", 2e-200),
+            (SL2, (-1e150, -1e150, 2e150), "SL2 case (iii)", 1.0472135955e-149),
+            (H3, (1e300, -1e300, -1e300), "H3 (+,-,-)", 2e-300),
+            (SO3, (2e-12, 1e-12, 1e-12), "SO3 (+,+,+)", 1.527864045e12),
+            (E11, (0.0, 0.0, -1e-12), "E11 (0,0,-)", 8e12),
+            (R3, (1e-12, 0.0, 0.0), "none", None),
+            (E2, (1e-12, -1e-12, 1e-12), "none", None),
+            (SO3, (1e301, -1e300, -1e300), "SO3 (+,-,-) two-solution subcase",
+             None),
+            (SO3, (1e-299, -1e-300, -1e-300),
+             "SO3 (+,-,-) two-solution subcase", None),
+            (SL2, (-1e300, 0.0, 0.0), "SL2 case (vi)", 8e-300)):
+        assert classify_signature(g, T) == label, (g.name, T)
+        if c is not None:
+            (got,) = solve(g, T).c_values()
+            assert abs(got - c) <= 1e-10 * c, (g.name, T)
+    (note,) = solve(SL2, (-1e300, 0.0, 0.0)).notes
+    assert "nan" not in note and "inf" not in note
 
 
 def test_classify_agrees_with_solve(rng):
