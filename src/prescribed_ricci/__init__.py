@@ -11,7 +11,8 @@ from .groups import (E2, E11, GROUPS, H3, R3, SL2, SO3, UnimodularGroup,
 from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul, x_coefficients
 from .cubic import CubicPoly, RootReport, roots_in_interval
 from .solver import (CubicSolveTrace, DiagonalTensor, Family, SolveOutcome,
-                     Solution, classify_signature, reconstruct_from_p, solve)
+                     Solution, classify_signature, reconstruct_from_p, solve,
+                     solve_many)
 from .verify import Certificate, certify, residual
 from .probe import ProbeReport, probe, sample_diagonal_preserving_changes
 from .diagonalize import (DiagonalizationResult, diagonalize_so3,
@@ -26,7 +27,7 @@ __all__ = [
     "DiagonalMetric", "x_coefficients", "ricci_diagonal", "ricci_koszul",
     "CubicPoly", "RootReport", "roots_in_interval",
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
-    "solve", "reconstruct_from_p", "classify_signature",
+    "solve", "solve_many", "reconstruct_from_p", "classify_signature",
     "Certificate", "residual", "certify",
     "ProbeReport", "probe", "sample_diagonal_preserving_changes",
     "DiagonalizationResult", "diagonalize_so3", "symmetric_from_upper",

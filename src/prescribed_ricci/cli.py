@@ -9,6 +9,7 @@ answer), 2 malformed input, 3 certification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 from .curvature import ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
-from .solver import classify_signature, solve
+from .solver import classify_signature, solve, solve_many
 from .verify import certify
 
 __all__ = ["main"]
@@ -41,18 +42,25 @@ def _fmt(x: float) -> str:
 
 
 def _to_json(value) -> str:
+    # exact float and str first: they are nearly all a record holds
+    kind = type(value)
+    if kind is float:
+        # JSON has no nan or inf
+        return _fmt(value) if math.isfinite(value) else "null"
+    if kind is str:
+        return json.dumps(value)
     if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_to_json(v)}" for k, v in value.items())
+        inner = ",".join([f"{json.dumps(k)}:{_to_json(v)}"
+                          for k, v in value.items()])
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_to_json(v) for v in value) + "]"
+        return "[" + ",".join([_to_json(v) for v in value]) + "]"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        # JSON has no nan or inf
-        return _fmt(value) if math.isfinite(value) else "null"
+        return _to_json(float(value))
     if value is None:
         return "null"
     return json.dumps(value)
@@ -97,14 +105,20 @@ class Reporter:
             self.lines.append("")
 
     def flush(self):
-        text = "\n".join(self.lines)
-        if text and not text.endswith("\n"):
-            text += "\n"
+        """Write the lines joined by newlines and ended by one, a line at a
+        time, so the output is never copied whole."""
         if self.out_path:
             with open(self.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                self._write(fh)
         else:
-            sys.stdout.write(text)
+            self._write(sys.stdout)
+
+    def _write(self, fh):
+        last = len(self.lines) - 1
+        for i, line in enumerate(self.lines):
+            fh.write(line)
+            if i < last or (line and not line.endswith("\n")):
+                fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -349,20 +363,19 @@ def _run_sweep(args, reporter) -> int:
     ]
     counts: dict[str, int] = {}
     kind_counts: dict[str, int] = {}
-    for t1 in axes[0]:
-        for t2 in axes[1]:
-            for t3 in axes[2]:
-                T = (t1, t2, t3)
-                outcome = solve(group, T)
-                label = outcome.case_label
-                counts[label] = counts.get(label, 0) + 1
-                kind_counts[outcome.kind] = kind_counts.get(outcome.kind, 0) + 1
-                record = {"command": "sweep-point", "T": list(T),
-                          "kind": outcome.kind, "case_label": label}
-                c = outcome.c_values()
-                if c:
-                    record["c"] = list(c)
-                reporter.emit(record)
+    # the grid is walked twice, lazily: once for the records, once by the
+    # solver, which takes it in chunks
+    for T, outcome in zip(itertools.product(*axes),
+                          solve_many(group, itertools.product(*axes))):
+        label = outcome.case_label
+        counts[label] = counts.get(label, 0) + 1
+        kind_counts[outcome.kind] = kind_counts.get(outcome.kind, 0) + 1
+        record = {"command": "sweep-point", "T": list(T),
+                  "kind": outcome.kind, "case_label": label}
+        c = outcome.c_values()
+        if c:
+            record["c"] = list(c)
+        reporter.emit(record)
     reporter.emit({"command": "sweep-summary", "group": group.name.lower(),
                    "points": len(axes[0]) * len(axes[1]) * len(axes[2]),
                    "by_case": dict(sorted(counts.items())),

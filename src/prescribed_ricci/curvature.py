@@ -17,6 +17,7 @@ cross-check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,11 @@ class DiagonalMetric:
     v: tuple[float, float, float]
 
     def __post_init__(self):
-        v = tuple(float(t) for t in self.v)
+        v = tuple(map(float, self.v))
         object.__setattr__(self, "v", v)
         if len(v) != 3:
             raise ValueError("diagonal metric needs exactly three components")
-        if not all(np.isfinite(v)):
+        if not all(map(math.isfinite, v)):
             raise ValueError(f"non-finite metric components {v}")
         if min(v) <= 0.0:
             raise ValueError(f"metric components must be positive, got {v}")

@@ -23,11 +23,16 @@ with v1 = (x2+x3)/2, v2 = (x1+x3)/2, and v3 = +-(x1+x2)/2 (plus sign on SO3,
 minus on SL2).  The remaining groups collapse to closed forms because their
 third bracket coefficient vanishes.  Whenever c is determined, returned
 metrics are scaled so that v1*v2*v3*c = 1.
+
+`solve_many` answers a sequence of tensors with the same outcomes as `solve`,
+solving the cubic rows of CHUNK tensors at a time in numpy arrays.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +43,8 @@ from .verify import residual
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
-    "solve", "reconstruct_from_p", "classify_signature", "so3_cubic",
-    "sl2_cubic",
+    "solve", "solve_many", "reconstruct_from_p", "classify_signature",
+    "so3_cubic", "sl2_cubic",
 ]
 
 # a component of T counts as zero, and two as equal, within ZERO_TOL * |T|_inf
@@ -47,6 +52,8 @@ ZERO_TOL = 1e-11
 # the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
 # in the last place
 POLISH_TOL = 5.0 * 2.0 ** -52
+# tensors `solve_many` takes into one array pass
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -56,14 +63,19 @@ class DiagonalTensor:
     T: tuple[float, float, float]
 
     def __post_init__(self):
-        if isinstance(self.T, (str, bytes)):
-            raise ValueError(f"tensor components must be numbers, got {self.T!r}")
-        T = tuple(float(t) for t in self.T)
-        object.__setattr__(self, "T", T)
-        if len(T) != 3:
-            raise ValueError("diagonal tensor needs exactly three components")
-        if not all(math.isfinite(t) for t in T):
-            raise ValueError(f"non-finite tensor components {T}")
+        object.__setattr__(self, "T", _components(self.T))
+
+
+def _components(T) -> tuple[float, float, float]:
+    """T as three finite floats; raises ValueError for anything else."""
+    if isinstance(T, (str, bytes)):
+        raise ValueError(f"tensor components must be numbers, got {T!r}")
+    T = tuple(map(float, T))
+    if len(T) != 3:
+        raise ValueError("diagonal tensor needs exactly three components")
+    if not all(map(math.isfinite, T)):
+        raise ValueError(f"non-finite tensor components {T}")
+    return T
 
 
 @dataclass(frozen=True)
@@ -113,7 +125,7 @@ class SolveOutcome:
 
 
 def _tensor(T) -> tuple[float, float, float]:
-    return DiagonalTensor(getattr(T, "T", T)).T
+    return _components(getattr(T, "T", T))
 
 
 # the one sign that tells the SO3 and SL2 reductions apart: T3 enters the
@@ -121,36 +133,71 @@ def _tensor(T) -> tuple[float, float, float]:
 _T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
 
 
-def _reduction_cubic(name: str, T) -> CubicPoly:
-    """2 p^3 + (T1+T2+-T3) p^2 -+ T1 T2 T3 for an already validated T."""
+def _cubic_coeffs(sgn: float, T):
+    """(2, T1+T2+-T3, 0, -+T1 T2 T3): the reduction cubic's coefficients
+    for floats or arrays of lanes."""
     T1, T2, T3 = T
-    sgn = _T3_SIGN[name]
-    return CubicPoly((2.0, T1 + T2 + sgn * T3, 0.0, -sgn * T1 * T2 * T3))
+    return (2.0, T1 + T2 + sgn * T3, 0.0, -sgn * T1 * T2 * T3)
 
 
 def so3_cubic(T) -> CubicPoly:
-    return _reduction_cubic("SO3", _tensor(T))
+    return CubicPoly(_cubic_coeffs(_T3_SIGN["SO3"], _tensor(T)))
 
 
 def sl2_cubic(T) -> CubicPoly:
-    return _reduction_cubic("SL2", _tensor(T))
+    return CubicPoly(_cubic_coeffs(_T3_SIGN["SL2"], _tensor(T)))
 
 
-def _correspondence(name: str, T, p: float):
+def _correspondence(sgn: float, T, p):
     """Denominators (p + T1, p + T2, p +- T3) and the real cube root q of
-    p times their product."""
-    d = (p + T[0], p + T[1], p + _T3_SIGN[name] * T[2])
-    return d, float(np.cbrt(p * d[0] * d[1] * d[2]))
+    p times their product (floats or arrays; q comes out of np.cbrt)."""
+    d = (p + T[0], p + T[1], p + sgn * T[2])
+    return d, np.cbrt(p * d[0] * d[1] * d[2])
+
+
+def _averaged(sgn: float, x):
+    """The averaged forms v1 = (x2+x3)/2, v2 = (x1+x3)/2, v3 = +-(x1+x2)/2
+    and the slack their admissibility test allows each."""
+    v_avg = ((x[1] + x[2]) / 2.0, (x[0] + x[2]) / 2.0,
+             sgn * (x[0] + x[1]) / 2.0)
+    slack = (1e-12 * (abs(x[1]) + abs(x[2])), 1e-12 * (abs(x[0]) + abs(x[2])),
+             1e-12 * (abs(x[0]) + abs(x[1])))
+    return v_avg, slack
+
+
+def _from_system(T, x):
+    """v_i = T_i / (2 x_j x_k), the system solved for v."""
+    return tuple(T[i] / (2.0 * x[(i + 1) % 3] * x[(i + 2) % 3])
+                 for i in range(3))
 
 
 def _scaled_system(group, v, T):
     """Residual vector of the normalized system 2 v_i x_j x_k - T_i
-    (the curvature equations with v1*v2*v3*c = 1 substituted in)."""
+    (the curvature equations with v1*v2*v3*c = 1 substituted in); v and T
+    index to floats or to arrays of lanes."""
     lam = group.lambdas
     x = [(sum(lam[m] * v[m] for m in range(3)) - 2.0 * lam[i] * v[i]) / 2.0
          for i in range(3)]
     return [2.0 * v[i] * x[(i + 1) % 3] * x[(i + 2) % 3] - T[i]
             for i in range(3)], x
+
+
+def _jacobian(group, v, x):
+    """Rows of the Jacobian of `_scaled_system` in v (floats or arrays)."""
+    lam = group.lambdas
+    J = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        row = []
+        for n in range(3):
+            dxj = 0.5 * lam[n] * (-1.0 if j == n else 1.0)
+            dxk = 0.5 * lam[n] * (-1.0 if k == n else 1.0)
+            e = 2.0 * v[i] * (dxj * x[k] + x[j] * dxk)
+            if i == n:
+                e += 2.0 * x[j] * x[k]
+            row.append(e)
+        J.append(row)
+    return J
 
 
 def _polish_metric(group, v, T, iterations: int = 4):
@@ -162,7 +209,6 @@ def _polish_metric(group, v, T, iterations: int = 4):
     rounding level, POLISH_TOL * |T|_inf.  Keeps the best iterate; never
     leaves the positive octant.
     """
-    lam = group.lambdas
     v = np.asarray(v, dtype=float).copy()
     done = POLISH_TOL * max(abs(t) for t in T)
 
@@ -175,15 +221,7 @@ def _polish_metric(group, v, T, iterations: int = 4):
         if best_res <= done:
             break
         F, x = _scaled_system(group, v, T)
-        J = np.empty((3, 3))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            for n in range(3):
-                dxj = 0.5 * lam[n] * (-1.0 if j == n else 1.0)
-                dxk = 0.5 * lam[n] * (-1.0 if k == n else 1.0)
-                J[i, n] = 2.0 * v[i] * (dxj * x[k] + x[j] * dxk)
-                if i == n:
-                    J[i, n] += 2.0 * x[j] * x[k]
+        J = np.array(_jacobian(group, v, x))
         # solve for the relative step u = dv/v: the components of v can span
         # many decades and column scaling keeps the solve meaningful
         try:
@@ -201,6 +239,30 @@ def _polish_metric(group, v, T, iterations: int = 4):
     return tuple(best)
 
 
+def _reconstruct(group, T, p: float):
+    """(v, c, q) from a cubic root p of a validated T; the body of
+    `reconstruct_from_p`."""
+    sgn = _T3_SIGN[group.name]
+    denoms, q = _correspondence(sgn, T, p)
+    q = float(q)
+    x = tuple(q / d for d in denoms)
+    # admissibility is the sign pattern of the averaged forms; allow exact
+    # cancellation to zero there, since thin case intervals make the x_i
+    # huge with opposite signs
+    v_avg, slack = _averaged(sgn, x)
+    if any(va + s <= 0.0 for va, s in zip(v_avg, slack)):
+        raise ValueError(f"root p={p} is inadmissible: metric {v_avg} "
+                         f"not positive")
+    # v_i = T_i / (2 x_j x_k) is the system solved for v: unlike the
+    # averaged forms it never cancels
+    v = _from_system(T, x) if all(t != 0.0 for t in T) else v_avg
+    if min(v) <= 0.0:
+        raise ValueError(f"root p={p} is inadmissible: metric {v} not positive")
+    v = _polish_metric(group, v, T)
+    c = 1.0 / (v[0] * v[1] * v[2])
+    return DiagonalMetric(v).v, c, q
+
+
 def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     """Metric and constant from a verified cubic root p (SO3 and SL2 only).
 
@@ -214,29 +276,7 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     T = _tensor(T)
     if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
-    denoms, q = _correspondence(group.name, T, p)
-    x = tuple(q / d for d in denoms)
-    # admissibility is the sign pattern of the averaged forms; allow exact
-    # cancellation to zero there, since thin case intervals make the x_i
-    # huge with opposite signs
-    v_avg = ((x[1] + x[2]) / 2.0, (x[0] + x[2]) / 2.0,
-             _T3_SIGN[group.name] * (x[0] + x[1]) / 2.0)
-    slack = (1e-12 * (abs(x[1]) + abs(x[2])), 1e-12 * (abs(x[0]) + abs(x[2])),
-             1e-12 * (abs(x[0]) + abs(x[1])))
-    if any(va + s <= 0.0 for va, s in zip(v_avg, slack)):
-        raise ValueError(f"root p={p} is inadmissible: metric {v_avg} "
-                         f"not positive")
-    # v_i = T_i / (2 x_j x_k) is the system solved for v: unlike the
-    # averaged forms it never cancels
-    if all(t != 0.0 for t in T):
-        v = tuple(T[i] / (2.0 * x[(i + 1) % 3] * x[(i + 2) % 3])
-                  for i in range(3))
-    else:
-        v = v_avg
-    if min(v) <= 0.0:
-        raise ValueError(f"root p={p} is inadmissible: metric {v} not positive")
-    v = _polish_metric(group, v, T)
-    c = 1.0 / (v[0] * v[1] * v[2])
+    v, c, _ = _reconstruct(group, T, p)
     return DiagonalMetric(v), c
 
 
@@ -244,6 +284,23 @@ def _normalized(v, c: float) -> tuple[float, float, float]:
     """Rescale v so that v1*v2*v3*c = 1 (c itself is scale-invariant)."""
     s = (v[0] * v[1] * v[2] * c) ** (-1.0 / 3.0)
     return (v[0] * s, v[1] * s, v[2] * s)
+
+
+def _plan(group, T):
+    """(k, raw): T = 8^k T' with |T'|_inf in [1, 8), and the raw outcome of
+    T', or its `_CubicCase` when the roots of the reduction cubic decide
+    it.  `solve` and `solve_many` both start here."""
+    T = _tensor(T)
+    m = max(abs(T[0]), abs(T[1]), abs(T[2]))
+    # m = f * 2^e with f in [0.5, 1), so m / 8^k is in [1, 8); T = 0 keeps k = 0
+    k = (math.frexp(m or 1.0)[1] - 1) // 3
+    if k:
+        e = -3 * k
+        T = (math.ldexp(T[0], e), math.ldexp(T[1], e), math.ldexp(T[2], e))
+        m = math.ldexp(m, e)
+    ztol = ZERO_TOL * m
+    s = tuple([0 if abs(t) <= ztol else (1 if t > 0.0 else -1) for t in T])
+    return k, _BRANCHES[group.name](group, T, s, ztol)
 
 
 def solve(group, T) -> SolveOutcome:
@@ -262,24 +319,49 @@ def solve(group, T) -> SolveOutcome:
     [1e-300, 1e300]).
     """
     group = as_group(group)
-    T = _tensor(T)
-    m = max(abs(T[0]), abs(T[1]), abs(T[2]))
-    # m = f * 2^e with f in [0.5, 1), so m / 8^k is in [1, 8); T = 0 keeps k = 0
-    k = (math.frexp(m or 1.0)[1] - 1) // 3
-    if k:
-        e = -3 * k
-        T = (math.ldexp(T[0], e), math.ldexp(T[1], e), math.ldexp(T[2], e))
-        m = math.ldexp(m, e)
-    ztol = ZERO_TOL * m
-    s = tuple([0 if abs(t) <= ztol else (1 if t > 0.0 else -1) for t in T])
-    return _outcome(k, *_BRANCHES[group.name](group, T, s, ztol))
+    k, raw = _plan(group, T)
+    if type(raw) is _CubicCase:
+        raw = _solve_cubic(group, raw)
+    return _outcome(k, *raw)
+
+
+def solve_many(group, Ts):
+    """Yield `solve(group, T)` for each T of the iterable Ts, in order.
+
+    Takes CHUNK tensors at a time and plans each as `solve` does.  Lanes
+    whose case needs the reduction cubic (SO3 and SL2) are solved together
+    by an array form of the scalar kernel (root isolation, cube-root
+    reconstruction, metric polish) that performs the same float operations
+    in the same order, so each outcome equals the scalar one exactly; the
+    other lanes are finished from their plan.  The scalar `solve` takes
+    every lane where it would raise, where the array form meets a
+    non-finite value or a case it does not cover, and the whole chunk when
+    a batched linear solve finds a singular matrix; so errors are raised as
+    `solve` raises them, at their place in the sequence.
+    """
+    # loaded here, not at import: code that only calls solve never needs it
+    from .arrays import plan_chunk
+
+    group = as_group(group)
+    Ts = iter(Ts)
+    while True:
+        chunk = list(itertools.islice(Ts, CHUNK))
+        if not chunk:
+            return
+        for T, plan in zip(chunk, plan_chunk(group, chunk)):
+            if plan is None:
+                yield solve(group, T)
+            else:
+                k, raw = plan
+                yield _outcome(k, *raw)
 
 
 # Each branch below takes (group, normalized T, its signs, zero tolerance)
 # and returns a raw outcome (kind, label, solutions, traces, constraint,
-# notes): solutions are (v, c) pairs (a family's one pair is its sample, with
-# c = 1 when c is free), traces are (p, q, multiplicity) and notes are
-# `_sl2_note` arguments.
+# notes), or the `_CubicCase` of a row the reduction cubic decides: solutions
+# are (v, c) pairs (a family's one pair is its sample, with c = 1 when c is
+# free), traces are (p, q, multiplicity) and notes are `_sl2_note`
+# arguments.
 _NONE = ("NoSolution", "none")
 _NO_SOLUTION = SolveOutcome(kind="NoSolution", case_label="none")
 
@@ -322,16 +404,45 @@ def _unsorted(order, v_sorted) -> list[float]:
     return v
 
 
-def _cubic_solutions(name: str, T, roots, order=(0, 1, 2)):
-    """((v, c), trace) for each (root, multiplicity) of the reduction cubic,
-    v in the caller's component order (`order` maps sorted positions to
-    axes)."""
+class _CubicCase(NamedTuple):
+    """A case row decided by the roots of the reduction cubic of T in the
+    open interval (lo, hi): the first `take` roots are reconstructed (root
+    isolation reports at most three, so 3 takes them all).  For SO3, T is
+    sorted descending and `order` maps its positions to the caller's
+    axes."""
+
+    T: tuple
+    lo: float
+    hi: float
+    label: str
+    take: int = 3
+    order: tuple = (0, 1, 2)
+
+
+def _solve_cubic(group, case: _CubicCase):
+    """Raw outcome of a `_CubicCase`, one root at a time."""
+    rep = roots_in_interval(CubicPoly(_cubic_coeffs(
+        _T3_SIGN[group.name], case.T)), case.lo, case.hi)
     found = []
-    for p, mult in roots:
-        metric, c = reconstruct_from_p(name, T, p)
-        found.append(((_unsorted(order, metric.v), c),
-                      (p, _correspondence(name, T, p)[1], mult)))
-    return found
+    for p, mult in itertools.islice(zip(rep.roots, rep.multiplicities),
+                                    case.take):
+        v, c, q = _reconstruct(group, case.T, p)
+        found.append(((_unsorted(case.order, v), c), (p, q, mult)))
+    return _cubic_outcome(case, found)
+
+
+def _cubic_outcome(case: _CubicCase, found: list):
+    """Raw outcome from the ((v, c), (p, q, multiplicity)) of each
+    reconstructed root, v in the caller's component order."""
+    if not found:
+        return _NONE
+    found.sort(key=lambda st: st[0][1])
+    label = case.label
+    if label == "SO3 (+,-,-)":
+        label += (" unique subcase" if len(found) == 1
+                  else " two-solution subcase")
+    return ("Unique" if len(found) == 1 else "TwoSolutions", label,
+            tuple(sol for sol, _ in found), tuple(t for _, t in found))
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +450,9 @@ def _cubic_solutions(name: str, T, roots, order=(0, 1, 2)):
 # ---------------------------------------------------------------------------
 
 def _solve_so3(group, T, s, ztol):
-    order = sorted(range(3), key=lambda i: -T[i])
-    Ts = tuple(T[i] for i in order)
+    # descending and stable, as the key -T_i sorts ascending
+    order = sorted(range(3), key=T.__getitem__, reverse=True)
+    Ts = (T[order[0]], T[order[1]], T[order[2]])
     # sorting is monotone, so the signs of Ts are the sorted signs of T
     s = tuple(sorted(s, reverse=True))
 
@@ -351,22 +463,10 @@ def _solve_so3(group, T, s, ztol):
         return ("FamilyFixedC", "SO3 (+,0,0)", ((v, c),), (),
                 f"v{order[0] + 1}=v{j + 1}+v{k + 1}")
     if s == (1, 1, 1):
-        lo, hi, label = 0.0, math.inf, "SO3 (+,+,+)"
-    elif s == (1, -1, -1):
-        lo, hi, label = -Ts[0], 0.0, "SO3 (+,-,-)"
-    else:
-        return _NONE
-    rep = roots_in_interval(_reduction_cubic("SO3", Ts), lo, hi)
-    found = _cubic_solutions("SO3", Ts, zip(rep.roots, rep.multiplicities),
-                             order)
-    if not found:
-        return _NONE
-    found.sort(key=lambda st: st[0][1])
-    if s[1] == -1:
-        label += (" unique subcase" if len(found) == 1
-                  else " two-solution subcase")
-    return ("Unique" if len(found) == 1 else "TwoSolutions", label,
-            tuple(sol for sol, _ in found), tuple(t for _, t in found))
+        return _CubicCase(Ts, 0.0, math.inf, "SO3 (+,+,+)", order=order)
+    if s == (1, -1, -1):
+        return _CubicCase(Ts, -Ts[0], 0.0, "SO3 (+,-,-)", order=order)
+    return _NONE
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +474,8 @@ def _solve_so3(group, T, s, ztol):
 # ---------------------------------------------------------------------------
 
 def _sl2_unique(T, lo, hi, label):
-    rep = roots_in_interval(_reduction_cubic("SL2", T), lo, hi)
-    if len(rep) == 0:
-        return _NONE
-    ((sol, trace),) = _cubic_solutions(
-        "SL2", T, [(rep.roots[0], rep.multiplicities[0])])
-    return ("Unique", label, (sol,), (trace,))
+    """The unique-solution rows: the first root in (lo, hi)."""
+    return _CubicCase(T, lo, hi, label, take=1)
 
 
 # the two-zero families by negative index: constraint, raw sample, label

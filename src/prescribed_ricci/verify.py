@@ -7,6 +7,7 @@ The residual denominator 1 + |c| * |T|_inf keeps family and flat cases
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,25 @@ def _unwrap(m) -> np.ndarray:
     return v
 
 
+def _normalized_residual(ric, c: float, target, t) -> float:
+    """max |ric - c * target| / (1 + |c| * |T|_inf), target being T in the
+    shape of ric.  Once |c| * |T|_inf leaves the float range, numerator and
+    denominator are both divided by it first, so the result stays finite."""
+    m = float(np.max(np.abs(t)))
+    scale = abs(float(c)) * m
+    if scale != math.inf:
+        return float(np.max(np.abs(ric - c * target)) / (1.0 + scale))
+    s = 1.0 / abs(float(c)) / m
+    return float(np.max(np.abs(ric * s - math.copysign(1.0, c) * (target / m)))
+                 / (1.0 + s))
+
+
 def residual(group, m, c: float, T) -> float:
     """max_i |Ric_i(v) - c*T_i| / (1 + |c| * |T|_inf) via the closed form."""
     group = as_group(group)
     v = _unwrap(m)
     t = np.asarray(getattr(T, "T", T), dtype=float)
-    ric = ricci_diagonal(group, v)
-    return float(np.max(np.abs(ric - c * t)) / (1.0 + abs(c) * np.max(np.abs(t))))
+    return _normalized_residual(ricci_diagonal(group, v), c, t, t)
 
 
 def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
@@ -56,8 +69,7 @@ def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
     group = as_group(group)
     t = np.asarray(getattr(T, "T", T), dtype=float)
     ric = ricci_koszul(structure_constants(group), np.asarray(gram, dtype=float))
-    return float(np.max(np.abs(ric - c * np.diag(t)))
-                 / (1.0 + abs(c) * np.max(np.abs(t))))
+    return _normalized_residual(ric, c, np.diag(t), t)
 
 
 def certify(group, m, c: float, T) -> Certificate:

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from prescribed_ricci.cli import main
+from prescribed_ricci.cli import Reporter, main
 
 
 def run(capsys, *argv):
@@ -61,14 +62,18 @@ def test_certify_pass_and_fail(capsys):
     (rec,) = jsonl(out)
     assert rec["pass"] is False
 
-    # c*T overflows, so both residuals are nan: json-lines writes null
-    code, out = run(capsys, "--format", "json-lines", "certify", "so3",
-                    "--T", "1e300,1e300,1e300", "--v", "1,1,1", "--c", "1e300")
+    # |c| * |T|_inf ~ 1e600 overflows, yet both residuals stay finite: Ric
+    # is 2 against c*T ~ 1e600, so the normalized residual is 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, "--format", "json-lines", "certify", "so3",
+                        "--T", "1e300,1e300,1e300", "--v", "1,1,1",
+                        "--c", "1e300")
     assert code == 3
     (rec,) = jsonl(out)
     assert rec["pass"] is False
-    assert rec["residual_closed_form"] is None
-    assert rec["residual_oracle"] is None
+    assert rec["residual_closed_form"] == pytest.approx(1.0, rel=1e-12)
+    assert rec["residual_oracle"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_round_trip_solve_then_certify(tmp_path, capsys):
@@ -238,3 +243,32 @@ def test_malformed_file_input_is_exit_2(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert any(line.startswith("error: field") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["a"], ["a", ""], ["a", "b"],
+                                   ["a\n"], ["", ""]])
+def test_flush_ends_the_joined_lines_with_one_newline(lines, tmp_path,
+                                                      capsys):
+    expected = "\n".join(lines)
+    if expected and not expected.endswith("\n"):
+        expected += "\n"
+    reporter = Reporter("json-lines", None)
+    reporter.lines = list(lines)
+    reporter.flush()
+    assert capsys.readouterr().out == expected
+    path = tmp_path / "out.txt"
+    reporter.out_path = str(path)
+    reporter.flush()
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_input_error_writes_no_records(tmp_path, capsys):
+    # the first job succeeds, the second is malformed: nothing is printed
+    jobs = tmp_path / "jobs.jsonl"
+    jobs.write_text('{"command": "solve", "group": "so3", "T": [1, 1, 1]}\n'
+                    '{"command": "solve", "group": "so3", "T": [1, 1]}\n')
+    out = tmp_path / "out.jsonl"
+    assert main(["--format", "json-lines", "batch", str(jobs)]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["--out", str(out), "batch", str(jobs)]) == 2
+    assert not out.exists()
