@@ -20,13 +20,18 @@ from .curvature import ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
 from .solver import classify_signature, solve, solve_many
-from .verify import certify
+from .verify import certify, certify_many
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_CERT_FAILURE = 3
+
+# batch jobs read and answered together: the jobs of one group in a chunk
+# share one `solve_many` and one `certify_many` call, and the chunk bounds
+# the memory this takes
+BATCH_CHUNK = 512
 
 
 class InputError(Exception):
@@ -41,6 +46,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# encoded dict keys with their colon; the record builders use a fixed set
+_KEYS: dict = {}
+
+
+def _json_key(key) -> str:
+    encoded = _KEYS[key] = json.dumps(key) + ":"
+    return encoded
+
+
 def _to_json(value) -> str:
     # exact float and str first: they are nearly all a record holds
     kind = type(value)
@@ -50,7 +64,8 @@ def _to_json(value) -> str:
     if kind is str:
         return json.dumps(value)
     if isinstance(value, dict):
-        inner = ",".join([f"{json.dumps(k)}:{_to_json(v)}"
+        keys = _KEYS
+        inner = ",".join([(keys.get(k) or _json_key(k)) + _to_json(v)
                           for k, v in value.items()])
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
@@ -97,12 +112,15 @@ class Reporter:
         self.out_path = out_path
         self.lines: list[str] = []
 
-    def emit(self, record: dict):
+    def render(self, record: dict) -> str:
+        """A record's output: one json line, or its text lines each ended
+        by a newline, the blank line between records coming from `flush`."""
         if self.fmt == "json-lines":
-            self.lines.append(_to_json(record))
-        else:
-            self.lines.extend(_flatten(record))
-            self.lines.append("")
+            return _to_json(record)
+        return "".join([line + "\n" for line in _flatten(record)])
+
+    def emit(self, record: dict):
+        self.lines.append(self.render(record))
 
     def flush(self):
         """Write the lines joined by newlines and ended by one, a line at a
@@ -180,50 +198,66 @@ def _resolve_group(args):
 
 
 def _json_lines(path: str, fieldname: str):
-    """(line number, object) for each job line of a json-lines file; blank
-    lines and lines starting with # are skipped."""
+    """(line number, object) for each job line of a json-lines file, read
+    a line at a time; blank lines and lines starting with # are skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"field {fieldname!r}: cannot read {path!r}: {exc}")
+    with fh:
+        for lineno, line in enumerate(_read(fh, path, fieldname), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise InputError(f"field {fieldname!r}: line {lineno} is not "
+                                 f"valid JSON: {exc}")
+            if not isinstance(obj, dict):
+                raise InputError(f"field {fieldname!r}: line {lineno} is not "
+                                 f"a JSON object")
+            yield lineno, obj
+
+
+def _read(fh, path: str, fieldname: str):
+    try:
+        yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"field {fieldname!r}: cannot read {path!r}: {exc}")
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise InputError(f"field {fieldname!r}: line {lineno} is not "
-                             f"valid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise InputError(f"field {fieldname!r}: line {lineno} is not a "
-                             f"JSON object")
-        yield lineno, obj
 
 
 # ---------------------------------------------------------------------------
 # Record builders
 # ---------------------------------------------------------------------------
 
-def _solution_record(group, T, sol) -> dict:
-    cert = certify(group, sol.metric.v, sol.c, T)
+def _claims(outcome) -> list:
+    """The solutions of an outcome and its family sample: the claims its
+    record certifies, in that order."""
+    claims = list(outcome.solutions)
+    if outcome.family is not None:
+        claims.append(outcome.family.sample)
+    return claims
+
+
+def _solution_record(sol, cert) -> dict:
     return {"v": list(sol.metric.v), "c": sol.c,
             "residual": max(cert.residual_closed_form, cert.residual_oracle),
             "pass": cert.passed}
 
 
-def _solve_record(group, T) -> dict:
-    outcome = solve(group, T)
+def _solve_record(group, T, outcome, certs) -> dict:
+    """The record of a solve outcome; `certs` certify its `_claims`."""
     record = {"command": "solve", "group": group.name.lower(), "T": list(T),
               "kind": outcome.kind, "case_label": outcome.case_label}
-    record["solutions"] = [_solution_record(group, T, s) for s in outcome.solutions]
+    record["solutions"] = [_solution_record(s, cert)
+                           for s, cert in zip(outcome.solutions, certs)]
     if outcome.family is not None:
         fam = outcome.family
         record["family"] = {
             "constraint": fam.constraint if fam.constraint else "none",
             "c_fixed": fam.c,
-            "sample": _solution_record(group, T, fam.sample),
+            "sample": _solution_record(fam.sample, certs[-1]),
         }
     else:
         record["family"] = None
@@ -234,16 +268,12 @@ def _solve_record(group, T) -> dict:
     return record
 
 
-def _classify_record(group, T) -> dict:
+def _classify_record(group, T, label: str) -> dict:
     return {"command": "classify", "group": group.name.lower(), "T": list(T),
-            "case_label": classify_signature(group, T)}
+            "case_label": label}
 
 
-def _certify_record(group, T, v, c) -> dict:
-    try:
-        cert = certify(group, v, c, T)
-    except ValueError as exc:
-        raise InputError(f"field 'v': {exc}")
+def _certify_record(group, T, v, c, cert) -> dict:
     return {"command": "certify", "group": group.name.lower(),
             "T": list(T), "v": list(v), "c": c,
             "residual_closed_form": cert.residual_closed_form,
@@ -260,18 +290,128 @@ def _passed(record: dict) -> bool:
     return all(r.get("pass", True) for r in checks)
 
 
-def _job_T(job) -> tuple:
-    return _parse_numbers(job.get("T"), "T")
+# ---------------------------------------------------------------------------
+# Jobs: one tensor at a time, or a batch chunk grouped by group
+# ---------------------------------------------------------------------------
+
+def _answer(ask, group, T):
+    """solve or classify_signature on one tensor; the ValueError for a c
+    outside the float range is malformed input."""
+    try:
+        return ask(group, T)
+    except ValueError as exc:
+        raise InputError(f"field 'T': {exc}")
 
 
-# the jobs a batch file may hold, each built from its JSON fields
-_BATCH_JOBS = {
-    "solve": lambda group, job: _solve_record(group, _job_T(job)),
-    "classify": lambda group, job: _classify_record(group, _job_T(job)),
-    "certify": lambda group, job: _certify_record(
-        group, _job_T(job), _parse_numbers(job.get("v"), "v"),
-        _parse_number(job.get("c"), "c")),
-}
+def _solve_job(group, T) -> dict:
+    outcome = _answer(solve, group, T)
+    return _solve_record(group, T, outcome,
+                         [certify(group, s.metric.v, s.c, T)
+                          for s in _claims(outcome)])
+
+
+def _classify_job(group, T) -> dict:
+    return _classify_record(group, T, _answer(classify_signature, group, T))
+
+
+def _certify_job(group, T, v, c) -> dict:
+    try:
+        cert = certify(group, v, c, T)
+    except ValueError as exc:
+        raise InputError(f"field 'v': {exc}")
+    return _certify_record(group, T, v, c, cert)
+
+
+_BATCH_COMMANDS = ("solve", "classify", "certify")
+
+
+def _batch_job(lineno: int, job: dict) -> tuple:
+    """(command, group, T, claim) of a job line, claim being (v, c) for a
+    certify job and None otherwise."""
+    command = job.get("command")
+    if not (isinstance(command, str) and command in _BATCH_COMMANDS):
+        raise InputError(f"field 'command': line {lineno}: unknown "
+                         f"command {job.get('command')!r}; expected one "
+                         f"of {_BATCH_COMMANDS}")
+    try:
+        group = _group_or_fail(job.get("group", ""))
+        T = _parse_numbers(job.get("T"), "T")
+        claim = None
+        if command == "certify":
+            claim = (_parse_numbers(job.get("v"), "v"),
+                     _parse_number(job.get("c"), "c"))
+    except InputError as exc:
+        raise InputError(f"{exc} on line {lineno}") from None
+    return command, group, T, claim
+
+
+def _job_record(lineno: int, job: dict) -> dict:
+    """One job line answered on its own."""
+    command, group, T, claim = _batch_job(lineno, job)
+    try:
+        if command == "solve":
+            return _solve_job(group, T)
+        if command == "classify":
+            return _classify_job(group, T)
+        return _certify_job(group, T, *claim)
+    except InputError as exc:
+        raise InputError(f"{exc} on line {lineno}") from None
+
+
+def _chunk_lines(chunk: list, render) -> tuple[list, bool]:
+    """The rendered records of a chunk of (line number, job) pairs, in
+    input order, and whether every certificate passed.
+
+    The jobs of each group are answered together: its solve and classify
+    jobs by one `solve_many` call, then the claims of its solve jobs and its
+    certify jobs by one `certify_many` call.  When that raises, the chunk
+    is answered again a job at a time, so the first failing line raises
+    its own error."""
+    try:
+        return _grouped_lines(chunk, render)
+    except (InputError, ValueError):
+        records = [_job_record(lineno, job) for lineno, job in chunk]
+        return ([render(r) for r in records],
+                all([_passed(r) for r in records]))
+
+
+def _grouped_lines(chunk: list, render) -> tuple[list, bool]:
+    jobs = [_batch_job(lineno, job) for lineno, job in chunk]
+    by_group: dict = {}
+    for i, job in enumerate(jobs):
+        by_group.setdefault(job[1].name, []).append(i)
+    lines = [""] * len(jobs)
+    ok = True
+    for slots in by_group.values():
+        group = jobs[slots[0]][1]
+        asked = [i for i in slots if jobs[i][3] is None]
+        outcomes = dict(zip(asked, solve_many(group,
+                                              [jobs[i][2] for i in asked])))
+        vs, cs, Ts = [], [], []
+        for i in slots:
+            command, _, T, claim = jobs[i]
+            if command == "solve":
+                claims = [(s.metric.v, s.c) for s in _claims(outcomes[i])]
+            else:
+                claims = [] if claim is None else [claim]
+            for v, c in claims:
+                vs.append(v)
+                cs.append(c)
+                Ts.append(T)
+        certs = iter(certify_many(group, vs, cs, Ts))
+        for i in slots:
+            command, _, T, claim = jobs[i]
+            if command == "solve":
+                outcome = outcomes[i]
+                record = _solve_record(group, T, outcome,
+                                       [next(certs) for _ in _claims(outcome)])
+            elif command == "classify":
+                record = _classify_record(group, T, outcomes[i].case_label)
+            else:
+                record = _certify_record(group, T, *claim, next(certs))
+            ok = ok and _passed(record)
+            lines[i] = render(record)
+    return lines, ok
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +419,7 @@ _BATCH_JOBS = {
 # ---------------------------------------------------------------------------
 
 def _run_solve(args, reporter) -> int:
-    record = _solve_record(_resolve_group(args), _flag_numbers(args.T, "T"))
+    record = _solve_job(_resolve_group(args), _flag_numbers(args.T, "T"))
     reporter.emit(record)
     return EXIT_OK if _passed(record) else EXIT_CERT_FAILURE
 
@@ -290,9 +430,9 @@ def _run_certify(args, reporter) -> int:
     if args.T is None or args.v is None or args.c is None:
         raise InputError("field 'v'/'c'/'T': certify needs --T, --v and --c "
                          "(or --from FILE)")
-    record = _certify_record(_resolve_group(args), _flag_numbers(args.T, "T"),
-                             _flag_numbers(args.v, "v"),
-                             _parse_number(args.c, "c"))
+    record = _certify_job(_resolve_group(args), _flag_numbers(args.T, "T"),
+                          _flag_numbers(args.v, "v"),
+                          _parse_number(args.c, "c"))
     reporter.emit(record)
     return EXIT_OK if record["pass"] else EXIT_CERT_FAILURE
 
@@ -318,9 +458,8 @@ def _certify_from_file(args, reporter) -> int:
                     raise InputError("field 'family': expected null or an "
                                      "object with a 'sample' object")
                 claims = claims + [family["sample"]]
-            certs = [_certify_record(group, T,
-                                     _parse_numbers(s.get("v"), "v"),
-                                     _parse_number(s.get("c"), "c"))
+            certs = [_certify_job(group, T, _parse_numbers(s.get("v"), "v"),
+                                  _parse_number(s.get("c"), "c"))
                      for s in claims]
         except InputError as exc:
             raise InputError(f"{exc} on line {lineno}") from None
@@ -334,8 +473,8 @@ def _certify_from_file(args, reporter) -> int:
 
 
 def _run_classify(args, reporter) -> int:
-    reporter.emit(_classify_record(_resolve_group(args),
-                                   _flag_numbers(args.T, "T")))
+    reporter.emit(_classify_job(_resolve_group(args),
+                                _flag_numbers(args.T, "T")))
     return EXIT_OK
 
 
@@ -410,21 +549,24 @@ def _run_oracle_ricci(args, reporter) -> int:
 
 def _run_batch(args, reporter) -> int:
     status = EXIT_OK
-    for lineno, job in _json_lines(args.jobs, "jobs"):
-        command = job.get("command")
-        build = _BATCH_JOBS.get(command) if isinstance(command, str) else None
-        if build is None:
-            raise InputError(f"field 'command': line {lineno}: unknown "
-                             f"command {job.get('command')!r}; expected one "
-                             f"of {tuple(_BATCH_JOBS)}")
+    jobs = _json_lines(args.jobs, "jobs")
+    while True:
+        chunk, unread = [], None
         try:
-            record = build(_group_or_fail(job.get("group", "")), job)
+            for item in itertools.islice(jobs, BATCH_CHUNK):
+                chunk.append(item)
         except InputError as exc:
-            raise InputError(f"{exc} on line {lineno}") from None
-        reporter.emit(record)
-        if not _passed(record):
+            unread = exc  # the jobs above the unreadable line run first
+        lines, ok = _chunk_lines(chunk, reporter.render)
+        if lines:
+            # one string per chunk: `flush` puts the same newline between
+            reporter.lines.append("\n".join(lines))
+        if not ok:
             status = EXIT_CERT_FAILURE
-    return status
+        if unread is not None:
+            raise unread
+        if len(chunk) < BATCH_CHUNK:
+            return status
 
 
 # ---------------------------------------------------------------------------

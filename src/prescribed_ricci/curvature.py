@@ -85,17 +85,19 @@ def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Ricci tensor of a left-invariant metric from its Gram matrix.
 
     `sc` are the frame's structure constants and `g` the symmetric
-    positive-definite Gram matrix in the same frame.  Works directly with the
-    non-orthonormal frame (no square roots), so a diagonal input exercises the
-    claim that off-diagonal Ricci entries vanish.
+    positive-definite Gram matrix in the same frame, or a stack of them of
+    shape (..., 3, 3), one Ricci tensor each.  Works directly with the
+    non-orthonormal frame (no square roots), so a diagonal input exercises
+    the claim that off-diagonal Ricci entries vanish.
 
-    Raises ValueError for a non-symmetric or non-positive-definite g.
+    Raises ValueError if any g is non-symmetric or non-positive-definite.
     """
     sc = np.asarray(sc, dtype=float)
     g = np.asarray(g, dtype=float)
-    if g.shape != (3, 3):
+    if g.shape[-2:] != (3, 3):
         raise ValueError(f"metric Gram matrix must be 3x3, got {g.shape}")
-    if np.max(np.abs(g - g.T)) > 1e-12 * np.max(np.abs(g)):
+    if (np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
+            > 1e-12 * np.abs(g).max(axis=(-2, -1))).any():
         raise ValueError("metric Gram matrix must be symmetric")
     try:
         np.linalg.cholesky(g)
@@ -104,14 +106,16 @@ def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
     ginv = np.linalg.inv(g)
 
     # B[i,j,k] = <[e_i, e_j], e_k>; the transposes give B[j,k,i] and B[k,i,j]
-    B = np.einsum("ijm,mk->ijk", sc, g)
-    K = 0.5 * (B - np.transpose(B, (2, 0, 1)) + np.transpose(B, (1, 2, 0)))
+    B = np.einsum("ijm,...mk->...ijk", sc, g)
+    lead = tuple(range(g.ndim - 2))
+    i, j, k = len(lead), len(lead) + 1, len(lead) + 2
+    K = 0.5 * (B - B.transpose(lead + (k, i, j)) + B.transpose(lead + (j, k, i)))
     # gamma[i,j,l]: coefficient of e_l in D_{e_i} e_j
-    gamma = np.einsum("ijk,kl->ijl", K, ginv)
+    gamma = np.einsum("...ijk,...kl->...ijl", K, ginv)
 
     # Ric_{jk} = sum_i coefficient of e_i in R(e_i, e_j) e_k
-    term1 = np.einsum("jkl,ili->jk", gamma, gamma)
-    term2 = np.einsum("ikl,jli->jk", gamma, gamma)
-    term3 = np.einsum("ijl,lki->jk", sc, gamma)
+    term1 = np.einsum("...jkl,...ili->...jk", gamma, gamma)
+    term2 = np.einsum("...ikl,...jli->...jk", gamma, gamma)
+    term3 = np.einsum("ijl,...lki->...jk", sc, gamma)
     ric = term1 - term2 - term3
-    return 0.5 * (ric + ric.T)
+    return 0.5 * (ric + ric.swapaxes(-1, -2))

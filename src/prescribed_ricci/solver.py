@@ -524,6 +524,14 @@ def _solve_sl2(group, T, s, ztol):
                     ((_normalized((1.0, 1.0, 2.0), c), c),), (), "v3=v1+v2")
         hi_gap = T3 - max(-T1, -T2)
         lo_gap = min(-T1, -T2) - T3
+        if abs(T1 - T2) <= ztol and max(hi_gap, lo_gap) > ztol:
+            # T1 = T2: the cubic is (p + T1)(2p^2 - T3 p + T1 T3), and its
+            # root -T1, a pole of the correspondence on the interval's end,
+            # is no solution; the quadratic's positive root is the one
+            p = (T3 + math.sqrt(T3 * T3 - 8.0 * T1 * T3)) / 4.0
+            v, c, q = _reconstruct(group, T, p)
+            return ("Unique", "SL2 case (iii)" if hi_gap > ztol
+                    else "SL2 case (iv)", ((v, c),), ((p, q, 1),))
         if hi_gap > ztol:
             return _sl2_unique(T, max(-T1, -T2), T3, "SL2 case (iii)")
         if lo_gap > ztol:

@@ -15,7 +15,7 @@ import numpy as np
 from .curvature import ricci_diagonal, ricci_koszul
 from .groups import as_group, structure_constants
 
-__all__ = ["Certificate", "residual", "certify"]
+__all__ = ["Certificate", "residual", "certify", "certify_many"]
 
 PASS_THRESHOLD = 1e-9
 NORMALIZATION_TOL = 1e-9
@@ -37,9 +37,21 @@ def _unwrap(m) -> np.ndarray:
     v = np.asarray(getattr(m, "v", m), dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a diagonal metric triple, got shape {v.shape}")
-    if min(v) <= 0:
-        raise ValueError(f"metric components must be positive, got {tuple(v)}")
+    if not (v.min() > 0.0 and v.max() < math.inf):  # nan fails both
+        _check_metrics(v[None])
     return v
+
+
+def _check_metrics(v: np.ndarray) -> None:
+    """Raise ValueError for the first row of v, (N, 3), that is not
+    positive and finite."""
+    good = ((v > 0.0) & (v < np.inf)).all(axis=1)
+    if not good.all():
+        row = v[np.argmin(good)]
+        if (row <= 0.0).any():
+            raise ValueError(f"metric components must be positive, got "
+                             f"{tuple(row)}")
+        raise ValueError(f"metric components must be finite, got {tuple(row)}")
 
 
 def _normalized_residual(ric, c: float, target, t) -> float:
@@ -53,6 +65,26 @@ def _normalized_residual(ric, c: float, target, t) -> float:
     s = 1.0 / abs(float(c)) / m
     return float(np.max(np.abs(ric * s - math.copysign(1.0, c) * (target / m)))
                  / (1.0 + s))
+
+
+def _normalized_residuals(ric, c, target, t) -> np.ndarray:
+    """`_normalized_residual` of each lane, with the same float operations:
+    ric and target have shape (N, ...), c is (N,) and t (N, 3)."""
+    n = len(c)
+    m = abs(t).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = abs(c) * m
+        res = (abs(ric - c.reshape((n,) + (1,) * (ric.ndim - 1)) * target)
+               .reshape(n, -1).max(axis=1) / (1.0 + scale))
+        over = scale == np.inf
+        if over.any():
+            s = 1.0 / abs(c[over]) / m[over]
+            k = len(s)
+            res[over] = (abs(ric[over].reshape(k, -1) * s[:, None]
+                             - np.copysign(1.0, c[over])[:, None]
+                             * (target[over].reshape(k, -1) / m[over][:, None]))
+                         .max(axis=1) / (1.0 + s))
+    return res
 
 
 def residual(group, m, c: float, T) -> float:
@@ -72,15 +104,47 @@ def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
     return _normalized_residual(ric, c, np.diag(t), t)
 
 
-def certify(group, m, c: float, T) -> Certificate:
-    """Certify a claimed solution against both curvature implementations."""
+def certify_many(group, vs, cs, Ts) -> list[Certificate]:
+    """`certify` on N claims at once: metrics vs (N, 3), constants cs (N,)
+    and tensors Ts (N, 3) give N certificates, each equal to the one
+    `certify` returns for that lane.
+
+    Both routes run on the whole stack: the closed form on (N, 3) arrays,
+    the Koszul oracle on the N diagonal Gram matrices.  Raises ValueError,
+    as `certify` does, for the first lane whose metric is not positive and
+    finite.
+    """
     group = as_group(group)
-    v = _unwrap(m)
-    r_closed = residual(group, v, c, T)
-    r_oracle = oracle_residual(group, np.diag(v), c, T)
-    normalized = bool(abs(v[0] * v[1] * v[2] * c - 1.0) <= NORMALIZATION_TOL)
-    return Certificate(residual_closed_form=r_closed,
-                       residual_oracle=r_oracle,
-                       normalized=normalized,
-                       passed=bool(r_closed <= PASS_THRESHOLD
-                                   and r_oracle <= PASS_THRESHOLD))
+    v = np.asarray(vs, dtype=float)
+    if not v.size:
+        return []
+    c = np.asarray(cs, dtype=float)
+    t = np.asarray(Ts, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3 or t.shape != v.shape \
+            or c.shape != v.shape[:1]:
+        raise ValueError(f"expected N metric triples, N constants and N "
+                         f"tensors, got shapes {v.shape}, {c.shape}, "
+                         f"{t.shape}")
+    _check_metrics(v)
+    diag = np.arange(3)
+    gram = np.zeros(v.shape + (3,))
+    gram[:, diag, diag] = v
+    target = np.zeros_like(gram)
+    target[:, diag, diag] = t
+    r_closed = _normalized_residuals(ricci_diagonal(group, v), c, t, t)
+    r_oracle = _normalized_residuals(
+        ricci_koszul(structure_constants(group), gram), c, target, t)
+    with np.errstate(over="ignore"):
+        normalized = (np.abs(v[:, 0] * v[:, 1] * v[:, 2] * c - 1.0)
+                      <= NORMALIZATION_TOL)
+    passed = (r_closed <= PASS_THRESHOLD) & (r_oracle <= PASS_THRESHOLD)
+    return [Certificate(*lane) for lane in zip(
+        r_closed.tolist(), r_oracle.tolist(), normalized.tolist(),
+        passed.tolist())]
+
+
+def certify(group, m, c: float, T) -> Certificate:
+    """Certify a claimed solution against both curvature implementations:
+    `certify_many` on one lane."""
+    (cert,) = certify_many(group, _unwrap(m)[None], [c], [getattr(T, "T", T)])
+    return cert

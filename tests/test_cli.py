@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from prescribed_ricci import cli
 from prescribed_ricci.cli import Reporter, main
 
 
@@ -272,3 +276,167 @@ def test_input_error_writes_no_records(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["--out", str(out), "batch", str(jobs)]) == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# batch: jobs grouped per group in chunks, output in input order
+# ---------------------------------------------------------------------------
+
+BATCH_LINES = [
+    '{"command": "solve", "group": "so3", "T": [10, -1, -1]}',
+    '# a comment, then a blank line',
+    '',
+    '{"command": "classify", "group": "sl2", "T": [-3, -2, 1]}',
+    '{"command": "solve", "group": "sl2", "T": [-0.1, -0.1, 0.3]}',
+    '{"command": "certify", "group": "so3", "T": [1, 1, 1], "v": [1, 1, 1], "c": 1}',
+    '{"command": "solve", "group": "e11", "T": [0, 0, -2]}',
+    '{"command": "solve", "group": "r3", "T": [0, 0, 1]}',
+    '{"command": "solve", "group": "sl2", "T": [-2, 0, 0]}',
+    '{"command": "certify", "group": "h3", "T": [1, -1, -1], "v": [1, 1, 1], "c": 2}',
+    '{"command": "solve", "group": "e2", "T": [0, 0, 0]}',
+    '{"command": "classify", "group": "so3", "T": [8e-200, -1e-200, -1e-200]}',
+    '{"command": "solve", "group": "h3", "T": [3e150, -1e150, -2e150]}',
+    '{"command": "solve", "group": "so3", "T": [1, 2, 3]}',
+    '{"command": "solve", "group": "e2", "T": [2, -1, -1]}',
+    '{"command": "solve", "group": "sl2", "T": [-1, -1, 1]}',
+]
+
+
+def batch_output(path, fmt, capsys):
+    code = main(["--format", fmt, "batch", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "text"])
+def test_batch_chunks_match_job_by_job(fmt, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(BATCH_LINES) + "\n")
+    monkeypatch.setattr(cli, "BATCH_CHUNK", 3)
+    grouped = []
+    answer = cli._grouped_lines
+
+    def counting(chunk, render):
+        grouped.append(len(chunk))
+        return answer(chunk, render)
+
+    monkeypatch.setattr(cli, "_grouped_lines", counting)
+    code, out, _ = batch_output(path, fmt, capsys)
+    assert grouped == [3, 3, 3, 3, 2]  # every chunk took the grouped path
+
+    def job_by_job(chunk, render):
+        raise ValueError("answer each job on its own")
+
+    monkeypatch.setattr(cli, "_grouped_lines", job_by_job)
+    expected = batch_output(path, fmt, capsys)[:2]
+    assert (code, out) == expected
+    assert code == 3  # the so3 certify job fails
+    if fmt == "json-lines":
+        assert [r["command"] for r in jsonl(out)] == [
+            json.loads(line)["command"] for line in BATCH_LINES
+            if line and not line.startswith("#")]
+
+
+def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
+                                                   monkeypatch):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(BATCH_LINES) + "\n")
+
+    def scalar(*args):
+        raise AssertionError("scalar path used")
+
+    for name in ("solve", "classify_signature", "certify"):
+        monkeypatch.setattr(cli, name, scalar)
+    assert batch_output(path, "json-lines", capsys)[0] == 3
+
+
+def batch_error(lines, tmp_path, capsys, chunk=None, monkeypatch=None):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    if chunk is not None:
+        monkeypatch.setattr(cli, "BATCH_CHUNK", chunk)
+    code, out, err = batch_output(path, "json-lines", capsys)
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    return line
+
+
+GOOD = '{"command": "solve", "group": "so3", "T": [1, 1, 1]}'
+TINY_T = '{"command": "solve", "group": "so3", "T": [1e-310, 1e-310, 1e-310]}'
+
+
+@pytest.mark.parametrize("chunk", [None, 3, 4])
+def test_batch_error_in_a_later_chunk_names_its_line(chunk, tmp_path, capsys,
+                                                     monkeypatch):
+    lines = [GOOD] * 7 + [TINY_T] + [GOOD] * 2
+    err = batch_error(lines, tmp_path, capsys, chunk, monkeypatch)
+    assert err.startswith("error: field 'T': c = inf is outside the float "
+                          "range")
+    assert err.endswith(" on line 8")
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_batch_first_failing_line_wins(chunk, tmp_path, capsys, monkeypatch):
+    # a malformed line above an out-of-range T: the malformed line's error
+    malformed = '{"command": "classify", "group": "sl2", "T": [1, "x", 1]}'
+    err = batch_error([GOOD, malformed, GOOD, TINY_T], tmp_path, capsys, chunk,
+                      monkeypatch)
+    assert err == ("error: field 'T': non-numeric entry 'x' on line 2")
+    # an out-of-range T above a malformed line, a bad metric and a line that
+    # is not JSON: the T's error
+    bad_v = ('{"command": "certify", "group": "so3", "T": [1, 1, 1], '
+             '"v": [1, -1, 1], "c": 1}')
+    err = batch_error([GOOD, TINY_T, bad_v, malformed, "{oops"], tmp_path,
+                      capsys, chunk, monkeypatch)
+    assert err.startswith("error: field 'T': c = inf")
+    assert err.endswith(" on line 2")
+    err = batch_error([GOOD, bad_v, TINY_T], tmp_path, capsys, chunk,
+                      monkeypatch)
+    assert err.startswith("error: field 'v': metric components must be "
+                          "positive")
+    assert err.endswith(" on line 2")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "so3", "--T", "1e-310,1e-310,1e-310"],
+    ["classify", "sl2", "--T=-1e-310,-2e-310,3e-310"],
+    ["solve", "e11", "--T=0,0,-1e-310"],
+])
+def test_t_outside_the_float_range_is_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: field 'T': c = ")
+    assert "outside the float range" in captured.err
+
+
+def test_unreadable_job_files(tmp_path, capsys):
+    good = (GOOD + "\n").encode()
+    path = tmp_path / "jobs.jsonl"
+    path.write_bytes(good * 300 + b'{"command": "solve", "T": [1, \xff1]}\n'
+                     + good)
+    code, out, err = batch_output(path, "json-lines", capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: field 'jobs': cannot read {str(path)!r}: "
+                          "'utf-8' codec can't decode byte 0xff")
+    path.write_text(GOOD + '\n{"a": ' + "[" * 100000 + "]" * 100000 + "}\n")
+    code, out, err = batch_output(path, "json-lines", capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: field 'jobs': line 2 is not valid JSON: "
+                          "maximum recursion depth exceeded")
+    code, out, err = batch_output(tmp_path / "missing.jsonl", "json-lines",
+                                  capsys)
+    assert code == 2 and err.startswith("error: field 'jobs': cannot read")
+
+
+def test_one_tensor_commands_never_load_the_array_kernel(tmp_path):
+    code = ("import sys; from prescribed_ricci import cli; "
+            "[cli.main(argv) for argv in ("
+            "['solve', 'so3', '--T', '10,-1,-1'], "
+            "['classify', 'sl2', '--T=-3,-2,1'], "
+            "['certify', 'so3', '--T', '1,1,1', '--v', '1,1,1', '--c', '2'])]; "
+            "print('prescribed_ricci.arrays' in sys.modules, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stderr.strip() == "False"

@@ -107,12 +107,22 @@ def test_other_groups_fall_back(group, scale):
 
 
 def test_errors_at_their_place():
-    # a malformed T, and a T the scalar kernel rejects (its cubic root sits
-    # on the case interval's end), raise where solve raises them
+    # a malformed T, and a T whose c leaves the float range, raise where
+    # solve raises them
     assert_same(SO3, [(10.0, -1.0, -1.0), (1.0, float("nan"), 0.0),
                       (1.0, 1.0, 1.0)])
     assert_same(SO3, [(1.0, 1.0, 1.0), "123"])
-    assert_same(SL2, [(-1.0, -2.0, 3.0), (-0.1, -0.1, 0.3), (3.0, -1.0, -1.0)])
+    assert_same(SL2, [(-1.0, -2.0, 3.0), (-1e-310, -2e-310, 3e-310),
+                      (3.0, -1.0, -1.0)])
+
+
+def test_sl2_ties():
+    # T1 = T2: the cubic's root at the pole -T1 is no solution, in either
+    # kernel
+    Ts = [(-t, -t, r * t) for t in (0.1, 1.0, 3.0, 1e-200, 1e200)
+          for r in (0.3, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 3.0)]
+    assert_same(SL2, Ts)
+    assert all(o.kind != "NoSolution" for o in solve_many(SL2, Ts))
 
 
 def test_chunks_and_fallbacks(monkeypatch):
@@ -153,10 +163,13 @@ def test_cubic_sweep_never_calls_the_scalar_isolation(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+# small integers draw the ties and zeros that uniform floats miss
+COMPONENTS = st.floats(-10.0, 10.0) | st.integers(-3, 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=st.sampled_from(ALL_GROUPS),
-       Ts=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
-                             st.floats(-10.0, 10.0),
+       Ts=st.lists(st.tuples(COMPONENTS, COMPONENTS, COMPONENTS,
                              st.floats(-300.0, 300.0)),
                    min_size=1, max_size=40))
 def test_equals_solve_at_every_scale(g, Ts):

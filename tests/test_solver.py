@@ -199,6 +199,45 @@ def test_sl2_cases_iii_iv():
     check_sound(SL2, out, (-3.0, -2.0, 1.0))
 
 
+# T1 = T2 on SL2 (-,-,+): the reduction cubic has the exact root p = -T1, a
+# pole of the correspondence on the end of the case (iii) or (iv) interval
+SL2_TIES = [(-0.1, -0.1, 0.3), (-1.0, -1.0, 3.0), (-1.0, -1.0, 0.5),
+            (-3.0, -3.0, 1.0), (-2.0, -2.0, 3.0), (-1.0, -1.0, 1.0 + 1e-9),
+            (-1.0, -1.0, 1.0 - 1e-9)]
+
+
+@pytest.mark.parametrize("T", SL2_TIES)
+def test_sl2_tie_slice_solves_at_every_scale(T):
+    label = "SL2 case (iii)" if T[2] > -T[0] else "SL2 case (iv)"
+    base = solve(SL2, T)
+    assert (base.kind, base.case_label) == ("Unique", label)
+    check_sound(SL2, base, T)
+    (trace,) = base.traces
+    lo, hi = sorted((-T[0], T[2]))
+    assert lo < trace.p < hi
+    for s in (1e-300, 1e-8, 10.0 / 3.0, 1e8, 1e300):
+        sT = tuple(s * t for t in T)
+        out = solve(SL2, sT)
+        assert (out.kind, out.case_label) == ("Unique", label), s
+        (c,) = out.c_values()
+        assert abs(c - base.solutions[0].c / s) <= 1e-12 * c, s
+        (sol,) = out.solutions
+        assert certify(SL2, sol.metric.v, sol.c, sT).passed, s
+
+
+def test_sl2_tie_slice_random():
+    # T = (-t, -t, r t) with t log-uniform: before the tie had its own row,
+    # about one in six of these raised
+    gen = np.random.default_rng(1607)
+    for _ in range(2000):
+        t, r = 10.0 ** gen.uniform(-6, 6), gen.uniform(0.05, 5.0)
+        T = (-t, -t, r * t)
+        out = solve(SL2, T)
+        assert out.case_label in ("SL2 case (iii)", "SL2 case (iv)"), T
+        (sol,) = out.solutions
+        assert certify(SL2, sol.metric.v, sol.c, T).passed, T
+
+
 def test_sl2_family_equal_components():
     T = (-1.0, -1.0, 1.0)
     out = solve(SL2, T)
@@ -362,14 +401,20 @@ def _all_solutions(outcome):
     return sols + ([outcome.family.sample] if outcome.family else [])
 
 
+# small integers: ties and zeros, which random solvable shapes never draw
+SMALL_INTEGERS = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=st.sampled_from(ALL_GROUPS), seed=st.integers(0, 2 ** 32 - 1),
+       integers=st.none() | SMALL_INTEGERS,
        exponent=st.floats(-300.0, 300.0))
-def test_scaling_law(g, seed, exponent):
+def test_scaling_law(g, seed, integers, exponent):
     # Ric(g) = c T holds exactly when Ric(g) = (c/s)(sT): the label, c/s and
     # the metric class carry over to every scale in [1e-300, 1e300]
     s = 10.0 ** exponent
-    T = np.asarray(random_solvable(g, np.random.default_rng(seed)))
+    T = np.asarray(random_solvable(g, np.random.default_rng(seed))
+                   if integers is None else integers, dtype=float)
     sT = tuple(s * T)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
