@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .cubic import _TINY, ROOT_TOL
-from .solver import (_T3_SIGN, POLISH_TOL, _averaged, _correspondence,
-                     _cubic_coeffs, _cubic_outcome, _CubicCase, _from_system,
-                     _jacobian, _plan, _scaled_system)
+from .solver import (_T3_SIGN, POLISH_STEPS, POLISH_TOL, _averaged,
+                     _correspondence, _cubic_coeffs, _cubic_outcome, _CubicCase,
+                     _from_system, _jacobian, _plan, _scaled_system)
 
 __all__ = ["plan_chunk", "roots_in_interval_many"]
 
@@ -92,7 +92,7 @@ def _reconstruct_many(group, T, p):
     return v, c, q, ok
 
 
-def _polish_many(group, v, T, ok, iterations: int = 4):
+def _polish_many(group, v, T, ok):
     """`_polish_metric` on the lanes where `ok` holds (v of shape (P, 3), T
     as three columns); clears `ok` where a residual or step is not finite.
     Raises LinAlgError when any step matrix is singular."""
@@ -107,7 +107,7 @@ def _polish_many(group, v, T, ok, iterations: int = 4):
     best, best_res = v.copy(), res(v, T)
     ok &= np.isfinite(best_res)
     live = ok.copy()
-    for _ in range(iterations):
+    for _ in range(POLISH_STEPS):
         live &= ~(best_res <= done)
         idx = np.flatnonzero(live)
         if not idx.size:

@@ -43,13 +43,6 @@ class DiagonalMetric:
         if min(v) <= 0.0:
             raise ValueError(f"metric components must be positive, got {v}")
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.v, dtype=dtype or float)
-
-    def gram(self) -> np.ndarray:
-        """The metric as a 3x3 Gram matrix in the frame."""
-        return np.diag(np.asarray(self.v, dtype=float))
-
 
 def _components(m) -> np.ndarray:
     v = np.asarray(getattr(m, "v", m), dtype=float)

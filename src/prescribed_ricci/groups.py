@@ -56,9 +56,6 @@ class UnimodularGroup:
         if tuple(self.lambdas) != expected:
             raise ValueError(f"group {self.name} requires bracket coefficients "
                              f"{expected}, got {self.lambdas}")
-        negative = sum(1 for lam in self.lambdas if lam < 0)
-        if negative > 3 - negative:
-            raise ValueError("more negative than non-negative bracket coefficients")
 
     def __str__(self):
         return self.name

@@ -3,8 +3,9 @@
 For a solvable (group, T) the probe samples bracket-preserving basis changes
 under which T stays diagonal, re-solves in each new frame, pulls the
 solutions back, and aggregates how well the c values and (where uniqueness is
-claimed) the metrics agree.  Every sampled change is asserted, not assumed,
-to pass the bracket check and to keep T diagonal.
+claimed) the metrics agree.  The sampler is the one place that checks each
+change against the brackets and T's diagonality; `probe` re-solves only
+changes that passed there.
 """
 from __future__ import annotations
 
@@ -165,7 +166,7 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
     """n bracket-preserving basis changes under which T remains diagonal.
 
     Each returned matrix passes check_milnor_frame and keeps M^T diag(T) M
-    diagonal to 1e-10 (relative); both are asserted before returning.
+    diagonal to 1e-10 (relative); a candidate failing either is redrawn.
     """
     group = as_group(group)
     T = _tensor(T)
@@ -239,8 +240,6 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     violations = []
 
     for M in changes:
-        assert check_milnor_frame(group, M), "sampler returned a bad frame"
-        assert _keeps_diagonal(M, T), "sampler broke diagonality"
         out = solve(group, tuple(np.diag(M.T @ np.diag(T) @ M)))
         ok = out.kind == base.kind
 

@@ -52,6 +52,8 @@ ZERO_TOL = 1e-11
 # the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
 # in the last place
 POLISH_TOL = 5.0 * 2.0 ** -52
+# most Newton steps of the metric polish, shared with `arrays`'s kernel
+POLISH_STEPS = 4
 # tensors `solve_many` takes into one array pass
 CHUNK = 1024
 
@@ -200,12 +202,12 @@ def _jacobian(group, v, x):
     return J
 
 
-def _polish_metric(group, v, T, iterations: int = 4):
+def _polish_metric(group, v, T):
     """Newton-polish v on the normalized system.
 
     Reconstruction through the cubic variable p loses relative accuracy when
-    a correspondence denominator p +- T_i is small (thin case intervals); a
-    couple of Newton steps directly in metric space restore residuals to
+    a correspondence denominator p +- T_i is small (thin case intervals); up
+    to POLISH_STEPS Newton steps directly in metric space restore residuals to
     rounding level, POLISH_TOL * |T|_inf.  Keeps the best iterate; never
     leaves the positive octant.
     """
@@ -217,7 +219,7 @@ def _polish_metric(group, v, T, iterations: int = 4):
         return max(abs(f) for f in F)
 
     best, best_res = v.copy(), res(v)
-    for _ in range(iterations):
+    for _ in range(POLISH_STEPS):
         if best_res <= done:
             break
         F, x = _scaled_system(group, v, T)
@@ -473,11 +475,6 @@ def _solve_so3(group, T, s, ztol):
 # SL2
 # ---------------------------------------------------------------------------
 
-def _sl2_unique(T, lo, hi, label):
-    """The unique-solution rows: the first root in (lo, hi)."""
-    return _CubicCase(T, lo, hi, label, take=1)
-
-
 # the two-zero families by negative index: constraint, raw sample, label
 _SL2_ZERO_FAMILIES = (("v2=v1+v3", (1.0, 2.0, 1.0), "SL2 case (vi)"),
                       ("v1=v2+v3", (2.0, 1.0, 1.0), "SL2 case (vii)"))
@@ -513,9 +510,9 @@ def _solve_sl2(group, T, s, ztol):
     T1, T2, T3 = T
 
     if s == (1, -1, -1) and T1 + T3 > ztol:
-        return _sl2_unique(T, -T1, T3, "SL2 case (i)")
+        return _CubicCase(T, -T1, T3, "SL2 case (i)", take=1)
     if s == (-1, 1, -1) and T2 + T3 > ztol:
-        return _sl2_unique(T, -T2, T3, "SL2 case (ii)")
+        return _CubicCase(T, -T2, T3, "SL2 case (ii)", take=1)
 
     if s == (-1, -1, 1):
         if abs(T1 - T2) <= ztol and abs(T1 + T3) <= ztol:
@@ -533,9 +530,9 @@ def _solve_sl2(group, T, s, ztol):
             return ("Unique", "SL2 case (iii)" if hi_gap > ztol
                     else "SL2 case (iv)", ((v, c),), ((p, q, 1),))
         if hi_gap > ztol:
-            return _sl2_unique(T, max(-T1, -T2), T3, "SL2 case (iii)")
+            return _CubicCase(T, max(-T1, -T2), T3, "SL2 case (iii)", take=1)
         if lo_gap > ztol:
-            return _sl2_unique(T, T3, min(-T1, -T2), "SL2 case (iv)")
+            return _CubicCase(T, T3, min(-T1, -T2), "SL2 case (iv)", take=1)
         return _NONE
 
     if s in ((-1, 0, 0), (0, -1, 0)):

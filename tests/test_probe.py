@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -7,6 +8,9 @@ from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, check_milnor_frame,
                               probe, sample_diagonal_preserving_changes, solve)
 
 from conftest import ALL_GROUPS, random_solvable
+
+# the package re-exports the function `probe` under the module's name
+probe_module = importlib.import_module("prescribed_ricci.probe")
 
 
 def _is_signed_diagonal(M):
@@ -48,6 +52,28 @@ def test_sampler_contract_everywhere(rng):
                 Tp = M.T @ np.diag(T) @ M
                 off = Tp - np.diag(np.diag(Tp))
                 assert np.max(np.abs(off)) <= 1e-10 * max(1.0, np.max(np.abs(Tp)))
+
+
+def test_probe_checks_each_frame_once(monkeypatch):
+    # the sampler is the one place that checks a frame; probe re-solves only
+    counts = {}
+
+    def counting(name):
+        original = getattr(probe_module, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+        monkeypatch.setattr(probe_module, name, wrapper)
+
+    for name in ("check_milnor_frame", "_keeps_diagonal"):
+        counting(name)
+    sample_diagonal_preserving_changes(SO3, (10.0, -1.0, -1.0), 16, rng=0)
+    sampled = dict(counts)
+    counts.clear()
+    probe(SO3, (10.0, -1.0, -1.0), n=16, rng=0)
+    assert sampled["check_milnor_frame"] >= 16
+    assert counts == sampled
 
 
 def test_sampler_needs_positive_count():
