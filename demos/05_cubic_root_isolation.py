@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Certified cubic root isolation on open intervals.
 
-The solver's hard cases reduce to locating roots of a cubic inside an open
-interval, including the delicate double-root boundary between the
-two-solution and no-solution regimes.  The isolator splits at critical
-points, brackets sign changes, polishes with safeguarded Newton, and detects
-multiplicity at critical points instead of trusting closed forms.
+The solver's hard cases reduce to locating roots of a cubic a3 p^3 + a2 p^2 +
+a0 (no linear term) inside an open interval, including the delicate
+double-root boundary between the two-solution and no-solution regimes.  The
+isolator splits at the critical points 0 and -2 a2 / (3 a3), brackets sign
+changes, polishes with safeguarded Newton, and detects multiplicity at
+critical points instead of trusting closed forms.  A cubic with a linear
+term is refused with ValueError.
 """
 import math
 
@@ -25,26 +27,34 @@ rep = roots_in_interval(CubicPoly((2, 3, 0, -1)), 0.0, math.inf)
 print(f"  roots: {rep.roots}, multiplicities: {rep.multiplicities}")
 
 print("\nDouble and triple roots are reported with their multiplicity:")
-rep = roots_in_interval(CubicPoly(tuple(2 * np.poly([2.0, 2.0, -1.0]))),
-                        -math.inf, math.inf)
+rep = roots_in_interval(CubicPoly((2, -6, 0, 8)), -math.inf, math.inf)
 print(f"  2(p-2)^2(p+1):  roots {rep.roots}, mult {rep.multiplicities}")
 rep = roots_in_interval(CubicPoly((1.0, 0.0, 0.0, 0.0)), -1.0, 1.0)
 print(f"  p^3:            roots {rep.roots}, mult {rep.multiplicities}")
 
 print("\nRoots exactly on the boundary of the open interval are excluded:")
-poly = CubicPoly(tuple(2 * np.poly([0.0, 2.0, -2.0])))
-print(f"  roots of 2p(p-2)(p+2) in (0, 1.9):   {roots_in_interval(poly, 0.0, 1.9).roots}")
-print(f"  roots of 2p(p-2)(p+2) in (-1.9, 1.9): {roots_in_interval(poly, -1.9, 1.9).roots}")
+poly = CubicPoly((2, -14, 0, 72))
+print(f"  roots of 2(p+2)(p-3)(p-6) in (3, 5.9):    {roots_in_interval(poly, 3.0, 5.9).roots}")
+print(f"  roots of 2(p+2)(p-3)(p-6) in (-1.9, 5.9): {roots_in_interval(poly, -1.9, 5.9).roots}")
 
-print("\nRecovery accuracy on 2000 random planted cubics:")
+print("\nA linear term is refused:")
+try:
+    roots_in_interval(CubicPoly((2, 0, -8, 0)), -math.inf, math.inf)
+except ValueError as exc:
+    print(f"  2p^3 - 8p: ValueError: {exc}")
+
+print("\nRecovery accuracy on 2000 random planted cubics 2(p-r1)(p-r2)(p-r3),")
+print("r3 = -r1 r2 / (r1 + r2) so that the linear term vanishes:")
 rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(2000):
     while True:
-        roots = np.sort(rng.uniform(-10, 10, size=3))
-        if np.min(np.diff(roots)) > 1e-2:
+        r1, r2 = rng.uniform(-10, 10, size=2)
+        r3 = -r1 * r2 / (r1 + r2)
+        roots = np.sort([r1, r2, r3])
+        if abs(r3) <= 10 and np.min(np.diff(roots)) > 1e-2:
             break
-    rep = roots_in_interval(CubicPoly(tuple(2 * np.poly(roots))),
-                            -math.inf, math.inf)
+    coeffs = (2.0, -2.0 * (r1 + r2 + r3), 0.0, -2.0 * r1 * r2 * r3)
+    rep = roots_in_interval(CubicPoly(coeffs), -math.inf, math.inf)
     worst = max(worst, float(np.max(np.abs(np.array(rep.roots) - roots))))
 print(f"  worst absolute error: {worst:.2e}")

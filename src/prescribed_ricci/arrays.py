@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cubic import _TINY, ROOT_TOL
+from .cubic import ROOT_TOL
 from .solver import (_T3_SIGN, POLISH_STEPS, POLISH_TOL, _averaged,
                      _correspondence, _cubic_coeffs, _cubic_outcome, _CubicCase,
                      _from_system, _jacobian, _plan, _scaled_system)
@@ -177,12 +177,13 @@ def _refine_brackets(a3, a2, a1, a0, a, b, fb):
 def roots_in_interval_many(coeffs, lo, hi):
     """`roots_in_interval` for N cubics, each on its own open interval.
 
-    `coeffs` is (a3, a2, a1, a0), each an array of N lanes or a float, and
-    `lo`, `hi` are arrays of N endpoints.  Returns (roots, mults, ok):
-    roots (N, 5) ascending with nan padding, mults (N, 5) with 0 padding,
-    and ok (N,) False for the lanes left to the scalar function (those where
-    it raises, whose cubic term underflows, or whose critical points
-    coincide); their rows are not meaningful.
+    `coeffs` is (a3, a2, a1, a0), each an array of N lanes or a float, with
+    a1 = 0 and |a3| >= 1e-290 as `roots_in_interval` requires, and `lo`,
+    `hi` are arrays of N endpoints.  Returns (roots, mults, ok): roots (N, 5)
+    ascending with nan padding, mults (N, 5) with 0 padding, and ok (N,)
+    False for the lanes left to the scalar function (those with a
+    non-finite coefficient or node value, or an empty interval); their rows
+    are not meaningful.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -191,29 +192,20 @@ def roots_in_interval_many(coeffs, lo, hi):
     n = lo.shape[0]
     with np.errstate(all="ignore"):
         ok = (np.isfinite(a3) & np.isfinite(a2) & np.isfinite(a1)
-              & np.isfinite(a0) & ~(np.abs(a3) < _TINY) & (lo < hi))
+              & np.isfinite(a0) & (lo < hi))
 
-        bound = 1.0 + np.maximum(np.maximum(np.abs(a2), np.abs(a1)),
-                                 np.abs(a0)) / np.abs(a3)
+        bound = 1.0 + np.maximum(np.abs(a2), np.abs(a0)) / np.abs(a3)
         wlo = np.maximum(lo, -bound)
         whi = np.minimum(hi, bound)
         window = ok & (wlo < whi)
 
-        # _critical_points
-        disc = a2 * a2 - 3.0 * a3 * a1
-        disc_scale = np.maximum(a2 * a2, np.abs(3.0 * a3 * a1))
-        small = disc <= ROOT_TOL * disc_scale
-        coincident = small & ~(disc < -ROOT_TOL * disc_scale)
-        sq = np.sqrt(disc)
-        q = np.where(a2 != 0.0, -(a2 + np.copysign(sq, a2)), -sq)
-        r1 = q / (3.0 * a3)
-        r2 = a1 / q
-        swap = r2 < r1
-        c1 = np.where(coincident, -a2 / (3.0 * a3), np.where(swap, r2, r1))
-        c2 = np.where(swap, r1, r2)
-        in1 = window & (coincident | ~small) & (wlo < c1) & (c1 < whi)
-        in2 = window & ~small & (wlo < c2) & (c2 < whi)
-        ok &= ~(in1 & in2 & (c1 == c2))
+        # the critical points 0 and -2*a2/(3*a3), in ascending order
+        crit = -2.0 * a2 / (3.0 * a3)
+        coincident = crit == 0.0
+        c1 = np.where(coincident, 0.0, np.minimum(crit, 0.0))
+        c2 = np.maximum(crit, 0.0)
+        in1 = window & (wlo < c1) & (c1 < whi)
+        in2 = window & ~coincident & (wlo < c2) & (c2 < whi)
 
         def value(p):
             return ((a3 * p + a2) * p + a1) * p + a0

@@ -190,11 +190,9 @@ def _group_or_fail(name: str):
 
 
 def _resolve_group(args):
-    name = getattr(args, "group_flag", None) or args.group
-    if name is None:
-        raise InputError("field 'group': give the group positionally or via "
-                         "--group (so3, sl2, e2, e11, h3, r3)")
-    return _group_or_fail(name)
+    if args.group is None:
+        raise InputError("field 'group': missing (so3, sl2, e2, e11, h3, r3)")
+    return _group_or_fail(args.group)
 
 
 def _json_lines(path: str, fieldname: str):
@@ -585,10 +583,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def with_group(name, help):
-        """A subcommand taking its group positionally or via --group."""
+        """A subcommand taking its group as the first positional argument."""
         p = sub.add_parser(name, help=help)
         p.add_argument("group", nargs="?", default=None)
-        p.add_argument("--group", dest="group_flag", default=None)
         return p
 
     p = with_group("solve", "solve Ric(g) = c T for one tensor")
@@ -597,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = with_group("certify", "certify a claimed (v, c) or a solve record file")
     p.add_argument("--T", default=None, help="T1,T2,T3")
     p.add_argument("--v", default=None, help="v1,v2,v3")
-    p.add_argument("--c", default=None, type=float)
+    p.add_argument("--c", default=None)
     p.add_argument("--from", dest="from_file", default=None, metavar="FILE",
                    help="json-lines solve output to re-check")
 
@@ -634,7 +631,7 @@ _RUNNERS = {
 }
 
 
-_VALUE_FLAGS = {"--T", "--v", "--g", "--c", "--group", "--T1", "--T2", "--T3",
+_VALUE_FLAGS = {"--T", "--v", "--g", "--c", "--T1", "--T2", "--T3",
                 "--T1-range", "--T2-range", "--T3-range", "--steps",
                 "--out", "--format", "--from"}
 

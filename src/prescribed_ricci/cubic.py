@@ -1,17 +1,18 @@
 """Certified real-root isolation for cubics on open intervals.
 
-The method is deliberately boring: split the interval at the (at most two)
-critical points, bracket sign changes on the monotone pieces, and polish each
-bracket with safeguarded Newton (bisection fallback).  Double roots are the
-delicate case; they sit at a critical point where the polynomial value is
-within rounding of zero, and are detected there rather than by clustering.
+The cubics are the solver's reductions a3*p^3 + a2*p^2 + a0, with no linear
+term, so their critical points are exactly 0 and -2*a2/(3*a3).  The method is
+deliberately boring: split the interval at those critical points, bracket sign
+changes on the monotone pieces, and polish each bracket with safeguarded
+Newton (bisection fallback).  Double roots are the delicate case; they sit at a
+critical point where the polynomial value is within rounding of zero, and are
+detected there rather than by clustering.
 Closed-form solvers were rejected: branch selection near a double root is
 exactly where they cancel catastrophically, and the two-solution regime of the
 curvature problem lives next to that boundary.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["CubicPoly", "RootReport", "roots_in_interval"]
@@ -90,36 +91,6 @@ def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float,
     return x
 
 
-def _critical_points(a3: float, a2: float, a1: float):
-    """Real roots of the derivative 3*a3*p^2 + 2*a2*p + a1, and whether the
-    two coincide (within rounding, meaning an inflection-type critical point)."""
-    disc = a2 * a2 - 3.0 * a3 * a1
-    disc_scale = max(a2 * a2, abs(3.0 * a3 * a1))
-    if disc <= ROOT_TOL * disc_scale:
-        if disc < -ROOT_TOL * disc_scale:
-            return [], False
-        return [-a2 / (3.0 * a3)], True
-    sq = math.sqrt(disc)
-    q = -(a2 + math.copysign(sq, a2)) if a2 != 0.0 else -sq
-    r1 = q / (3.0 * a3)
-    r2 = a1 / q
-    return sorted((r1, r2)), False
-
-
-def _quadratic_roots(a2: float, a1: float, a0: float):
-    """(root, multiplicity) pairs of a2*p^2 + a1*p + a0 with a2 != 0."""
-    disc = a1 * a1 - 4.0 * a2 * a0
-    scale = max(a1 * a1, abs(4.0 * a2 * a0))
-    if abs(disc) <= ROOT_TOL * scale:
-        return [(-a1 / (2.0 * a2), 2)]
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -(a1 + math.copysign(sq, a1)) if a1 != 0.0 else -sq
-    q *= 0.5
-    return sorted([(q / a2, 1), (a0 / q, 1)])
-
-
 def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
     """All real roots of `poly` strictly inside the open interval (lo, hi).
 
@@ -130,50 +101,39 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
     Strict-inequality questions at interval endpoints are the caller's to
     adjudicate; endpoint roots are never reported.
 
-    Raises ValueError for a degenerate (identically ~0) polynomial or an
-    empty interval.
+    Raises ValueError for a nonzero linear coefficient, an underflowing
+    cubic coefficient (|a3| < 1e-290) or an empty interval.
     """
     a3, a2, a1, a0 = poly.coeffs
-    if max(abs(a3), abs(a2), abs(a1), abs(a0)) < _TINY:
-        raise ValueError("degenerate polynomial: all coefficients underflow")
+    if a1 != 0.0:
+        raise ValueError(f"cubic has a linear term (a1 = {a1}); the isolator "
+                         "takes a3*p^3 + a2*p^2 + a0")
+    if abs(a3) < _TINY:
+        raise ValueError(f"cubic term underflows (a3 = {a3})")
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
 
-    found: list[tuple[float, int]] = []
-
-    if abs(a3) < _TINY:
-        if abs(a2) >= _TINY:
-            candidates = _quadratic_roots(a2, a1, a0)
-        elif abs(a1) >= _TINY:
-            candidates = [(-a0 / a1, 1)]
-        else:
-            candidates = []
-        for r, mult in candidates:
-            if lo < r < hi:
-                found.append((r, mult))
-        return _report(found)
-
     # All real roots lie within the Cauchy bound; clip infinite endpoints.
-    bound = 1.0 + max(abs(a2), abs(a1), abs(a0)) / abs(a3)
+    bound = 1.0 + max(abs(a2), abs(a0)) / abs(a3)
     wlo = max(lo, -bound)
     whi = min(hi, bound)
     if not wlo < whi:
         return _report([])
 
-    crits, coincident = _critical_points(a3, a2, a1)
+    # the derivative 3*a3*p^2 + 2*a2*p vanishes at 0 and at -2*a2/(3*a3)
+    crit = -2.0 * a2 / (3.0 * a3)
+    coincident = crit == 0.0
+    crits = [0.0] if coincident else sorted((crit, 0.0))
     inner = [c for c in crits if wlo < c < whi]
 
-    flagged: set[float] = set()
-    for c in inner:
-        if abs(poly(c)) <= ROOT_TOL * max(poly.value_scale(c), 1e-30):
-            mult = 3 if coincident else 2
-            found.append((c, mult))
-            flagged.add(c)
-
+    # a critical point where poly is within rounding of zero is a multiple
+    # root; its value reads 0, so the brackets on either side are skipped
+    found: list[tuple[float, int]] = []
     nodes = [wlo] + inner + [whi]
     vals = [poly(p) for p in nodes]
-    for idx, p in enumerate(nodes):
-        if p in flagged:
+    for idx, c in enumerate(inner, start=1):
+        if abs(vals[idx]) <= ROOT_TOL * max(poly.value_scale(c), 1e-30):
+            found.append((c, 3 if coincident else 2))
             vals[idx] = 0.0
 
     for i in range(len(nodes) - 1):

@@ -44,7 +44,6 @@ from .verify import residual
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
     "solve", "solve_many", "reconstruct_from_p", "classify_signature",
-    "so3_cubic", "sl2_cubic",
 ]
 
 # a component of T counts as zero, and two as equal, within ZERO_TOL * |T|_inf
@@ -140,14 +139,6 @@ def _cubic_coeffs(sgn: float, T):
     for floats or arrays of lanes."""
     T1, T2, T3 = T
     return (2.0, T1 + T2 + sgn * T3, 0.0, -sgn * T1 * T2 * T3)
-
-
-def so3_cubic(T) -> CubicPoly:
-    return CubicPoly(_cubic_coeffs(_T3_SIGN["SO3"], _tensor(T)))
-
-
-def sl2_cubic(T) -> CubicPoly:
-    return CubicPoly(_cubic_coeffs(_T3_SIGN["SL2"], _tensor(T)))
 
 
 def _correspondence(sgn: float, T, p):

@@ -175,6 +175,15 @@ def test_malformed_inputs_name_the_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and "'group'" in err
 
+    code = main(["solve", "--T", "1,1,1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "'group'" in err
+
+    # the group is positional only
+    code = main(["solve", "--group", "so3", "--T", "1,1,1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "--group" in err
+
     code = main(["sweep", "so3", "--T1", "1", "--T2-range", "2..1",
                  "--T3", "0", "--steps", "4"])
     err = capsys.readouterr().err
@@ -196,6 +205,14 @@ def test_malformed_inputs_name_the_field(tmp_path, capsys):
 
     code = main(["nonsense"])
     assert code == 2
+
+
+def test_certify_c_is_parsed_like_T_and_v(capsys):
+    code = main(["certify", "so3", "--T", "1,1,1", "--v", "1,1,1",
+                 "--c", "abc"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "error: field 'c': non-numeric entry 'abc'"
 
 
 def test_unknown_flag_is_exit_2(capsys):

@@ -38,12 +38,15 @@ def test_root_outside_interval_not_reported():
 
 
 def test_boundary_root_excluded():
-    # roots at 0, +-2; query interval with a root exactly on the boundary
-    poly = CubicPoly(tuple(2 * np.poly([0.0, 2.0, -2.0])))
-    rep = roots_in_interval(poly, 0.0, 1.9)
+    # 2p^3 - 14p^2 + 72 = 2(p + 2)(p - 3)(p - 6); intervals with a root
+    # exactly on the boundary
+    poly = CubicPoly((2, -14, 0, 72))
+    rep = roots_in_interval(poly, 3.0, 5.9)
     assert rep.roots == ()
-    rep = roots_in_interval(poly, -1.9, 1.9)
-    assert rep.roots == (0.0,)
+    rep = roots_in_interval(poly, -2.0, 3.0)
+    assert rep.roots == ()
+    rep = roots_in_interval(poly, -1.9, 5.9)
+    assert rep.roots == (3.0,)
 
 
 def test_degenerate_polynomial_raises():
@@ -53,13 +56,23 @@ def test_degenerate_polynomial_raises():
         roots_in_interval(CubicPoly((1.0, 0.0, 0.0, 0.0)), 1.0, -1.0)
 
 
-def test_quadratic_and_linear_fallbacks():
-    rep = roots_in_interval(CubicPoly((0.0, 1.0, -3.0, 2.0)), -10.0, 10.0)
-    assert rep.roots == (1.0, 2.0)
-    rep = roots_in_interval(CubicPoly((0.0, 0.0, 2.0, -1.0)), -10.0, 10.0)
-    assert rep.roots == (0.5,)
-    rep = roots_in_interval(CubicPoly((0.0, 1.0, -2.0, 1.0)), -10.0, 10.0)
-    assert rep.multiplicities == (2,)
+def test_linear_term_and_zero_cubic_term_raise():
+    with pytest.raises(ValueError, match="linear term"):
+        roots_in_interval(CubicPoly((2.0, 8.0, -1.0, -10.0)), -10.0, 10.0)
+    with pytest.raises(ValueError, match="linear term"):
+        roots_in_interval(CubicPoly((2.0, 0.0, 1e-300, 0.0)), -1.0, 1.0)
+    with pytest.raises(ValueError, match="cubic term"):
+        roots_in_interval(CubicPoly((0.0, 1.0, 0.0, -1.0)), -10.0, 10.0)
+    with pytest.raises(ValueError, match="cubic term"):
+        roots_in_interval(CubicPoly((1e-300, 1.0, 0.0, -1.0)), -10.0, 10.0)
+
+
+def planted(r1: float, r2: float) -> tuple[CubicPoly, list[float]]:
+    """2(p - r1)(p - r2)(p - r3) with r3 = -r1 r2 / (r1 + r2), the third
+    root that makes the linear term vanish, and its sorted roots."""
+    r3 = -r1 * r2 / (r1 + r2)
+    coeffs = (2.0, -2.0 * (r1 + r2 + r3), 0.0, -2.0 * r1 * r2 * r3)
+    return CubicPoly(coeffs), sorted((r1, r2, r3))
 
 
 def test_planted_simple_roots_bulk():
@@ -67,10 +80,10 @@ def test_planted_simple_roots_bulk():
     worst = 0.0
     for _ in range(10_000):
         while True:
-            roots = np.sort(rng.uniform(-10.0, 10.0, size=3))
-            if np.min(np.diff(roots)) > 1e-2:
+            poly, roots = planted(*rng.uniform(-10.0, 10.0, size=2))
+            if abs(roots[0]) <= 10 and abs(roots[2]) <= 10 and np.min(
+                    np.diff(roots)) > 1e-2:
                 break
-        poly = CubicPoly(tuple(2.0 * np.poly(roots)))
         rep = roots_in_interval(poly, -math.inf, math.inf)
         assert len(rep.roots) == 3
         assert rep.multiplicities == (1, 1, 1)
@@ -83,47 +96,49 @@ def test_planted_simple_roots_bulk():
 def test_planted_double_and_triple_roots():
     rng = np.random.default_rng(11)
     for _ in range(2000):
-        r1 = float(rng.uniform(-10.0, 10.0))
-        r2 = float(rng.uniform(-10.0, 10.0))
-        if abs(r1 - r2) < 0.1:
+        a = float(rng.uniform(-10.0, 10.0))
+        if abs(a) < 0.1:
             continue
-        coeffs = 2.0 * np.poly([r1, r1, r2])
-        rep = roots_in_interval(CubicPoly(tuple(coeffs)), -math.inf, math.inf)
+        # 2(p - a)^2 (p + a/2) = 2p^3 - 3a p^2 + a^3
+        rep = roots_in_interval(CubicPoly((2.0, -3.0 * a, 0.0, a ** 3)),
+                                -math.inf, math.inf)
         assert sum(rep.multiplicities) == 3
         assert sorted(rep.multiplicities) == [1, 2]
         by_mult = dict(zip(rep.multiplicities, rep.roots))
-        assert abs(by_mult[2] - r1) < 1e-10
-        assert abs(by_mult[1] - r2) < 1e-10
-    for _ in range(200):
-        r = float(rng.uniform(-10.0, 10.0))
-        coeffs = 2.0 * np.poly([r, r, r])
-        rep = roots_in_interval(CubicPoly(tuple(coeffs)), -math.inf, math.inf)
+        assert abs(by_mult[2] - a) < 1e-10 * max(1.0, abs(a))
+        assert abs(by_mult[1] + 0.5 * a) < 1e-10 * max(1.0, abs(a))
+    # with no linear term, a triple root sits at 0: a3 p^3
+    for a3 in 10.0 ** rng.uniform(-6.0, 6.0, size=200):
+        rep = roots_in_interval(CubicPoly((float(a3), 0.0, 0.0, 0.0)),
+                                -math.inf, math.inf)
+        assert rep.roots == (0.0,)
         assert rep.multiplicities == (3,)
-        assert abs(rep.roots[0] - r) < 1e-7 * max(1.0, abs(r))
 
 
 def test_one_real_root_with_complex_pair():
     rng = np.random.default_rng(13)
     for _ in range(500):
-        r = float(rng.uniform(-10.0, 10.0))
         a = float(rng.uniform(-5.0, 5.0))
         b = float(rng.uniform(0.5, 5.0))
-        # 2 (p - r) ((p - a)^2 + b^2)
-        coeffs = 2.0 * np.poly([r, complex(a, b), complex(a, -b)]).real
-        rep = roots_in_interval(CubicPoly(tuple(coeffs)), -math.inf, math.inf)
+        if abs(a) < 0.5:
+            continue
+        # 2 (p - r) ((p - a)^2 + b^2), whose linear term vanishes at
+        # r = -(a^2 + b^2) / (2a)
+        r = -(a * a + b * b) / (2.0 * a)
+        coeffs = (2.0, -2.0 * (2.0 * a + r), 0.0, -2.0 * r * (a * a + b * b))
+        rep = roots_in_interval(CubicPoly(coeffs), -math.inf, math.inf)
         assert rep.multiplicities == (1,)
-        assert abs(rep.roots[0] - r) < 1e-10
+        assert abs(rep.roots[0] - r) < 1e-10 * max(1.0, abs(r))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3),
+@given(st.floats(-20.0, 20.0), st.floats(-100.0, 100.0),
        st.floats(-12.0, 0.0), st.floats(0.0, 12.0),
        st.floats(0.01, 0.49), st.floats(0.51, 0.99))
-def test_interval_shrinking_monotone(roots, lo, hi, f1, f2):
+def test_interval_shrinking_monotone(a2, a0, lo, hi, f1, f2):
     if not lo < hi:
         return
-    coeffs = 2.0 * np.poly(np.sort(roots))
-    poly = CubicPoly(tuple(coeffs))
+    poly = CubicPoly((2.0, a2, 0.0, a0))
     outer = roots_in_interval(poly, lo, hi)
     lo2 = lo + f1 * (hi - lo)
     hi2 = lo + f2 * (hi - lo)

@@ -178,20 +178,31 @@ def test_equals_solve_at_every_scale(g, Ts):
 
 
 def test_root_isolation_matches_scalar():
-    # random cubics, cubics with an exact double root 2(p-a)^2(p-b) (a = b
-    # every third lane: a triple root), on random and on unbounded intervals
+    # reduction cubics 2p^3 + b p^2 + d: random b and d of either sign over
+    # 1e-3..1e3, the double-root family 2(p-a)^2(p+a/2) = 2p^3 - 3a p^2 +
+    # a^3, the triple root 2p^3, and small-integer b, d and interval ends
     gen = np.random.default_rng(7)
     n = 3000
-    a, b = gen.uniform(-2, 2, n), gen.uniform(-2, 2, n)
-    b[::3] = a[::3]
+
+    def magnitudes():
+        return gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-3, 3, n)
+
+    a = gen.uniform(-2, 2, n)
+    ends = np.sort(np.stack([magnitudes(), magnitudes()]), axis=0)
     lo = gen.uniform(-3, 0, n)
+    whole = (np.full(n, -np.inf), np.full(n, np.inf))
+    small_lo = gen.integers(-3, 3, n).astype(float)
     families = [
-        (gen.standard_normal((n, 4)), lo, lo + gen.uniform(0, 6, n)),
-        (np.stack([2.0 * np.ones(n), -2 * (2 * a + b), 2 * (a * a + 2 * a * b),
-                   -2 * a * a * b], axis=1),
-         np.full(n, -np.inf), np.full(n, np.inf)),
+        ((magnitudes(), magnitudes()), whole),
+        ((magnitudes(), magnitudes()), tuple(ends)),
+        ((-3.0 * a, a ** 3), whole),
+        ((-3.0 * a, a ** 3), (lo, lo + gen.uniform(0, 6, n))),
+        ((np.zeros(n), np.zeros(n)), (lo, lo + gen.uniform(0, 6, n))),
+        (tuple(gen.integers(-3, 4, (2, n)).astype(float)),
+         (small_lo, small_lo + gen.integers(1, 4, n))),
     ]
-    for coeffs, lo, hi in families:
+    for (b, d), (lo, hi) in families:
+        coeffs = np.stack([np.full(n, 2.0), b, np.zeros(n), d], axis=1)
         roots, mults, ok = arrays.roots_in_interval_many(tuple(coeffs.T), lo,
                                                          hi)
         assert ok.all()

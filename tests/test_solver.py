@@ -10,7 +10,6 @@ from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, DiagonalTensor,
                               certify, classify_signature, reconstruct_from_p,
                               ricci_diagonal, ricci_koszul, residual, solve,
                               structure_constants)
-from prescribed_ricci.solver import sl2_cubic, so3_cubic
 
 from conftest import ALL_GROUPS, random_solvable
 
