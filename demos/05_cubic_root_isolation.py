@@ -2,18 +2,27 @@
 """Certified cubic root isolation on open intervals.
 
 The solver's hard cases reduce to locating roots of a cubic a3 p^3 + a2 p^2 +
-a0 (no linear term) inside an open interval, including the delicate
-double-root boundary between the two-solution and no-solution regimes.  The
-isolator splits at the critical points 0 and -2 a2 / (3 a3), brackets sign
-changes, polishes with safeguarded Newton, and detects multiplicity at
-critical points instead of trusting closed forms.  A cubic with a linear
-term is refused with ValueError.
+a0 (no linear term) inside an open interval on one side of 0, including the
+delicate double-root boundary between the two-solution and no-solution
+regimes.  The cubic's critical points are 0 and -2 a2 / (3 a3), so only the
+second can lie inside; the isolator splits there, brackets sign changes,
+polishes with safeguarded Newton, and detects multiplicity at the critical
+point instead of trusting closed forms.  A cubic with a linear term, or an
+interval with 0 inside, is refused with ValueError.
 """
 import math
 
 import numpy as np
 
 from prescribed_ricci import CubicPoly, roots_in_interval
+
+
+def whole_line(poly):
+    """Roots and multiplicities on (-inf, 0), then on (0, inf)."""
+    neg = roots_in_interval(poly, -math.inf, 0.0)
+    pos = roots_in_interval(poly, 0.0, math.inf)
+    return neg.roots + pos.roots, neg.multiplicities + pos.multiplicities
+
 
 print("Two roots inside (-10, 0), from 2p^3 + 8p^2 - 10 = 2(p-1)(p^2+5p+5):")
 rep = roots_in_interval(CubicPoly((2, 8, 0, -10)), -10.0, 0.0)
@@ -26,20 +35,26 @@ print("\nHalf-line query (0, inf) on 2p^3 + 3p^2 - 1 = (p+1)^2 (2p-1):")
 rep = roots_in_interval(CubicPoly((2, 3, 0, -1)), 0.0, math.inf)
 print(f"  roots: {rep.roots}, multiplicities: {rep.multiplicities}")
 
-print("\nDouble and triple roots are reported with their multiplicity:")
-rep = roots_in_interval(CubicPoly((2, -6, 0, 8)), -math.inf, math.inf)
-print(f"  2(p-2)^2(p+1):  roots {rep.roots}, mult {rep.multiplicities}")
-rep = roots_in_interval(CubicPoly((1.0, 0.0, 0.0, 0.0)), -1.0, 1.0)
-print(f"  p^3:            roots {rep.roots}, mult {rep.multiplicities}")
+print("\nDouble roots are reported with their multiplicity:")
+roots, mults = whole_line(CubicPoly((2, -6, 0, 8)))
+print(f"  2(p-2)^2(p+1) on (-inf, 0) and (0, inf):  roots {roots}, mult {mults}")
+
+print("\nAn interval with 0 inside is refused (p^3's triple root 0 is never")
+print("inside a one-sided interval):")
+try:
+    roots_in_interval(CubicPoly((1.0, 0.0, 0.0, 0.0)), -1.0, 1.0)
+except ValueError as exc:
+    print(f"  p^3 on (-1, 1): ValueError: {exc}")
 
 print("\nRoots exactly on the boundary of the open interval are excluded:")
 poly = CubicPoly((2, -14, 0, 72))
 print(f"  roots of 2(p+2)(p-3)(p-6) in (3, 5.9):    {roots_in_interval(poly, 3.0, 5.9).roots}")
-print(f"  roots of 2(p+2)(p-3)(p-6) in (-1.9, 5.9): {roots_in_interval(poly, -1.9, 5.9).roots}")
+print(f"  roots of 2(p+2)(p-3)(p-6) in (-1.9, 0):   {roots_in_interval(poly, -1.9, 0.0).roots}")
+print(f"  roots of 2(p+2)(p-3)(p-6) in (0, 5.9):    {roots_in_interval(poly, 0.0, 5.9).roots}")
 
 print("\nA linear term is refused:")
 try:
-    roots_in_interval(CubicPoly((2, 0, -8, 0)), -math.inf, math.inf)
+    roots_in_interval(CubicPoly((2, 0, -8, 0)), 0.0, math.inf)
 except ValueError as exc:
     print(f"  2p^3 - 8p: ValueError: {exc}")
 
@@ -55,6 +70,6 @@ for _ in range(2000):
         if abs(r3) <= 10 and np.min(np.diff(roots)) > 1e-2:
             break
     coeffs = (2.0, -2.0 * (r1 + r2 + r3), 0.0, -2.0 * r1 * r2 * r3)
-    rep = roots_in_interval(CubicPoly(coeffs), -math.inf, math.inf)
-    worst = max(worst, float(np.max(np.abs(np.array(rep.roots) - roots))))
+    found, _ = whole_line(CubicPoly(coeffs))
+    worst = max(worst, float(np.max(np.abs(np.array(found) - roots))))
 print(f"  worst absolute error: {worst:.2e}")

@@ -54,7 +54,10 @@ def summarize(parent: dict, change: dict, better: dict) -> dict:
             "change": {k: m["value"] for k, m in c["metrics"].items()},
             "correct": [p["validation"]["unexpected"] == 0 and p["repeatable"],
                         c["validation"]["unexpected"] == 0 and c["repeatable"]]})
-    for w in workloads.values():
+    for workload, w in workloads.items():
+        if len(w["runs"]) < 2:
+            raise SystemExit(f"{workload}: one pair of runs; the quartiles "
+                             "need at least two pairs")
         w["seeds"] = sorted(set(w["seeds"]))
         w["metrics"] = {}
         for metric, direction in better.items():

@@ -51,8 +51,8 @@ def _cubic_many(group, cases: list) -> list:
         _cubic_coeffs(_T3_SIGN[group.name], cols),
         [case.lo for case in cases], [case.hi for case in cases])
     take = np.array([case.take for case in cases])
-    lane, slot = np.nonzero((mults > 0) & (np.arange(mults.shape[1])
-                                           < take[:, None]) & ok[:, None])
+    lane, slot = np.nonzero((mults > 0) & ok[:, None] & (
+        np.cumsum(mults > 0, axis=1) <= take[:, None]))
     p = roots[lane, slot]
     v, c, q, good = _reconstruct_many(group, tuple(t[lane] for t in cols), p)
     ok[lane[~good]] = False
@@ -179,97 +179,57 @@ def roots_in_interval_many(coeffs, lo, hi):
 
     `coeffs` is (a3, a2, a1, a0), each an array of N lanes or a float, with
     a1 = 0 and |a3| >= 1e-290 as `roots_in_interval` requires, and `lo`,
-    `hi` are arrays of N endpoints.  Returns (roots, mults, ok): roots (N, 5)
-    ascending with nan padding, mults (N, 5) with 0 padding, and ok (N,)
-    False for the lanes left to the scalar function (those with a
-    non-finite coefficient or node value, or an empty interval); their rows
-    are not meaningful.
+    `hi` are arrays of N endpoints.  Returns (roots, mults, ok): roots and
+    mults of shape (N, 2), a root in each slot where mults > 0, ascending,
+    and ok (N,) False for the lanes left to the scalar function (those
+    with a non-finite coefficient or node value, an empty interval or 0
+    inside it); their rows are not meaningful.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     a3, a2, a1, a0 = (np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
                       for c in coeffs)
-    n = lo.shape[0]
     with np.errstate(all="ignore"):
         ok = (np.isfinite(a3) & np.isfinite(a2) & np.isfinite(a1)
-              & np.isfinite(a0) & (lo < hi))
+              & np.isfinite(a0) & (lo < hi) & ~((lo < 0.0) & (0.0 < hi)))
 
         bound = 1.0 + np.maximum(np.abs(a2), np.abs(a0)) / np.abs(a3)
         wlo = np.maximum(lo, -bound)
         whi = np.minimum(hi, bound)
         window = ok & (wlo < whi)
 
-        # the critical points 0 and -2*a2/(3*a3), in ascending order
-        crit = -2.0 * a2 / (3.0 * a3)
-        coincident = crit == 0.0
-        c1 = np.where(coincident, 0.0, np.minimum(crit, 0.0))
-        c2 = np.maximum(crit, 0.0)
-        in1 = window & (wlo < c1) & (c1 < whi)
-        in2 = window & ~coincident & (wlo < c2) & (c2 < whi)
-
         def value(p):
             return ((a3 * p + a2) * p + a1) * p + a0
 
-        def value_scale(p):
-            ap = np.abs(p)
-            return (((np.abs(a3) * ap + np.abs(a2)) * ap + np.abs(a1)) * ap
-                    + np.abs(a0))
+        # 0 is not inside, so -2*a2/(3*a3) is the one critical point that
+        # can be; where poly is within rounding of zero there, it is the
+        # lane's one root, a double root
+        crit = -2.0 * a2 / (3.0 * a3)
+        inner = window & (wlo < crit) & (crit < whi)
+        f_crit, q = value(crit), np.abs(crit)
+        double = inner & (np.abs(f_crit) <= ROOT_TOL * np.maximum(
+            ((np.abs(a3) * q + np.abs(a2)) * q + np.abs(a1)) * q
+            + np.abs(a0), 1e-30))
 
-        f1 = in1 & (np.abs(value(c1))
-                    <= ROOT_TOL * np.maximum(value_scale(c1), 1e-30))
-        f2 = in2 & (np.abs(value(c2))
-                    <= ROOT_TOL * np.maximum(value_scale(c2), 1e-30))
-        crit_mult = np.where(coincident, 3, 2)
-
-        # the nodes wlo, inner critical points, whi; an absent critical point
-        # repeats the node before it, whose empty bracket is skipped
-        n1 = np.where(in1, c1, wlo)
-        n2 = np.where(in2, c2, n1)
-        nodes = np.stack([wlo, n1, n2, whi], axis=1)
-        v0, v3 = value(wlo), value(whi)
-        v1 = np.where(in1, np.where(f1, 0.0, value(c1)), v0)
-        v2 = np.where(in2, np.where(f2, 0.0, value(c2)), v1)
-        vals = np.stack([v0, v1, v2, v3], axis=1)
+        # the nodes wlo, crit, whi; without an inner critical point the
+        # middle node repeats wlo, whose empty bracket is skipped
+        mid = np.where(inner, crit, wlo)
+        nodes = np.stack([wlo, mid, whi], axis=1)
+        v0 = value(wlo)
+        vals = np.stack([v0, np.where(inner, np.where(double, 0.0, f_crit), v0),
+                         value(whi)], axis=1)
         ok &= ~window | np.isfinite(vals).all(axis=1)
 
         fa, fb = vals[:, :-1], vals[:, 1:]
         bracket = (window[:, None] & (fa != 0.0) & (fb != 0.0)
                    & ((fa > 0.0) != (fb > 0.0)))
         rows, cols = np.nonzero(bracket)
-        r = np.full((n, 3), np.nan)
-        r[rows, cols] = _refine_brackets(
+        roots = np.full((len(lo), 2), np.nan)
+        roots[rows, cols] = _refine_brackets(
             a3[rows], a2[rows], a1[rows], a0[rows], nodes[rows, cols],
             nodes[rows, cols + 1], fb[rows, cols])
-        kept = bracket & (lo[:, None] < r) & (r < hi[:, None])
-
-        # found, sorted by (root, multiplicity)
-        cand = np.concatenate([c1[:, None], c2[:, None], r], axis=1)
-        cand_mult = np.concatenate([crit_mult[:, None], crit_mult[:, None],
-                                    np.ones((n, 3), dtype=int)], axis=1)
-        valid = np.concatenate([f1[:, None], f2[:, None], kept], axis=1)
-        cand = np.where(valid, cand, np.inf)
-        order = np.lexsort((cand_mult, cand), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)
-        cand_mult = np.take_along_axis(cand_mult, order, axis=1)
-        valid = np.take_along_axis(valid, order, axis=1)
-
-        # merge anything that collapsed onto an already-reported root
-        roots = np.full((n, 5), np.nan)
-        mults = np.zeros((n, 5), dtype=int)
-        count = np.zeros(n, dtype=int)
-        lanes = np.arange(n)
-        for j in range(5):
-            r, m = cand[:, j], cand_mult[:, j]
-            last = np.maximum(count - 1, 0)
-            prev_r, prev_m = roots[lanes, last], mults[lanes, last]
-            close = valid[:, j] & (count > 0) & (
-                np.abs(r - prev_r)
-                <= 16.0 * ROOT_TOL * np.maximum(1.0, np.abs(r)))
-            roots[lanes[close], last[close]] = np.where(prev_m >= m, prev_r,
-                                                        r)[close]
-            mults[lanes[close], last[close]] = np.minimum(3, prev_m + m)[close]
-            put = valid[:, j] & ~close
-            roots[lanes[put], count[put]] = r[put]
-            mults[lanes[put], count[put]] = m[put]
-            count += put
+        mults = ((lo[:, None] < roots) & (roots < hi[:, None])).astype(int)
+        # a double root's brackets were skipped, so its slot is free
+        roots[double, 0] = crit[double]
+        mults[double, 0] = 2
     return roots, mults, ok

@@ -1,12 +1,14 @@
 """Certified real-root isolation for cubics on open intervals.
 
 The cubics are the solver's reductions a3*p^3 + a2*p^2 + a0, with no linear
-term, so their critical points are exactly 0 and -2*a2/(3*a3).  The method is
-deliberately boring: split the interval at those critical points, bracket sign
-changes on the monotone pieces, and polish each bracket with safeguarded
-Newton (bisection fallback).  Double roots are the delicate case; they sit at a
-critical point where the polynomial value is within rounding of zero, and are
-detected there rather than by clustering.
+term, so their critical points are exactly 0 and -2*a2/(3*a3); and every
+interval the solver searches lies on one side of 0.  So at most one critical
+point, -2*a2/(3*a3), falls inside the interval.  The method is deliberately
+boring: split the interval there, bracket sign changes on the monotone
+pieces, and polish each bracket with safeguarded Newton (bisection
+fallback).  Double roots are the delicate case; they sit at the critical
+point where the polynomial value is within rounding of zero, and are detected
+there rather than by clustering.
 Closed-form solvers were rejected: branch selection near a double root is
 exactly where they cancel catastrophically, and the two-solution regime of the
 curvature problem lives next to that boundary.
@@ -92,17 +94,19 @@ def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float,
 
 
 def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
-    """All real roots of `poly` strictly inside the open interval (lo, hi).
+    """All real roots of `poly` strictly inside the open interval (lo, hi),
+    which lies on one side of 0.
 
-    Either endpoint may be +-inf.  Roots are polished to
-    |dp| <= ROOT_TOL * max(1, |p|); a critical point where |poly| <=
-    ROOT_TOL * scale is reported as a double root (triple when the critical
-    points coincide).
+    Either endpoint may be +-inf, and 0 may be one.  Roots are polished to
+    |dp| <= ROOT_TOL * max(1, |p|).  Where |poly| <= ROOT_TOL * scale at the
+    critical point -2*a2/(3*a3), that point is reported as a double root,
+    the interval's only root.
     Strict-inequality questions at interval endpoints are the caller's to
     adjudicate; endpoint roots are never reported.
 
     Raises ValueError for a nonzero linear coefficient, an underflowing
-    cubic coefficient (|a3| < 1e-290) or an empty interval.
+    cubic coefficient (|a3| < 1e-290), an empty interval or an interval
+    with 0 inside.
     """
     a3, a2, a1, a0 = poly.coeffs
     if a1 != 0.0:
@@ -112,49 +116,34 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
         raise ValueError(f"cubic term underflows (a3 = {a3})")
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
+    if lo < 0.0 < hi:
+        raise ValueError(f"interval ({lo}, {hi}) contains 0; the isolator "
+                         "takes one side of it")
 
     # All real roots lie within the Cauchy bound; clip infinite endpoints.
     bound = 1.0 + max(abs(a2), abs(a0)) / abs(a3)
     wlo = max(lo, -bound)
     whi = min(hi, bound)
     if not wlo < whi:
-        return _report([])
+        return RootReport((), ())
 
-    # the derivative 3*a3*p^2 + 2*a2*p vanishes at 0 and at -2*a2/(3*a3)
+    # the derivative 3*a3*p^2 + 2*a2*p vanishes at 0, which is not inside,
+    # and at -2*a2/(3*a3)
     crit = -2.0 * a2 / (3.0 * a3)
-    coincident = crit == 0.0
-    crits = [0.0] if coincident else sorted((crit, 0.0))
-    inner = [c for c in crits if wlo < c < whi]
+    nodes = [wlo, whi]
+    if wlo < crit < whi:
+        # where poly is within rounding of zero there, it is a double root
+        # and the interval's only one: poly is monotone from it to the ends
+        if abs(poly(crit)) <= ROOT_TOL * max(poly.value_scale(crit), 1e-30):
+            return RootReport((crit,), (2,))
+        nodes.insert(1, crit)
 
-    # a critical point where poly is within rounding of zero is a multiple
-    # root; its value reads 0, so the brackets on either side are skipped
-    found: list[tuple[float, int]] = []
-    nodes = [wlo] + inner + [whi]
     vals = [poly(p) for p in nodes]
-    for idx, c in enumerate(inner, start=1):
-        if abs(vals[idx]) <= ROOT_TOL * max(poly.value_scale(c), 1e-30):
-            found.append((c, 3 if coincident else 2))
-            vals[idx] = 0.0
-
-    for i in range(len(nodes) - 1):
-        fa, fb = vals[i], vals[i + 1]
+    roots = []
+    for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
         if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
             continue
-        r = _refine_bracket(poly, nodes[i], nodes[i + 1], fa, fb)
+        r = _refine_bracket(poly, a, b, fa, fb)
         if lo < r < hi:
-            found.append((r, 1))
-
-    # Merge anything that collapsed onto an already-reported multiple root.
-    merged: list[tuple[float, int]] = []
-    for r, mult in sorted(found):
-        if merged and abs(r - merged[-1][0]) <= 16.0 * ROOT_TOL * max(1.0, abs(r)):
-            prev_r, prev_m = merged[-1]
-            merged[-1] = (prev_r if prev_m >= mult else r, min(3, prev_m + mult))
-        else:
-            merged.append((r, mult))
-    return _report(merged)
-
-
-def _report(pairs: list[tuple[float, int]]) -> RootReport:
-    pairs = sorted(pairs)
-    return RootReport(tuple(r for r, _ in pairs), tuple(m for _, m in pairs))
+            roots.append(r)
+    return RootReport(tuple(roots), (1,) * len(roots))

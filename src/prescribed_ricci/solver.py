@@ -399,16 +399,16 @@ def _unsorted(order, v_sorted) -> list[float]:
 
 class _CubicCase(NamedTuple):
     """A case row decided by the roots of the reduction cubic of T in the
-    open interval (lo, hi): the first `take` roots are reconstructed (root
-    isolation reports at most three, so 3 takes them all).  For SO3, T is
-    sorted descending and `order` maps its positions to the caller's
-    axes."""
+    open interval (lo, hi), which lies on one side of 0: the first `take`
+    roots are reconstructed (root isolation reports at most two, so 2 takes
+    them all).  For SO3, T is sorted descending and `order` maps its
+    positions to the caller's axes."""
 
     T: tuple
     lo: float
     hi: float
     label: str
-    take: int = 3
+    take: int = 2
     order: tuple = (0, 1, 2)
 
 
@@ -556,12 +556,10 @@ def _solve_l3zero(group, T, s, ztol):
         l1, l2, _ = group.lambdas
         x = ((l2 * v2 - l1 * v1) / 2.0, (l1 * v1 - l2 * v2) / 2.0,
              (l1 * v1 + l2 * v2) / 2.0)
+        # with the guard, c = -2(v1 -+ v2)^2 / (v1 v2 T3) > 0 and v3 has the
+        # sign of (v1 - 1)/T1 > 0 in both sign orders
         c = (2.0 * x[0] * x[1] / (v1 * v2)) / T3
-        if c <= 0.0:
-            return _NONE
         v3 = 2.0 * x[1] * x[2] / (v2 * c * T1)
-        if v3 <= 0.0:
-            return _NONE
         pattern = "(+,-,-)" if s[0] == 1 else "(-,+,-)"
         return ("Unique", f"{group.name} {pattern}",
                 ((_normalized((v1, v2, v3), c), c),))

@@ -180,38 +180,49 @@ def test_equals_solve_at_every_scale(g, Ts):
 def test_root_isolation_matches_scalar():
     # reduction cubics 2p^3 + b p^2 + d: random b and d of either sign over
     # 1e-3..1e3, the double-root family 2(p-a)^2(p+a/2) = 2p^3 - 3a p^2 +
-    # a^3, the triple root 2p^3, and small-integer b, d and interval ends
+    # a^3, 2p^3 (its triple root 0 an interval end), and small-integer b, d
+    # and interval ends; each interval on one side of 0, as the solver's are
     gen = np.random.default_rng(7)
     n = 3000
 
     def magnitudes():
         return gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-3, 3, n)
 
+    def one_side(lo, hi):
+        """(lo, hi) with each interval that holds 0 inside cut at 0, keeping
+        a random side."""
+        cut = (lo < 0.0) & (0.0 < hi)
+        left = gen.random(n) < 0.5
+        return (np.where(cut & ~left, 0.0, lo), np.where(cut & left, 0.0, hi))
+
     a = gen.uniform(-2, 2, n)
     ends = np.sort(np.stack([magnitudes(), magnitudes()]), axis=0)
     lo = gen.uniform(-3, 0, n)
-    whole = (np.full(n, -np.inf), np.full(n, np.inf))
+    negative = (np.full(n, -np.inf), np.zeros(n))
+    positive = (np.zeros(n), np.full(n, np.inf))
     small_lo = gen.integers(-3, 3, n).astype(float)
     families = [
-        ((magnitudes(), magnitudes()), whole),
-        ((magnitudes(), magnitudes()), tuple(ends)),
-        ((-3.0 * a, a ** 3), whole),
-        ((-3.0 * a, a ** 3), (lo, lo + gen.uniform(0, 6, n))),
-        ((np.zeros(n), np.zeros(n)), (lo, lo + gen.uniform(0, 6, n))),
+        ((magnitudes(), magnitudes()), negative),
+        ((magnitudes(), magnitudes()), positive),
+        ((magnitudes(), magnitudes()), one_side(*ends)),
+        ((-3.0 * a, a ** 3), negative),
+        ((-3.0 * a, a ** 3), positive),
+        ((-3.0 * a, a ** 3), one_side(lo, lo + gen.uniform(0, 6, n))),
+        ((np.zeros(n), np.zeros(n)), one_side(lo, lo + gen.uniform(0, 6, n))),
         (tuple(gen.integers(-3, 4, (2, n)).astype(float)),
-         (small_lo, small_lo + gen.integers(1, 4, n))),
+         one_side(small_lo, small_lo + gen.integers(1, 4, n))),
     ]
     for (b, d), (lo, hi) in families:
         coeffs = np.stack([np.full(n, 2.0), b, np.zeros(n), d], axis=1)
         roots, mults, ok = arrays.roots_in_interval_many(tuple(coeffs.T), lo,
                                                          hi)
+        assert mults.shape == (n, 2)
         assert ok.all()
         for i in range(n):
             rep = roots_in_interval(CubicPoly(tuple(coeffs[i])), lo[i], hi[i])
-            k = len(rep)
-            assert tuple(roots[i, :k].tolist()) == rep.roots
-            assert tuple(mults[i].tolist()) == (rep.multiplicities
-                                                + (0,) * (5 - k))
+            found = mults[i] > 0
+            assert tuple(roots[i, found].tolist()) == rep.roots
+            assert tuple(mults[i, found].tolist()) == rep.multiplicities
 
 
 def test_solve_alone_never_loads_the_array_kernel():

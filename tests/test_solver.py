@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, DiagonalTensor,
                               certify, classify_signature, reconstruct_from_p,
                               ricci_diagonal, ricci_koszul, residual, solve,
-                              structure_constants)
+                              solver, structure_constants)
 
 from conftest import ALL_GROUPS, random_solvable
 
@@ -349,6 +349,24 @@ def test_e11_rejected():
         assert solve(E11, T).kind == "NoSolution", T
 
 
+@pytest.mark.parametrize("group", [E2, E11])
+@pytest.mark.parametrize("positive_first", [True, False])
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_l3zero_guard_edge_is_unique(group, positive_first, scale):
+    # T1 + T2 > ztol is the row's one decision: just past it, c and v3
+    # still come out positive in both sign orders
+    for gap in (2.0, 3.0, 5.0):
+        big = 1.0 + gap * solver.ZERO_TOL
+        T1, T2 = (big, -1.0) if positive_first else (-1.0, big)
+        T = (T1 * scale, T2 * scale, -0.5 * scale)
+        out = solve(group, T)
+        pattern = "(+,-,-)" if positive_first else "(-,+,-)"
+        assert (out.kind, out.case_label) == ("Unique",
+                                              f"{group.name} {pattern}"), T
+        (sol,) = out.solutions
+        assert sol.c > 0.0 and min(sol.metric.v) > 0.0
+
+
 def test_h3_unique():
     out = solve(H3, (1.0, -1.0, -1.0))
     assert out.kind == "Unique"
@@ -432,6 +450,23 @@ def test_scaling_law(g, seed, integers, exponent):
             assert np.max(np.abs(ratio - ratio[0])) <= 1e-12 * ratio[0]
         for sol in _all_solutions(out):
             assert certify(g, sol.metric.v, sol.c, sT).passed
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=st.sampled_from([SO3, SL2]), seed=st.integers(0, 2 ** 32 - 1),
+       integers=st.none() | SMALL_INTEGERS, shrunk=st.integers(-1, 2),
+       shrink=st.floats(-15.0, 0.0), exponent=st.floats(-300.0, 300.0))
+def test_cubic_intervals_lie_on_one_side_of_zero(g, seed, integers, shrunk,
+                                                  shrink, exponent):
+    # root isolation takes intervals on one side of 0; every case row that
+    # hands it one must keep to that
+    T = (np.random.default_rng(seed).normal(size=3) if integers is None
+         else np.asarray(integers, dtype=float))
+    if shrunk >= 0:
+        T[shrunk] *= 10.0 ** shrink
+    _, raw = solver._plan(g, tuple(10.0 ** exponent * T))
+    if type(raw) is solver._CubicCase:
+        assert not raw.lo < 0.0 < raw.hi, raw
 
 
 def test_c_uniqueness_taxonomy(rng):
