@@ -74,6 +74,11 @@ def ricci_diagonal(group, m) -> np.ndarray:
     return 2.0 * x[..., j] * x[..., k] / (v[..., j] * v[..., k])
 
 
+def _sum3(P: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of length 3 as (P0 + P1) + P2."""
+    return (P[..., 0] + P[..., 1]) + P[..., 2]
+
+
 def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Ricci tensor of a left-invariant metric from its Gram matrix.
 
@@ -82,6 +87,10 @@ def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
     shape (..., 3, 3), one Ricci tensor each.  Works directly with the
     non-orthonormal frame (no square roots), so a diagonal input exercises
     the claim that off-diagonal Ricci entries vanish.
+
+    Every contraction is a broadcast product summed one index at a time,
+    innermost summed index first, in a fixed order, so each Ricci tensor
+    of a stack has the same bits as a call on its Gram matrix alone.
 
     Raises ValueError if any g is non-symmetric or non-positive-definite.
     """
@@ -99,16 +108,20 @@ def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
     ginv = np.linalg.inv(g)
 
     # B[i,j,k] = <[e_i, e_j], e_k>; the transposes give B[j,k,i] and B[k,i,j]
-    B = np.einsum("ijm,...mk->...ijk", sc, g)
+    B = _sum3(sc[:, :, None, :] * g.swapaxes(-1, -2)[..., None, None, :, :])
     lead = tuple(range(g.ndim - 2))
     i, j, k = len(lead), len(lead) + 1, len(lead) + 2
     K = 0.5 * (B - B.transpose(lead + (k, i, j)) + B.transpose(lead + (j, k, i)))
     # gamma[i,j,l]: coefficient of e_l in D_{e_i} e_j
-    gamma = np.einsum("...ijk,...kl->...ijl", K, ginv)
+    gamma = _sum3(K[..., None, :] * ginv.swapaxes(-1, -2)[..., None, None, :, :])
 
-    # Ric_{jk} = sum_i coefficient of e_i in R(e_i, e_j) e_k
-    term1 = np.einsum("...jkl,...ili->...jk", gamma, gamma)
-    term2 = np.einsum("...ikl,...jli->...jk", gamma, gamma)
-    term3 = np.einsum("ijl,...lki->...jk", sc, gamma)
+    # Ric_{jk} = sum_i coefficient of e_i in R(e_i, e_j) e_k; each term is
+    # a product P[j,k,i,l] summed over l, then over i
+    trace = np.diagonal(gamma, axis1=-3, axis2=-1).swapaxes(-1, -2)
+    term1 = _sum3(_sum3(gamma[..., :, :, None, :] * trace[..., None, None, :, :]))
+    term2 = _sum3(_sum3(gamma.swapaxes(-3, -2)[..., None, :, :, :]
+                        * gamma.swapaxes(-2, -1)[..., :, None, :, :]))
+    term3 = _sum3(_sum3(sc.transpose(1, 0, 2)[:, None, :, :]
+                        * gamma.transpose(lead + (j, k, i))[..., None, :, :, :]))
     ric = term1 - term2 - term3
     return 0.5 * (ric + ric.swapaxes(-1, -2))

@@ -21,8 +21,8 @@ import numpy as np
 __all__ = [
     "UnimodularGroup", "GROUPS", "SO3", "SL2", "E2", "E11", "H3", "R3",
     "group_from_name", "as_group", "structure_constants", "bracket",
-    "check_milnor_frame", "rotation_so3", "random_rotation",
-    "sl2_frame_change", "e2_frame_change", "e11_frame_change",
+    "check_milnor_frame", "check_milnor_frame_many", "rotation_so3",
+    "random_rotation", "sl2_frame_change", "e2_frame_change", "e11_frame_change",
     "h3_frame_change",
 ]
 
@@ -120,24 +120,40 @@ def check_milnor_frame(group, M) -> bool:
 
     The candidate frame is X_i = sum_j M[j,i] V_j; the check is
     [X_i, X_j] = sum_k eps_ijk l_k X_k for all i < j, entrywise within
-    FRAME_TOL.
+    FRAME_TOL.  `check_milnor_frame_many` on one lane.
 
     Raises ValueError when M is singular (not a basis at all).
     """
-    group = as_group(group)
     M = np.asarray(M, dtype=float)
     if M.shape != (3, 3):
         raise ValueError(f"basis change must be 3x3, got shape {M.shape}")
-    if abs(np.linalg.det(M)) <= 1e-12 * float(np.abs(M).max()) ** 3:
+    return bool(check_milnor_frame_many(group, M[None])[0])
+
+
+# the pairs i < j and, for each, the k with eps_ijk != 0
+_I, _J, _K = [0, 0, 1], [1, 2, 2], [2, 1, 0]
+
+
+def check_milnor_frame_many(group, Ms) -> np.ndarray:
+    """`check_milnor_frame` of each basis change of the stack Ms (N, 3, 3),
+    as a boolean array.  [X_i, X_j] is l * (X_i x X_j) entrywise and the
+    right side the one term C[i,j,k] X_k, so every lane is checked with
+    the same float operations, whatever the stack.
+
+    Raises ValueError when any M is singular.
+    """
+    group = as_group(group)
+    M = np.asarray(Ms, dtype=float)
+    if M.ndim != 3 or M.shape[1:] != (3, 3):
+        raise ValueError(f"expected a stack of 3x3 basis changes, got shape "
+                         f"{M.shape}")
+    if (np.abs(np.linalg.det(M))
+            <= 1e-12 * np.abs(M).max(axis=(-2, -1)) ** 3).any():
         raise ValueError("singular matrix is not a valid basis change")
-    C = structure_constants(group)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            lhs = bracket(C, M[:, i], M[:, j])
-            rhs = M @ C[i, j]
-            if np.max(np.abs(lhs - rhs)) > FRAME_TOL:
-                return False
-    return True
+    X = M.swapaxes(-1, -2)
+    lhs = np.asarray(group.lambdas) * np.cross(X[:, _I], X[:, _J])
+    rhs = structure_constants(group)[_I, _J, _K][:, None] * X[:, _K]
+    return np.abs(lhs - rhs).max(axis=(-2, -1)) <= FRAME_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (as_group, check_milnor_frame, e2_frame_change,
-                     e11_frame_change, h3_frame_change, random_rotation,
-                     sl2_frame_change, structure_constants)
-from .solver import SolveOutcome, solve
-from .verify import oracle_residual
+# check_milnor_frame and oracle_residual are the one-lane forms of the
+# stacked checks used here; bench/spans.py wraps them under these names
+from .groups import (as_group, check_milnor_frame, check_milnor_frame_many,
+                     e2_frame_change, e11_frame_change, h3_frame_change,
+                     random_rotation, sl2_frame_change)
+from .solver import solve, solve_many
+from .verify import oracle_residual, oracle_residual_many
 
 __all__ = ["ProbeReport", "sample_diagonal_preserving_changes", "probe"]
 
@@ -167,6 +169,10 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
 
     Each returned matrix passes check_milnor_frame and keeps M^T diag(T) M
     diagonal to 1e-10 (relative); a candidate failing either is redrawn.
+    Candidates are drawn in rounds as many as are still missing and each
+    round is checked as one stack; a candidate's draws never depend on the
+    checks, so the frames and the generator's final state are those of
+    drawing and checking one candidate at a time.
     """
     group = as_group(group)
     T = _tensor(T)
@@ -174,45 +180,55 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
         raise ValueError("need at least one sample")
     gen = np.random.default_rng(rng)  # a Generator passes through as is
     ztol = EQUAL_TOL * float(np.max(np.abs(T)))
+    draw = {"SO3": lambda: _so3_block_change(T, gen),
+            "SL2": lambda: _sl2_change(T, gen, ztol),
+            "E2": lambda: _planar_change("E2", T, gen, ztol),
+            "E11": lambda: _planar_change("E11", T, gen, ztol),
+            "H3": lambda: _h3_change(T, gen)}.get(group.name,
+                                                   lambda: _r3_change(gen))
     out = []
     attempts = 0
     while len(out) < n:
-        attempts += 1
-        if attempts > 200 * n:
+        k = min(n - len(out), 200 * n - attempts)
+        if k == 0:
             raise RuntimeError(f"sampler failed to produce {n} admissible "
                                f"changes for {group.name}, T={tuple(T)}")
-        if group.name == "SO3":
-            M = _so3_block_change(T, gen)
-        elif group.name == "SL2":
-            M = _sl2_change(T, gen, ztol)
-        elif group.name in ("E2", "E11"):
-            M = _planar_change(group.name, T, gen, ztol)
-        elif group.name == "H3":
-            M = _h3_change(T, gen)
-        else:
-            M = _r3_change(gen)
-        if check_milnor_frame(group, M) and _keeps_diagonal(M, T):
-            out.append(M)
+        attempts += k
+        cands = [draw() for _ in range(k)]
+        Ms = np.array(cands)
+        keep = check_milnor_frame_many(group, Ms) & _keeps_diagonal(Ms, T)
+        out += [M for M, ok in zip(cands, keep) if ok]
     return out
 
 
-def _keeps_diagonal(M: np.ndarray, T) -> bool:
-    """Whether M^T diag(T) M is diagonal to DIAG_TOL relative."""
-    Tp = M.T @ np.diag(T) @ M
-    off = Tp - np.diag(np.diag(Tp))
-    return bool(np.max(np.abs(off)) <= DIAG_TOL * np.max(np.abs(Tp)))
+def _transformed(Ms: np.ndarray, T) -> np.ndarray:
+    """M^T diag(T) M for each M of the stack Ms."""
+    return Ms.swapaxes(-1, -2) @ np.diag(T) @ Ms
 
 
-def _pullback(M: np.ndarray, v) -> np.ndarray:
-    """Gram matrix in the original frame of a metric diagonal in the new one."""
-    Minv = np.linalg.inv(M)
-    return Minv.T @ np.diag(np.asarray(v, dtype=float)) @ Minv
+def _keeps_diagonal(Ms: np.ndarray, T) -> np.ndarray:
+    """Whether each M^T diag(T) M is diagonal to DIAG_TOL relative."""
+    Tp = _transformed(Ms, T)
+    off = Tp.copy()
+    off[:, range(3), range(3)] = 0.0
+    return (np.abs(off).max(axis=(1, 2))
+            <= DIAG_TOL * np.abs(Tp).max(axis=(1, 2)))
 
 
-def _proportional(G: np.ndarray, v_base) -> bool:
-    D = np.diag(np.asarray(v_base, dtype=float))
-    return bool(np.max(np.abs(G / np.max(np.abs(G)) - D / np.max(D)))
-                <= PROBE_TOL)
+def _pullbacks(Minv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gram matrices in the original frame of metrics diagonal in the new
+    ones: Minv^T diag(v) Minv lane by lane, Minv the inverse changes."""
+    D = np.zeros(v.shape + (3,))
+    D[:, range(3), range(3)] = v
+    return Minv.swapaxes(-1, -2) @ D @ Minv
+
+
+def _proportional(G: np.ndarray, v_base: np.ndarray) -> np.ndarray:
+    """Whether each G is proportional to diag(v_base), to PROBE_TOL."""
+    D = np.zeros(v_base.shape + (3,))
+    D[:, range(3), range(3)] = v_base / v_base.max(axis=1, keepdims=True)
+    return (np.abs(G / np.abs(G).max(axis=(1, 2), keepdims=True) - D)
+            .max(axis=(1, 2)) <= PROBE_TOL)
 
 
 def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
@@ -225,6 +241,10 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     outcomes the pulled-back family sample is instead certified against the
     original tensor through the curvature oracle.
 
+    The n transformed tensors are re-solved through `solve_many`, and every
+    pullback, oracle residual and proportionality test runs on one stack;
+    each lane has the bits of the frame-by-frame computation.
+
     Raises ValueError when (group, T) has no solution.
     """
     group = as_group(group)
@@ -234,44 +254,55 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
         raise ValueError(f"nothing to probe: no solution for {group.name}, "
                          f"T={tuple(T)}")
     changes = sample_diagonal_preserving_changes(group, T, n, rng)
+    Ms = np.array(changes)
+    outs = solve_many(group, np.diagonal(_transformed(Ms, T), axis1=1,
+                                         axis2=2))
+
+    # one lane per solution pulled back: (frame, solution, the base solution
+    # its metric must be proportional to or None for a family sample,
+    # relative deviation of c); a frame without a matching outcome fails
+    unique = base.kind in ("Unique", "TwoSolutions")
+    lanes = []
+    bad = [False] * len(changes)
+    for f, out in enumerate(outs):
+        if out.kind != base.kind or (unique and not out.solutions):
+            bad[f] = True
+        elif unique:
+            for b in base.solutions:
+                sol = min(out.solutions, key=lambda s: abs(s.c - b.c))
+                rel = abs(sol.c - b.c) / max(abs(b.c), 1e-300)
+                lanes.append((f, sol, b, rel))
+        else:
+            rel = (abs(out.family.c - base.family.c) / abs(base.family.c)
+                   if base.kind == "FamilyFixedC" else 0.0)
+            lanes.append((f, out.family.sample, None, rel))
+
     c_spread = 0.0
     metric_match = True
-    c_unconstrained = base.kind == "FamilyAnyC"
-    violations = []
-
-    for M in changes:
-        out = solve(group, tuple(np.diag(M.T @ np.diag(T) @ M)))
-        ok = out.kind == base.kind
-
-        if ok and base.kind in ("Unique", "TwoSolutions"):
-            for sol in base.solutions:
-                others = min(out.solutions,
-                             key=lambda s: abs(s.c - sol.c)) if out.solutions else None
-                if others is None:
-                    ok = False
-                    break
-                rel = abs(others.c - sol.c) / max(abs(sol.c), 1e-300)
-                c_spread = max(c_spread, rel)
-                G = _pullback(M, others.metric.v)
-                prop = _proportional(G, sol.metric.v)
-                res = oracle_residual(group, G, others.c, T)
-                metric_match = metric_match and prop
-                ok = ok and prop and rel <= PROBE_TOL and res <= PROBE_TOL
-        elif ok and base.kind == "FamilyFixedC":
-            rel = abs(out.family.c - base.family.c) / abs(base.family.c)
-            c_spread = max(c_spread, rel)
-            G = _pullback(M, out.family.sample.metric.v)
-            res = oracle_residual(group, G, out.family.sample.c, T)
-            ok = rel <= PROBE_TOL and res <= PROBE_TOL
-        elif ok and base.kind == "FamilyAnyC":
-            G = _pullback(M, out.family.sample.metric.v)
-            res = oracle_residual(group, G, out.family.sample.c, T)
-            ok = res <= PROBE_TOL
-
-        if not ok:
-            violations.append(M)
+    checks = _lane_checks(group, T, Ms, lanes)
+    for (f, _, _, rel), res, prop in zip(lanes, *checks):
+        c_spread = max(c_spread, rel)
+        metric_match = metric_match and prop
+        bad[f] = bad[f] or not (prop and rel <= PROBE_TOL and res <= PROBE_TOL)
 
     return ProbeReport(samples=len(changes), base_kind=base.kind,
                        c_spread=c_spread, metric_match=metric_match,
-                       c_unconstrained=c_unconstrained,
-                       violations=tuple(violations))
+                       c_unconstrained=base.kind == "FamilyAnyC",
+                       violations=tuple(M for M, b in zip(changes, bad) if b))
+
+
+def _lane_checks(group, T, Ms: np.ndarray, lanes: list) -> tuple:
+    """Oracle residuals and proportionality tests of `probe`'s lanes, as
+    two lists; every lane is pulled back and checked in one stack, and a
+    family sample, which claims no metric uniqueness, is never tested for
+    proportionality."""
+    if not lanes:
+        return [], []
+    G = _pullbacks(np.linalg.inv(Ms)[[f for f, *_ in lanes]],
+                   np.array([sol.metric.v for _, sol, _, _ in lanes]))
+    res = oracle_residual_many(group, G, [sol.c for _, sol, _, _ in lanes],
+                               np.broadcast_to(T, (len(lanes), 3)))
+    if lanes[0][2] is None:
+        return res.tolist(), [True] * len(lanes)
+    prop = _proportional(G, np.array([b.metric.v for _, _, b, _ in lanes]))
+    return res.tolist(), prop.tolist()

@@ -54,22 +54,11 @@ def _check_metrics(v: np.ndarray) -> None:
         raise ValueError(f"metric components must be finite, got {tuple(row)}")
 
 
-def _normalized_residual(ric, c: float, target, t) -> float:
-    """max |ric - c * target| / (1 + |c| * |T|_inf), target being T in the
-    shape of ric.  Once |c| * |T|_inf leaves the float range, numerator and
-    denominator are both divided by it first, so the result stays finite."""
-    m = float(np.max(np.abs(t)))
-    scale = abs(float(c)) * m
-    if scale != math.inf:
-        return float(np.max(np.abs(ric - c * target)) / (1.0 + scale))
-    s = 1.0 / abs(float(c)) / m
-    return float(np.max(np.abs(ric * s - math.copysign(1.0, c) * (target / m)))
-                 / (1.0 + s))
-
-
 def _normalized_residuals(ric, c, target, t) -> np.ndarray:
-    """`_normalized_residual` of each lane, with the same float operations:
-    ric and target have shape (N, ...), c is (N,) and t (N, 3)."""
+    """Per lane, max |ric - c * target| / (1 + |c| * |T|_inf), target being
+    T in the shape of ric: ric and target have shape (N, ...), c is (N,)
+    and t (N, 3).  Once |c| * |T|_inf leaves the float range, numerator and
+    denominator are both divided by it first, so the result stays finite."""
     n = len(c)
     m = abs(t).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -91,17 +80,29 @@ def residual(group, m, c: float, T) -> float:
     """max_i |Ric_i(v) - c*T_i| / (1 + |c| * |T|_inf) via the closed form."""
     group = as_group(group)
     v = _unwrap(m)
-    t = np.asarray(getattr(T, "T", T), dtype=float)
-    return _normalized_residual(ricci_diagonal(group, v), c, t, t)
+    t = np.asarray(getattr(T, "T", T), dtype=float)[None]
+    (res,) = _normalized_residuals(ricci_diagonal(group, v)[None],
+                                   np.array([float(c)]), t, t)
+    return float(res)
 
 
 def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
     """Same normalized residual, but from the Koszul oracle on a full Gram
-    matrix; usable for non-diagonal pullbacks of diagonal solutions."""
-    group = as_group(group)
-    t = np.asarray(getattr(T, "T", T), dtype=float)
-    ric = ricci_koszul(structure_constants(group), np.asarray(gram, dtype=float))
-    return _normalized_residual(ric, c, np.diag(t), t)
+    matrix; usable for non-diagonal pullbacks of diagonal solutions.
+    `oracle_residual_many` on one lane."""
+    (res,) = oracle_residual_many(group, [gram], [c], [getattr(T, "T", T)])
+    return float(res)
+
+
+def oracle_residual_many(group, grams, cs, Ts) -> np.ndarray:
+    """`oracle_residual` of N claims at once: Gram matrices grams
+    (N, 3, 3), constants cs (N,) and tensors Ts (N, 3) give N residuals,
+    each equal to the one `oracle_residual` returns for that lane."""
+    t = np.asarray(Ts, dtype=float)
+    target = np.zeros(t.shape + (3,))
+    target[:, range(3), range(3)] = t
+    ric = ricci_koszul(structure_constants(as_group(group)), grams)
+    return _normalized_residuals(ric, np.asarray(cs, dtype=float), target, t)
 
 
 def certify_many(group, vs, cs, Ts) -> list[Certificate]:
@@ -129,11 +130,8 @@ def certify_many(group, vs, cs, Ts) -> list[Certificate]:
     diag = np.arange(3)
     gram = np.zeros(v.shape + (3,))
     gram[:, diag, diag] = v
-    target = np.zeros_like(gram)
-    target[:, diag, diag] = t
     r_closed = _normalized_residuals(ricci_diagonal(group, v), c, t, t)
-    r_oracle = _normalized_residuals(
-        ricci_koszul(structure_constants(group), gram), c, target, t)
+    r_oracle = oracle_residual_many(group, gram, c, t)
     with np.errstate(over="ignore"):
         normalized = (np.abs(v[:, 0] * v[:, 1] * v[:, 2] * c - 1.0)
                       <= NORMALIZATION_TOL)

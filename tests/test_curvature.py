@@ -127,3 +127,31 @@ def test_koszul_frame_covariance(rng):
             rhs = M.T @ ricci_koszul(sc, gram) @ M
             scale = np.max(np.abs(rhs)) + 1.0
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
+
+
+def _spd_stack(gen, n):
+    """n random SPD Gram matrices, condition numbers log-uniform up to 1e8
+    and overall scales log-uniform in 1e-3..1e3."""
+    Gs = []
+    for _ in range(n):
+        Q = random_rotation(gen)
+        w = 10.0 ** gen.uniform(0.0, gen.uniform(0.0, 8.0), size=3)
+        G = Q @ np.diag(w * 10.0 ** gen.uniform(-3, 3)) @ Q.T
+        Gs.append(0.5 * (G + G.T))
+    return np.array(Gs)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_koszul_lanes_do_not_depend_on_the_stack(group):
+    # each lane of a stacked call has the bytes of a call on its matrix
+    # alone and of a stack of one, signed zeros included
+    gen = np.random.default_rng(4242)
+    sc = structure_constants(group)
+    diagonal = np.zeros((200, 3, 3))
+    diagonal[:, range(3), range(3)] = 10.0 ** gen.uniform(-6, 6, size=(200, 3))
+    for Gs in (_spd_stack(gen, 240), diagonal):
+        stacked = ricci_koszul(sc, Gs)
+        assert stacked.shape == Gs.shape
+        for G, lane in zip(Gs, stacked):
+            assert ricci_koszul(sc, G).tobytes() == lane.tobytes()
+            assert ricci_koszul(sc, G[None])[0].tobytes() == lane.tobytes()

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, UnimodularGroup,
                               bracket, check_milnor_frame, group_from_name,
                               structure_constants)
-from prescribed_ricci.groups import (e2_frame_change, e11_frame_change,
-                                     h3_frame_change, random_rotation,
-                                     rotation_so3, sl2_frame_change)
+from prescribed_ricci.groups import (check_milnor_frame_many, e2_frame_change,
+                                     e11_frame_change, h3_frame_change,
+                                     random_rotation, rotation_so3,
+                                     sl2_frame_change)
 
 from conftest import ALL_GROUPS
 
@@ -125,6 +126,23 @@ def test_check_milnor_frame_singular_raises():
         check_milnor_frame(SO3, np.zeros((3, 3)))
     # singularity is relative to the size of M: a small basis is a basis
     assert not check_milnor_frame(SO3, 1e-5 * np.eye(3))
+
+
+def test_check_milnor_frame_many_is_lane_by_lane(rng):
+    Ms = [random_rotation(rng) for _ in range(20)]
+    Ms += [random_rotation(rng) + rng.normal(scale=1e-9, size=(3, 3))
+           for _ in range(20)]
+    Ms += [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), 1e-5 * np.eye(3)]
+    Ms += [sl2_frame_change(*rng.normal(size=3)) for _ in range(10)]
+    Ms += [e11_frame_change(*rng.normal(size=4)) for _ in range(10)]
+    for g in ALL_GROUPS:
+        many = check_milnor_frame_many(g, np.array(Ms))
+        assert many.tolist() == [check_milnor_frame(g, M) for M in Ms]
+    assert 0 < check_milnor_frame_many(SO3, np.array(Ms)).sum() < len(Ms)
+    with pytest.raises(ValueError, match="singular"):
+        check_milnor_frame_many(SO3, np.array(Ms + [np.zeros((3, 3))]))
+    with pytest.raises(ValueError, match="3x3"):
+        check_milnor_frame_many(SO3, np.eye(3))
 
 
 def test_sl2_family_passes(rng):

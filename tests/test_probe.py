@@ -55,25 +55,104 @@ def test_sampler_contract_everywhere(rng):
 
 
 def test_probe_checks_each_frame_once(monkeypatch):
-    # the sampler is the one place that checks a frame; probe re-solves only
-    counts = {}
+    # the sampler is the one place that checks a frame; probe re-solves
+    # only.  The checks run on stacks, so count the frames (lanes) each
+    # check sees, by their bytes.
+    lanes = {}
 
-    def counting(name):
+    def counting(name, stack_arg):
         original = getattr(probe_module, name)
 
         def wrapper(*args):
-            counts[name] = counts.get(name, 0) + 1
+            lanes.setdefault(name, []).extend(M.tobytes()
+                                              for M in args[stack_arg])
             return original(*args)
         monkeypatch.setattr(probe_module, name, wrapper)
 
-    for name in ("check_milnor_frame", "_keeps_diagonal"):
-        counting(name)
-    sample_diagonal_preserving_changes(SO3, (10.0, -1.0, -1.0), 16, rng=0)
-    sampled = dict(counts)
-    counts.clear()
+    counting("check_milnor_frame_many", 1)
+    counting("_keeps_diagonal", 0)
+    frames = sample_diagonal_preserving_changes(SO3, (10.0, -1.0, -1.0), 16,
+                                                rng=0)
+    sampled = dict(lanes)
+    lanes.clear()
     probe(SO3, (10.0, -1.0, -1.0), n=16, rng=0)
-    assert sampled["check_milnor_frame"] >= 16
-    assert counts == sampled
+    checked = sampled["check_milnor_frame_many"]
+    assert len(checked) >= 16
+    # every returned frame was checked, by both checks, exactly once
+    assert sampled["_keeps_diagonal"] == checked
+    for M in frames:
+        assert checked.count(M.tobytes()) == 1
+    assert lanes == sampled
+
+
+def _reference_sampler(group, T, n, gen):
+    """The one-candidate-at-a-time sampler: draw, check, keep or redraw."""
+    T = np.asarray(T, dtype=float)
+    ztol = probe_module.EQUAL_TOL * float(np.max(np.abs(T)))
+    out, attempts = [], 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 200 * n:
+            raise RuntimeError("attempt cap")
+        if group.name == "SO3":
+            M = probe_module._so3_block_change(T, gen)
+        elif group.name == "SL2":
+            M = probe_module._sl2_change(T, gen, ztol)
+        elif group.name in ("E2", "E11"):
+            M = probe_module._planar_change(group.name, T, gen, ztol)
+        elif group.name == "H3":
+            M = probe_module._h3_change(T, gen)
+        else:
+            M = probe_module._r3_change(gen)
+        Tp = M.T @ np.diag(T) @ M
+        off = Tp - np.diag(np.diag(Tp))
+        if (check_milnor_frame(group, M) and np.max(np.abs(off))
+                <= probe_module.DIAG_TOL * np.max(np.abs(Tp))):
+            out.append(M)
+    return out
+
+
+SAMPLER_ROWS = [
+    (SO3, (3.0, 2.0, 1.0)), (SO3, (1.0, 1.0, 1.0)), (SO3, (3.0, 1.0, 1.0)),
+    (SO3, (10.0, -1.0, -1.0)), (SL2, (-1.0, -1.0, 1.0)),
+    (SL2, (3.0, -1.0, -1.0)), (SL2, (-2.0, 0.0, 0.0)),
+    (SL2, (-1.0, -2.0, 3.0)), (E2, (0.0, 0.0, 0.0)), (E2, (2.0, -1.0, -1.0)),
+    (E11, (0.0, 0.0, -2.0)), (E11, (-1.0, 2.0, -1.0)),
+    (H3, (1.0, -1.0, -2.0)), (R3, (0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("group, T", SAMPLER_ROWS,
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_sampler_matches_one_at_a_time(group, T):
+    # drawing in rounds keeps the rng calls of the one-candidate loop: the
+    # same frames, bit for bit, and the same generator state afterwards
+    for seed in range(5):
+        for n in (1, 5, 16):
+            ref_gen = np.random.default_rng(seed)
+            ref = _reference_sampler(group, T, n, ref_gen)
+            gen = np.random.default_rng(seed)
+            got = sample_diagonal_preserving_changes(group, T, n, rng=gen)
+            assert [M.tobytes() for M in got] == [M.tobytes() for M in ref]
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_sampler_raises_on_a_singular_candidate(monkeypatch):
+    draws = iter([np.eye(3), np.eye(3), np.zeros((3, 3))] + [np.eye(3)] * 9)
+    monkeypatch.setattr(probe_module, "_r3_change", lambda gen: next(draws))
+    with pytest.raises(ValueError, match="singular"):
+        sample_diagonal_preserving_changes(R3, (0.0, 0.0, 0.0), 5)
+
+
+def test_sampler_attempt_cap(monkeypatch):
+    # 2 I scales every bracket by 4 but each frame vector by 2: never a
+    # Milnor frame, so the sampler gives up after exactly 200 n draws
+    draws = []
+    monkeypatch.setattr(probe_module, "_so3_block_change",
+                        lambda T, gen: draws.append(1) or 2.0 * np.eye(3))
+    with pytest.raises(RuntimeError, match="failed to produce 3"):
+        sample_diagonal_preserving_changes(SO3, (3.0, 2.0, 1.0), 3)
+    assert len(draws) == 600
 
 
 def test_sampler_needs_positive_count():
