@@ -1,4 +1,4 @@
-"""Array forms of the cubic kernel, for `solver.solve_many`.
+"""Array forms of the cubic kernel, for `solve_many` and `solve_columns`.
 
 One lane per tensor: the root isolation of `cubic.roots_in_interval`, the
 cube-root reconstruction of `solver.reconstruct_from_p` and its metric
@@ -10,63 +10,78 @@ module on first use, so code that only calls `solve` never does.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .cubic import ROOT_TOL
 from .solver import (_T3_SIGN, POLISH_STEPS, POLISH_TOL, _averaged,
-                     _correspondence, _cubic_coeffs, _cubic_outcome, _CubicCase,
+                     _correspondence, _cubic_coeffs, _CubicCase,
                      _from_system, _jacobian, _plan, _scaled_system)
 
 __all__ = ["plan_chunk", "roots_in_interval_many"]
 
+# a chunk's answers, a row per cubic lane (`row` maps a lane's tensor index
+# to it): the root count n, and per root slot, ascending in c and padded with
+# nan (0 in mult), c, v (caller's axis order), p, q, mult for T / 8^k
+Columns = namedtuple("Columns", "row n c v p q mult")
 
-def plan_chunk(group, Ts) -> list:
-    """Per tensor, (k, raw outcome), or None for a lane `solve` takes."""
-    plans, cubic = [], []
-    for i, T in enumerate(Ts):
+
+def plan_chunk(group, Ts) -> tuple[list, Columns]:
+    """Per tensor, its plan (k, raw) or None for a lane `solve` takes, and
+    the `Columns` that answer the plans whose raw is a `_CubicCase`."""
+    plans = []
+    for T in Ts:
         try:
-            plan = _plan(group, T)
+            plans.append(_plan(group, T))
         except Exception:
-            plan = None  # solve raises it again, in its place
-        else:
-            if type(plan[1]) is _CubicCase:
-                cubic.append(i)
-        plans.append(plan)
-    if cubic:
-        try:
-            raws = _cubic_many(group, [plans[i][1] for i in cubic])
-        except np.linalg.LinAlgError:
-            return [None] * len(Ts)
-        for i, raw in zip(cubic, raws):
-            plans[i] = None if raw is None else (plans[i][0], raw)
-    return plans
+            plans.append(None)  # solve raises it again, in its place
+    try:
+        return plans, _cubic_many(group, plans)
+    except np.linalg.LinAlgError:
+        plans = [None] * len(plans)
+        return plans, _cubic_many(group, plans)
 
 
-def _cubic_many(group, cases: list) -> list:
-    """Raw outcome of each `_CubicCase`, or None for a lane left to
-    `solve`."""
+def _cubic_many(group, plans: list) -> Columns:
+    """The `Columns` of the `_CubicCase` lanes of a chunk's plans; clears
+    the plan of each lane left to `solve`."""
+    lanes = [i for i, plan in enumerate(plans)
+             if plan is not None and type(plan[1]) is _CubicCase]
+    cases = [plans[i][1] for i in lanes]
+    size = len(cases)
+    c, p, q = np.full((3, size, 2), np.nan)
+    cols = Columns(dict(zip(lanes, range(size))), np.zeros(size, int), c,
+                   np.full((size, 2, 3), np.nan), p, q, np.zeros((size, 2), int))
+    if not cases:
+        return cols
     T = np.array([case.T for case in cases])
-    cols = (T[:, 0], T[:, 1], T[:, 2])
+    T = (T[:, 0], T[:, 1], T[:, 2])
     roots, mults, ok = roots_in_interval_many(
-        _cubic_coeffs(_T3_SIGN[group.name], cols),
+        _cubic_coeffs(_T3_SIGN[group.name], T),
         [case.lo for case in cases], [case.hi for case in cases])
     take = np.array([case.take for case in cases])
-    lane, slot = np.nonzero((mults > 0) & ok[:, None] & (
-        np.cumsum(mults > 0, axis=1) <= take[:, None]))
-    p = roots[lane, slot]
-    v, c, q, good = _reconstruct_many(group, tuple(t[lane] for t in cols), p)
+    taken = (mults > 0) & ok[:, None] & (
+        np.cumsum(mults > 0, axis=1) <= take[:, None])
+    lane, slot = np.nonzero(taken)
+    v, c, q, good = _reconstruct_many(group, tuple(t[lane] for t in T),
+                                      roots[lane, slot])
     ok[lane[~good]] = False
-    # `_unsorted` for every root at once
-    v_axes = np.empty_like(v)
-    v_axes[np.arange(len(lane))[:, None],
+    # a lane's roots fill its slots in turn, back in the caller's axis order
+    pos = np.cumsum(taken, axis=1)[lane, slot] - 1
+    cols.c[lane, pos], cols.p[lane, pos] = c, roots[lane, slot]
+    cols.q[lane, pos], cols.mult[lane, pos] = q, mults[lane, slot]
+    cols.v[lane[:, None], pos[:, None],
            np.array([case.order for case in cases])[lane]] = v
-    found = [[] for _ in cases]
-    for i, sol, trace in zip(lane.tolist(), zip(v_axes.tolist(), c.tolist()),
-                             zip(p.tolist(), q.tolist(),
-                                 mults[lane, slot].tolist())):
-        found[i].append((sol, trace))
-    return [_cubic_outcome(case, f) if lane_ok else None
-            for case, f, lane_ok in zip(cases, found, ok.tolist())]
+    cols.n[:] = taken.sum(axis=1)
+    # each lane in ascending c; equal c keep their order, as a stable sort
+    swap = cols.c[:, 1] < cols.c[:, 0]
+    for col in cols[2:]:
+        col[swap] = col[swap][:, ::-1]
+    for i, lane_ok in zip(lanes, ok.tolist()):
+        if not lane_ok:
+            plans[i] = None
+    return cols
 
 
 def _reconstruct_many(group, T, p):

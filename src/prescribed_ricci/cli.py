@@ -13,13 +13,15 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
 from .curvature import ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
-from .solver import classify_signature, solve, solve_many
+from .solver import (CHUNK, classify_signature, solve, solve_columns,
+                     solve_many)
 from .verify import certify, certify_many
 
 __all__ = ["main"]
@@ -292,13 +294,13 @@ def _passed(record: dict) -> bool:
 # Jobs: one tensor at a time, or a batch chunk grouped by group
 # ---------------------------------------------------------------------------
 
-def _answer(ask, group, T):
-    """solve or classify_signature on one tensor; the ValueError for a c
-    outside the float range is malformed input."""
+def _answer(ask, group, T, where: str = ""):
+    """solve or classify_signature on one tensor; its ValueError (for a c
+    outside the float range) is malformed input, located by `where`."""
     try:
         return ask(group, T)
     except ValueError as exc:
-        raise InputError(f"field 'T': {exc}")
+        raise InputError(f"field 'T': {where}{exc}")
 
 
 def _solve_job(group, T) -> dict:
@@ -488,6 +490,24 @@ def _grid_axis(fixed, rng_text, steps, name):
     raise InputError(f"field {name!r}: sweep needs --{name} or --{name}-range")
 
 
+# finite floats whose `_fmt` text no case label holds, to mark the slots of
+# a sweep point's template
+_T_MARK, _C_MARK = 1.0000000000000002e300, 2.0000000000000004e300
+
+
+def _point_template(render, kind: str, label: str, nc: int) -> str:
+    """A sweep point's record with nc c values as `render` writes it, as a
+    `%`-template of its T (the components joined by commas) and its c
+    values (`%.17g` is `_fmt`)."""
+    record = {"command": "sweep-point", "T": [_T_MARK],
+              "kind": kind.replace("%", "%%"),
+              "case_label": label.replace("%", "%%")}
+    if nc:
+        record["c"] = [_C_MARK] * nc
+    return render(record).replace(_fmt(_T_MARK), "%s").replace(
+        _fmt(_C_MARK), "%.17g")
+
+
 def _run_sweep(args, reporter) -> int:
     group = _resolve_group(args)
     steps = args.steps
@@ -498,21 +518,33 @@ def _run_sweep(args, reporter) -> int:
         _grid_axis(args.T2, args.T2_range, steps, "T2"),
         _grid_axis(args.T3, args.T3_range, steps, "T3"),
     ]
-    counts: dict[str, int] = {}
-    kind_counts: dict[str, int] = {}
-    # the grid is walked twice, lazily: once for the records, once by the
-    # solver, which takes it in chunks
-    for T, outcome in zip(itertools.product(*axes),
-                          solve_many(group, itertools.product(*axes))):
-        label = outcome.case_label
-        counts[label] = counts.get(label, 0) + 1
-        kind_counts[outcome.kind] = kind_counts.get(outcome.kind, 0) + 1
-        record = {"command": "sweep-point", "T": list(T),
-                  "kind": outcome.kind, "case_label": label}
-        c = outcome.c_values()
-        if c:
-            record["c"] = list(c)
-        reporter.emit(record)
+    # every point written is finite (solve raises on the others), so its
+    # numbers are `_fmt`'s in both formats; each axis value is formatted once
+    texts = map(",".join, itertools.product(*[list(map(_fmt, axis))
+                                              for axis in axes]))
+    points, templates = itertools.product(*axes), {}
+    counts, kind_counts = Counter(), Counter()
+    # the grid in chunks of `solve_many`, each solved and rendered at once
+    while chunk := list(itertools.islice(points, CHUNK)):
+        try:
+            kinds, labels, cs = solve_columns(group, chunk)
+        except ValueError:
+            for T in chunk:  # the first point at which solve raises
+                _answer(solve, group, T, f"grid point {T}: ")
+            raise
+        counts.update(labels)
+        kind_counts.update(kinds)
+        lines = []
+        for T, kind, label, c in zip(itertools.islice(texts, len(chunk)),
+                                     kinds, labels, cs):
+            tpl = templates.get((kind, label))
+            if tpl is None:  # the kind fixes the number of c values
+                tpl = templates[kind, label] = _point_template(
+                    reporter.render, kind, label, len(c))
+            lines.append(tpl % (T, *c))
+        # one string per chunk, as in `batch`; records are written only
+        # once the command has succeeded
+        reporter.lines.append("\n".join(lines))
     reporter.emit({"command": "sweep-summary", "group": group.name.lower(),
                    "points": len(axes[0]) * len(axes[1]) * len(axes[2]),
                    "by_case": dict(sorted(counts.items())),

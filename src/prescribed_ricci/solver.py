@@ -43,7 +43,8 @@ from .verify import residual
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
-    "solve", "solve_many", "reconstruct_from_p", "classify_signature",
+    "solve", "solve_many", "solve_columns", "reconstruct_from_p",
+    "classify_signature",
 ]
 
 # a component of T counts as zero, and two as equal, within ZERO_TOL * |T|_inf
@@ -337,16 +338,53 @@ def solve_many(group, Ts):
 
     group = as_group(group)
     Ts = iter(Ts)
-    while True:
-        chunk = list(itertools.islice(Ts, CHUNK))
-        if not chunk:
-            return
-        for T, plan in zip(chunk, plan_chunk(group, chunk)):
+    while chunk := list(itertools.islice(Ts, CHUNK)):
+        plans, cols = plan_chunk(group, chunk)
+        n = cols.n.tolist()
+        sols = _slots(cols.v, cols.c)
+        traces = _slots(cols.p, cols.q, cols.mult)
+        for i, (T, plan) in enumerate(zip(chunk, plans)):
             if plan is None:
                 yield solve(group, T)
+            elif type(plan[1]) is _CubicCase:
+                j = cols.row[i]
+                yield _outcome(plan[0], *_cubic_kind(plan[1].label, n[j]),
+                               sols[j][:n[j]], traces[j][:n[j]])
             else:
-                k, raw = plan
-                yield _outcome(k, *raw)
+                yield _outcome(plan[0], *plan[1])
+
+
+def _slots(*cols) -> list:
+    """Per row of the columns, the tuple of its two root slots, each the
+    tuple of the columns' values there (zipped in C, not per row)."""
+    return list(zip(*[zip(*[col[:, s].tolist() for col in cols])
+                      for s in (0, 1)]))
+
+
+def solve_columns(group, Ts):
+    """Kinds, case labels and c values (ascending) of `solve(group, T)` for
+    each T of the list Ts, as three lists, solved as one chunk of
+    `solve_many`; a cubic lane's answer is read off the kernel's columns,
+    with no outcome built.  Raises what `solve` raises for the first T at
+    which it raises."""
+    from .arrays import plan_chunk
+
+    group = as_group(group)
+    plans, cols = plan_chunk(group, Ts)
+    c, n = cols.c.tolist(), cols.n.tolist()
+    kinds, labels, cs = [], [], []
+    for i, (T, plan) in enumerate(zip(Ts, plans)):
+        if plan is not None and type(plan[1]) is _CubicCase:
+            j = cols.row[i]
+            kind, label = _cubic_kind(plan[1].label, n[j])
+            c_T = [_c_back(x, plan[0]) for x in c[j][:n[j]]]
+        else:
+            out = _outcome(plan[0], *plan[1]) if plan else solve(group, T)
+            kind, label, c_T = out.kind, out.case_label, out.c_values()
+        kinds.append(kind)
+        labels.append(label)
+        cs.append(c_T)
+    return kinds, labels, cs
 
 
 # Each branch below takes (group, normalized T, its signs, zero tolerance)
@@ -368,10 +406,7 @@ def _outcome(k: int, kind: str, label: str, sols=(), traces=(),
     v_up, p_up = math.ldexp(1.0, k), math.ldexp(1.0, 3 * k)
     solutions = []
     for v, c in sols:
-        c = float(c) / p_up
-        if not 0.0 < c < math.inf:
-            raise ValueError(f"c = {c} is outside the float range "
-                             f"(|T|_inf ~ 8^{k})")
+        c = _c_back(c, k)
         solutions.append(Solution(
             DiagonalMetric((v[0] * v_up, v[1] * v_up, v[2] * v_up)), c))
     if kind.startswith("Family"):
@@ -387,6 +422,17 @@ def _outcome(k: int, kind: str, label: str, sols=(), traces=(),
         kind=kind, case_label=label, solutions=tuple(solutions),
         traces=tuple(CubicSolveTrace(p * p_up, q * q_up * q_up, mult)
                      for p, q, mult in traces))
+
+
+def _c_back(c: float, k: int) -> float:
+    """c * 8^-k, exact, the constant for T from the one for T / 8^k; raises
+    ValueError where c leaves the float range (only for |T|_inf outside
+    [1e-300, 1e300])."""
+    c = float(c) / math.ldexp(1.0, 3 * k)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c = {c} is outside the float range "
+                         f"(|T|_inf ~ 8^{k})")
+    return c
 
 
 def _unsorted(order, v_sorted) -> list[float]:
@@ -421,21 +467,18 @@ def _solve_cubic(group, case: _CubicCase):
                                     case.take):
         v, c, q = _reconstruct(group, case.T, p)
         found.append(((_unsorted(case.order, v), c), (p, q, mult)))
-    return _cubic_outcome(case, found)
-
-
-def _cubic_outcome(case: _CubicCase, found: list):
-    """Raw outcome from the ((v, c), (p, q, multiplicity)) of each
-    reconstructed root, v in the caller's component order."""
-    if not found:
-        return _NONE
     found.sort(key=lambda st: st[0][1])
-    label = case.label
-    if label == "SO3 (+,-,-)":
-        label += (" unique subcase" if len(found) == 1
-                  else " two-solution subcase")
-    return ("Unique" if len(found) == 1 else "TwoSolutions", label,
+    return (*_cubic_kind(case.label, len(found)),
             tuple(sol for sol, _ in found), tuple(t for _, t in found))
+
+
+def _cubic_kind(label: str, n: int) -> tuple[str, str]:
+    """Kind and label of a `_CubicCase` row with n reconstructed roots."""
+    if not n:
+        return _NONE
+    if label == "SO3 (+,-,-)":
+        label += " unique subcase" if n == 1 else " two-solution subcase"
+    return "Unique" if n == 1 else "TwoSolutions", label
 
 
 # ---------------------------------------------------------------------------
