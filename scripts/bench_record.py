@@ -10,9 +10,12 @@ directory and the file of the same name in the other are one pair of runs.
 Run the pairs alternately, parent and change in turn, so both see the same
 machine.  Per workload and end-to-end metric the record holds each side's
 median and quartiles, the ratio of the medians and how many pairs the
-change won, plus every run's values, the seeds, the commits, and the
-machine and Python details of the runs.  Writes BENCH_<topic>.json at the
-repository root.
+change won (ties count for neither side), plus every run's values, the
+seeds, the commits, and the machine and Python details of the runs.  It
+also checks the two conditions a claimed gain must meet: the change won at
+least nine tenths of the pairs, and its median is better than the parent's
+by more than the distance between the parent's quartiles.  Writes
+BENCH_<topic>.json at the repository root.
 """
 from __future__ import annotations
 
@@ -36,7 +39,8 @@ def _spread(values: list) -> dict:
 
 def summarize(parent: dict, change: dict, better: dict) -> dict:
     """Per workload: the seeds, the runs and, per metric, both sides'
-    spreads, the ratio of the medians and the pairs the change won."""
+    spreads, the ratio of the medians, the pairs the change won and
+    whether a gain may be claimed."""
     missing = sorted(set(parent) ^ set(change))
     if missing:
         raise SystemExit(f"unpaired result files: {missing}")
@@ -65,13 +69,16 @@ def summarize(parent: dict, change: dict, better: dict) -> dict:
             cv = [r["change"][metric] for r in w["runs"]]
             sign = 1.0 if direction == "higher" else -1.0
             pm, cm = statistics.median(pv), statistics.median(cv)
+            spread = _spread(pv)
+            wins = sum(1 for a, b in zip(pv, cv) if sign * (b - a) > 0)
             w["metrics"][metric] = {
-                "better": direction, "parent": _spread(pv),
+                "better": direction, "parent": spread,
                 "change": _spread(cv),
                 "ratio_of_medians": cm / pm if pm else None,
-                "change_wins": sum(1 for a, b in zip(pv, cv)
-                                   if sign * (b - a) > 0),
-                "pairs": len(pv)}
+                "change_wins": wins, "pairs": len(pv),
+                "claim": {"wins_nine_tenths": 10 * wins >= 9 * len(pv),
+                          "beyond_parent_iqr":
+                              sign * (cm - pm) > spread["iqr"]}}
     return workloads
 
 

@@ -17,12 +17,12 @@ from collections import Counter
 
 import numpy as np
 
-from .curvature import ricci_diagonal, ricci_koszul
+from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
-from .solver import (CHUNK, classify_signature, solve, solve_columns,
-                     solve_many)
-from .verify import certify, certify_many
+from .solver import (CHUNK, CubicSolveTrace, Family, Solution, SolveOutcome,
+                     classify_signature, solve, solve_columns, solve_many)
+from .verify import Certificate, certify, certify_many
 
 __all__ = ["main"]
 
@@ -108,11 +108,19 @@ def _flatten(record: dict, prefix: str = "") -> list[str]:
     return lines
 
 
+# finite floats whose `_fmt` text no record field holds, to mark the slots
+# of a template: `%.17g` (which writes `_fmt`'s text) for _NUM, `%s` (numbers
+# formatted beforehand) for _TEXT
+_NUM, _TEXT = 1.0000000000000002e300, 2.0000000000000004e300
+
+
 class Reporter:
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
         self.out_path = out_path
         self.lines: list[str] = []
+        # `%`-templates of record shapes, by a key naming the shape
+        self.templates: dict = {}
 
     def render(self, record: dict) -> str:
         """A record's output: one json line, or its text lines each ended
@@ -120,6 +128,14 @@ class Reporter:
         if self.fmt == "json-lines":
             return _to_json(record)
         return "".join([line + "\n" for line in _flatten(record)])
+
+    def template(self, key, record: dict) -> str:
+        """The rendered record as a `%`-template, kept under key: its _NUM
+        and _TEXT numbers are its slots, in record order, any other `%` is
+        escaped.  Fill it with finite numbers: JSON writes others as null."""
+        tpl = self.templates[key] = self.render(record).replace(
+            "%", "%%").replace(_fmt(_NUM), "%.17g").replace(_fmt(_TEXT), "%s")
+        return tpl
 
     def emit(self, record: dict):
         self.lines.append(self.render(record))
@@ -290,6 +306,41 @@ def _passed(record: dict) -> bool:
     return all(r.get("pass", True) for r in checks)
 
 
+def _solve_line(reporter, group, T, outcome, certs) -> str:
+    """`reporter.render(_solve_record(group, T, outcome, certs))`: the
+    record's numbers filled into the template of its shape, or, for a
+    record with notes or a non-finite number, the record rendered whole."""
+    fam = outcome.family
+    # `solve` gives solutions and traces or a family, never both, so a
+    # family's c is the first number after T
+    numbers = [*T] if fam is None or fam.c is None else [*T, fam.c]
+    for sol, cert in zip(_claims(outcome), certs):
+        numbers += (*sol.metric.v, sol.c,
+                    max(cert.residual_closed_form, cert.residual_oracle))
+    for t in outcome.traces:
+        numbers += (t.p, t.q)
+    if outcome.notes or not all(map(math.isfinite, numbers)):
+        return reporter.render(_solve_record(group, T, outcome, certs))
+    key = ("solve", group.name, outcome.kind, outcome.case_label,
+           len(outcome.solutions),
+           None if fam is None else (fam.constraint, fam.c is None),
+           tuple([cert.passed for cert in certs]),
+           tuple([t.multiplicity for t in outcome.traces]))
+    tpl = reporter.templates.get(key)
+    if tpl is None:
+        sol = Solution(DiagonalMetric((_NUM,) * 3), _NUM)
+        shape = SolveOutcome(
+            outcome.kind, outcome.case_label, (sol,) * len(outcome.solutions),
+            fam and Family(fam.constraint,
+                          None if fam.c is None else _NUM, sol),
+            tuple([CubicSolveTrace(_NUM, _NUM, t.multiplicity)
+                   for t in outcome.traces]))
+        tpl = reporter.template(key, _solve_record(
+            group, (_NUM,) * 3, shape,
+            [Certificate(_NUM, _NUM, False, c.passed) for c in certs]))
+    return tpl % tuple(numbers)
+
+
 # ---------------------------------------------------------------------------
 # Jobs: one tensor at a time, or a batch chunk grouped by group
 # ---------------------------------------------------------------------------
@@ -358,24 +409,24 @@ def _job_record(lineno: int, job: dict) -> dict:
         raise InputError(f"{exc} on line {lineno}") from None
 
 
-def _chunk_lines(chunk: list, render) -> tuple[list, bool]:
-    """The rendered records of a chunk of (line number, job) pairs, in
-    input order, and whether every certificate passed.
+def _chunk_lines(chunk: list, reporter) -> tuple[list, bool]:
+    """The records of a chunk of (line number, job) pairs as `reporter`
+    renders them, in input order, and whether every certificate passed.
 
     The jobs of each group are answered together: its solve and classify
     jobs by one `solve_many` call, then the claims of its solve jobs and its
     certify jobs by one `certify_many` call.  When that raises, the chunk
-    is answered again a job at a time, so the first failing line raises
-    its own error."""
+    is answered again a job at a time (and rendered whole, not through
+    templates), so the first failing line raises its own error."""
     try:
-        return _grouped_lines(chunk, render)
+        return _grouped_lines(chunk, reporter)
     except (InputError, ValueError):
         records = [_job_record(lineno, job) for lineno, job in chunk]
-        return ([render(r) for r in records],
+        return ([reporter.render(r) for r in records],
                 all([_passed(r) for r in records]))
 
 
-def _grouped_lines(chunk: list, render) -> tuple[list, bool]:
+def _grouped_lines(chunk: list, reporter) -> tuple[list, bool]:
     jobs = [_batch_job(lineno, job) for lineno, job in chunk]
     by_group: dict = {}
     for i, job in enumerate(jobs):
@@ -403,14 +454,17 @@ def _grouped_lines(chunk: list, render) -> tuple[list, bool]:
             command, _, T, claim = jobs[i]
             if command == "solve":
                 outcome = outcomes[i]
-                record = _solve_record(group, T, outcome,
-                                       [next(certs) for _ in _claims(outcome)])
+                own = [next(certs) for _ in _claims(outcome)]
+                ok = ok and all([cert.passed for cert in own])
+                lines[i] = _solve_line(reporter, group, T, outcome, own)
             elif command == "classify":
-                record = _classify_record(group, T, outcomes[i].case_label)
+                key = ("classify", group.name, outcomes[i].case_label)
+                lines[i] = (reporter.templates.get(key) or reporter.template(
+                    key, _classify_record(group, (_NUM,) * 3, key[2]))) % T
             else:
                 record = _certify_record(group, T, *claim, next(certs))
-            ok = ok and _passed(record)
-            lines[i] = render(record)
+                ok = ok and record["pass"]
+                lines[i] = reporter.render(record)
     return lines, ok
 
 
@@ -485,27 +539,11 @@ def _grid_axis(fixed, rng_text, steps, name):
         return [_parse_number(fixed, name)]
     if rng_text is not None:
         lo, hi = _parse_range(rng_text, name)
-        # half-open grid [lo, hi): lo + k*(hi-lo)/steps, k = 0..steps-1
-        return [lo + k * (hi - lo) / steps for k in range(steps)]
+        if math.isfinite((steps - 1) * (hi - lo)):  # half-open: [lo, hi)
+            return [lo + k * (hi - lo) / steps for k in range(steps)]
+        # k * (hi - lo) overflows: weigh the two ends, each term within them
+        return [lo * (1 - k / steps) + hi * (k / steps) for k in range(steps)]
     raise InputError(f"field {name!r}: sweep needs --{name} or --{name}-range")
-
-
-# finite floats whose `_fmt` text no case label holds, to mark the slots of
-# a sweep point's template
-_T_MARK, _C_MARK = 1.0000000000000002e300, 2.0000000000000004e300
-
-
-def _point_template(render, kind: str, label: str, nc: int) -> str:
-    """A sweep point's record with nc c values as `render` writes it, as a
-    `%`-template of its T (the components joined by commas) and its c
-    values (`%.17g` is `_fmt`)."""
-    record = {"command": "sweep-point", "T": [_T_MARK],
-              "kind": kind.replace("%", "%%"),
-              "case_label": label.replace("%", "%%")}
-    if nc:
-        record["c"] = [_C_MARK] * nc
-    return render(record).replace(_fmt(_T_MARK), "%s").replace(
-        _fmt(_C_MARK), "%.17g")
 
 
 def _run_sweep(args, reporter) -> int:
@@ -522,7 +560,7 @@ def _run_sweep(args, reporter) -> int:
     # numbers are `_fmt`'s in both formats; each axis value is formatted once
     texts = map(",".join, itertools.product(*[list(map(_fmt, axis))
                                               for axis in axes]))
-    points, templates = itertools.product(*axes), {}
+    points, templates = itertools.product(*axes), reporter.templates
     counts, kind_counts = Counter(), Counter()
     # the grid in chunks of `solve_many`, each solved and rendered at once
     while chunk := list(itertools.islice(points, CHUNK)):
@@ -537,10 +575,11 @@ def _run_sweep(args, reporter) -> int:
         lines = []
         for T, kind, label, c in zip(itertools.islice(texts, len(chunk)),
                                      kinds, labels, cs):
-            tpl = templates.get((kind, label))
-            if tpl is None:  # the kind fixes the number of c values
-                tpl = templates[kind, label] = _point_template(
-                    reporter.render, kind, label, len(c))
+            # the kind fixes the number of c values; T fills one `%s` slot
+            tpl = templates.get((kind, label)) or reporter.template(
+                (kind, label), {"command": "sweep-point", "T": [_TEXT],
+                                "kind": kind, "case_label": label,
+                                **({"c": [_NUM] * len(c)} if c else {})})
             lines.append(tpl % (T, *c))
         # one string per chunk, as in `batch`; records are written only
         # once the command has succeeded
@@ -587,7 +626,7 @@ def _run_batch(args, reporter) -> int:
                 chunk.append(item)
         except InputError as exc:
             unread = exc  # the jobs above the unreadable line run first
-        lines, ok = _chunk_lines(chunk, reporter.render)
+        lines, ok = _chunk_lines(chunk, reporter)
         if lines:
             # one string per chunk: `flush` puts the same newline between
             reporter.lines.append("\n".join(lines))

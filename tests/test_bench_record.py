@@ -70,3 +70,38 @@ def test_single_pair_exits_naming_the_workload(bench_record):
               **runs("batch-mixed", [(60.0, 1.8)])}
     with pytest.raises(SystemExit, match="batch-mixed: one pair of runs"):
         bench_record.summarize(parent, change, BETTER)
+
+
+def test_claim_needs_nine_tenths_of_the_pairs(bench_record):
+    # ten pairs: the change wins nine and ties one on items_per_s, and
+    # wins eight and ties two on setup_s; ties count for neither side
+    p = [(100.0 + k, 1.0) for k in range(10)]
+    c = [(200.0, 0.5)] * 9 + [(109.0, 1.0)]
+    c[0] = (c[0][0], 1.0)
+    (w,) = bench_record.summarize(runs("batch-mixed", p),
+                                  runs("batch-mixed", c), BETTER).values()
+    items, setup = w["metrics"]["items_per_s"], w["metrics"]["setup_s"]
+    assert (items["change_wins"], setup["change_wins"]) == (9, 8)
+    assert items["claim"]["wins_nine_tenths"]
+    assert not setup["claim"]["wins_nine_tenths"]
+
+
+def test_claim_needs_a_gain_beyond_the_parent_iqr(bench_record):
+    # parent quartiles 102.25 and 106.75 (IQR 4.5): a median gain of 4
+    # wins every pair but stays inside the spread, a gain of 5 does not
+    p = [(100.0 + k, 1.0) for k in range(10)]
+    for gain, beyond in ((4.0, False), (5.0, True)):
+        c = [(v + gain, s - gain / 10) for v, s in p]
+        (w,) = bench_record.summarize(runs("batch-mixed", p),
+                                      runs("batch-mixed", c), BETTER).values()
+        items = w["metrics"]["items_per_s"]
+        assert items["parent"]["iqr"] == pytest.approx(4.5)
+        assert items["change_wins"] == 10
+        assert items["claim"] == {"wins_nine_tenths": True,
+                                  "beyond_parent_iqr": beyond}
+    # lower is better for setup_s: a rise is never a gain, however large
+    c = [(v, s + 1.0) for v, s in p]
+    (w,) = bench_record.summarize(runs("batch-mixed", p),
+                                  runs("batch-mixed", c), BETTER).values()
+    assert w["metrics"]["setup_s"]["claim"] == {"wins_nine_tenths": False,
+                                                "beyond_parent_iqr": False}

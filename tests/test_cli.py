@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from prescribed_ricci import cli
+from prescribed_ricci import cli, verify
 from prescribed_ricci.cli import Reporter, main
+
+from conftest import random_solvable
 
 
 def run(capsys, *argv):
@@ -365,6 +367,84 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
     for name in ("solve", "classify_signature", "certify"):
         monkeypatch.setattr(cli, name, scalar)
     assert batch_output(path, "json-lines", capsys)[0] == 3
+
+
+FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+          2.2250738585072014e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17, 123456789.0]
+
+
+@pytest.mark.parametrize("fmt", ["json-lines", "text"])
+def test_template_slots_write_what_render_writes(fmt):
+    # `%.17g` is `_fmt` on every finite float, subnormals and the extremes
+    # too; bit patterns drawn at random cover the rest
+    bits = np.random.default_rng(5).integers(0, 2**63, size=20000,
+                                             dtype=np.uint64)
+    drawn = [x for x in bits.view(np.float64).tolist() if np.isfinite(x)]
+    assert ["%.17g" % x for x in FLOATS + drawn] == [
+        cli._fmt(x) for x in FLOATS + drawn]
+    # a `%` in a string field survives; _TEXT takes numbers written before
+    reporter = Reporter(fmt, None)
+
+    def record(T, c, d):
+        return {"command": "100% done", "T": T, "kind": "%s %% %.17g",
+                "c": c, "family": {"constraint": "50%", "c_fixed": d}}
+
+    tpl = reporter.template("key", record([cli._TEXT], [cli._NUM] * 2,
+                                          cli._NUM))
+    assert reporter.templates == {"key": tpl}
+    for x, y, z in zip(FLOATS, FLOATS[1:], FLOATS[2:]):
+        T = (z, x, y)
+        assert tpl % (",".join(map(cli._fmt, T)), x, y, z) == reporter.render(
+            record(list(T), [x, y], z))
+
+
+@pytest.mark.parametrize("threshold", [None, 5e-16])
+def test_grouped_lines_equal_job_records(threshold, monkeypatch):
+    """2,400 seeded jobs over the six groups and three commands, solvable
+    shapes and Gaussian ones, each T scaled log-uniform in 1e+-250: every
+    record `_grouped_lines` writes, filled into a template or rendered
+    whole, is the record `_job_record` builds for the job alone, rendered,
+    in both formats.  A pass threshold of 5e-16 fails some solutions of a
+    solve record and passes others, so `pass` patterns vary within shapes."""
+    if threshold is not None:
+        monkeypatch.setattr(verify, "PASS_THRESHOLD", threshold)
+    gen = np.random.default_rng(12)
+    groups = ("so3", "sl2", "e2", "e11", "h3", "r3")
+    commands = ("solve", "solve", "classify", "solve", "certify")
+    jobs = []
+    for i in range(2400):
+        name = groups[i % 6]
+        T = (random_solvable(cli.group_from_name(name), gen)
+             if gen.random() < 0.75 else gen.normal(size=3))
+        scale = 10.0 ** gen.uniform(-250, 250)
+        job = {"command": commands[i % 5], "group": name,
+               "T": [float(t) * scale for t in T]}
+        if job["command"] == "certify":
+            job["v"] = (10.0 ** gen.uniform(-100, 100, size=3)).tolist()
+            job["c"] = float(10.0 ** gen.uniform(-100, 100))
+        jobs.append((i + 1, job))
+    reporters = [Reporter(fmt, None) for fmt in ("json-lines", "text")]
+    seen = {"notes": 0, "|q| = inf": 0, "failed": 0, "solve failed": 0}
+    for start in range(0, len(jobs), cli.BATCH_CHUNK):
+        chunk = jobs[start:start + cli.BATCH_CHUNK]
+        records = [cli._job_record(lineno, job) for lineno, job in chunk]
+        for reporter in reporters:
+            assert cli._grouped_lines(chunk, reporter) == (
+                [reporter.render(r) for r in records],
+                all([cli._passed(r) for r in records]))
+        for r in records:
+            seen["notes"] += "notes" in r
+            seen["|q| = inf"] += any(abs(t["q"]) == np.inf
+                                     for t in r.get("traces", ()))
+            seen["failed"] += not cli._passed(r)
+            seen["solve failed"] += r["command"] == "solve" and any(
+                not s["pass"] for s in r["solutions"])
+    assert seen["notes"] and seen["|q| = inf"] and seen["failed"], seen
+    assert threshold is None or seen["solve failed"], seen
+    for reporter in reporters:
+        keys = {key[0] for key in reporter.templates}
+        assert keys == {"solve", "classify"}
 
 
 def batch_error(lines, tmp_path, capsys, chunk=None, monkeypatch=None):

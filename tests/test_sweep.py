@@ -3,6 +3,7 @@ templates; its output must be, byte for byte, the records built from
 `solve(group, T)` and rendered by `_to_json` / `_flatten`, which still serve
 `solve` and `batch`."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -111,3 +112,28 @@ def test_sweep_error_names_the_grid_point(tmp_path, capsys):
         "error: field 'T': grid point (1e-310, -1e-311, -1e-311): c = inf is "
         "outside the float range (|T|_inf ~ 8^-344)\n")
 
+
+def test_wide_range_grid_stays_finite(tmp_path):
+    # hi - lo overflows: the grid weighs the two ends instead of writing
+    # lo + 0 * inf = nan
+    out = swept("json-lines", "so3", ["--T1-range=-1e308..1e308", "--T2=1",
+                                      "--T3=1", "--steps=2"], tmp_path / "a")
+    points = [json.loads(line)["T"] for line in out.splitlines()[:-1]]
+    assert points == [[-1e308, 1.0, 1.0], [0.0, 1.0, 1.0]]
+    # hi - lo is finite at 8e307 but 2 * (hi - lo) is not
+    for big in (1.7976931348623157e308, 8e307):
+        for steps in (1, 3, 7, 100):
+            axis = cli._grid_axis(None, f"{-big!r}..{big!r}", steps, "T1")
+            assert len(axis) == steps and axis[0] == -big
+            assert all(a < b for a, b in zip(axis, axis[1:]))
+            assert axis[-1] < big
+
+
+@pytest.mark.parametrize("text", ["-2..0", "0.1..0.7", "-1e300..1e300",
+                                  "-8e305..8e305", "1e-320..3e-320"])
+def test_ordinary_grid_keeps_its_formula(text):
+    # bench/validate.py recomputes each grid point as lo + k*(hi-lo)/steps
+    lo, hi = map(float, text.split(".."))
+    for steps in (1, 3, 100):
+        assert cli._grid_axis(None, text, steps, "T2") == [
+            lo + k * (hi - lo) / steps for k in range(steps)]
