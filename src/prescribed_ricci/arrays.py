@@ -1,12 +1,11 @@
-"""Array forms of the cubic kernel, for `solve_many` and `solve_columns`.
+"""The cubic kernel: every SO3 and SL2 case row that the reduction cubic
+decides is answered here, for one lane or a chunk of them.
 
-One lane per tensor: the root isolation of `cubic.roots_in_interval`, the
-cube-root reconstruction of `solver.reconstruct_from_p` and its metric
-polish run on numpy arrays of lanes, each lane with the scalar code's float
-operations in the scalar code's order, so every lane gets the scalar result
-bit for bit.  A lane is left to the scalar `solve` wherever the scalar code
-would raise or the lane meets a non-finite value.  `solve_many` loads this
-module on first use, so code that only calls `solve` never does.
+One lane per tensor: root isolation (`cubic.roots_in_interval_many`), the
+cube-root reconstruction of each root's metric and its metric polish run on
+numpy arrays of lanes.  A lane's float operations never depend on the other
+lanes, so `solve` (one lane) and `solve_many` (a chunk) give every lane the
+same bits.  A lane that would raise carries its ValueError in the columns.
 """
 from __future__ import annotations
 
@@ -14,59 +13,89 @@ from collections import namedtuple
 
 import numpy as np
 
-from .cubic import ROOT_TOL
-from .solver import (_T3_SIGN, POLISH_STEPS, POLISH_TOL, _averaged,
-                     _correspondence, _cubic_coeffs, _CubicCase,
-                     _from_system, _jacobian, _plan, _scaled_system)
+from .cubic import roots_in_interval_many
 
-__all__ = ["plan_chunk", "roots_in_interval_many"]
+__all__ = ["Columns", "cubic_columns"]
+
+# the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
+# in the last place
+POLISH_TOL = 5.0 * 2.0 ** -52
+# most Newton steps of the metric polish
+POLISH_STEPS = 4
+
+# the one sign that tells the SO3 and SL2 reductions apart: T3 enters the
+# cubic, the denominators p +- T3 and v3 = +-(x1+x2)/2 with it
+_T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
 
 # a chunk's answers, a row per cubic lane (`row` maps a lane's tensor index
 # to it): the root count n, and per root slot, ascending in c and padded with
-# nan (0 in mult), c, v (caller's axis order), p, q, mult for T / 8^k
-Columns = namedtuple("Columns", "row n c v p q mult")
+# nan (0 in mult), c, v (caller's axis order), p, q, mult for T / 8^k; and
+# `error`, the ValueError of each tensor index whose lane raises
+Columns = namedtuple("Columns", "row n c v p q mult error")
 
 
-def plan_chunk(group, Ts) -> tuple[list, Columns]:
-    """Per tensor, its plan (k, raw) or None for a lane `solve` takes, and
-    the `Columns` that answer the plans whose raw is a `_CubicCase`."""
-    plans = []
-    for T in Ts:
-        try:
-            plans.append(_plan(group, T))
-        except Exception:
-            plans.append(None)  # solve raises it again, in its place
-    try:
-        return plans, _cubic_many(group, plans)
-    except np.linalg.LinAlgError:
-        plans = [None] * len(plans)
-        return plans, _cubic_many(group, plans)
+def _scaled_system(group, v, T):
+    """Residual vector of the normalized system 2 v_i x_j x_k - T_i
+    (the curvature equations with v1*v2*v3*c = 1 substituted in); v and T
+    index to arrays of lanes."""
+    lam = group.lambdas
+    x = [(sum(lam[m] * v[m] for m in range(3)) - 2.0 * lam[i] * v[i]) / 2.0
+         for i in range(3)]
+    return [2.0 * v[i] * x[(i + 1) % 3] * x[(i + 2) % 3] - T[i]
+            for i in range(3)], x
 
 
-def _cubic_many(group, plans: list) -> Columns:
-    """The `Columns` of the `_CubicCase` lanes of a chunk's plans; clears
-    the plan of each lane left to `solve`."""
-    lanes = [i for i, plan in enumerate(plans)
-             if plan is not None and type(plan[1]) is _CubicCase]
-    cases = [plans[i][1] for i in lanes]
+def _jacobian(group, v, x):
+    """Rows of the Jacobian of `_scaled_system` in v."""
+    lam = group.lambdas
+    J = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        row = []
+        for n in range(3):
+            dxj = 0.5 * lam[n] * (-1.0 if j == n else 1.0)
+            dxk = 0.5 * lam[n] * (-1.0 if k == n else 1.0)
+            e = 2.0 * v[i] * (dxj * x[k] + x[j] * dxk)
+            if i == n:
+                e += 2.0 * x[j] * x[k]
+            row.append(e)
+        J.append(row)
+    return J
+
+
+def cubic_columns(group, cases: dict) -> Columns:
+    """The `Columns` answering `cases`, a dict from tensor index to the
+    `solver._CubicCase` of its lane: the roots of the lane's cubic in the
+    case interval (or the one root an interval lo == hi pins), the first
+    `take` of them reconstructed and polished."""
+    lanes = list(cases)
+    cases = list(cases.values())
     size = len(cases)
     c, p, q = np.full((3, size, 2), np.nan)
     cols = Columns(dict(zip(lanes, range(size))), np.zeros(size, int), c,
-                   np.full((size, 2, 3), np.nan), p, q, np.zeros((size, 2), int))
+                   np.full((size, 2, 3), np.nan), p, q, np.zeros((size, 2), int),
+                   {})
     if not cases:
         return cols
     T = np.array([case.T for case in cases])
     T = (T[:, 0], T[:, 1], T[:, 2])
-    roots, mults, ok = roots_in_interval_many(
-        _cubic_coeffs(_T3_SIGN[group.name], T),
-        [case.lo for case in cases], [case.hi for case in cases])
+    lo = np.array([case.lo for case in cases])
+    hi = np.array([case.hi for case in cases])
+    sgn = _T3_SIGN[group.name]
+    # the reduction cubic 2 p^3 + (T1 + T2 +- T3) p^2 -+ T1 T2 T3
+    roots, mults = roots_in_interval_many(
+        (2.0, T[0] + T[1] + sgn * T[2], 0.0, -sgn * T[0] * T[1] * T[2]),
+        lo, hi)
+    pinned = lo == hi
+    roots[pinned, 0], mults[pinned, 0] = lo[pinned], 1
     take = np.array([case.take for case in cases])
-    taken = (mults > 0) & ok[:, None] & (
-        np.cumsum(mults > 0, axis=1) <= take[:, None])
+    taken = (mults > 0) & (np.cumsum(mults > 0, axis=1) <= take[:, None])
     lane, slot = np.nonzero(taken)
-    v, c, q, good = _reconstruct_many(group, tuple(t[lane] for t in T),
-                                      roots[lane, slot])
-    ok[lane[~good]] = False
+    v, c, q, errors = _reconstruct_many(group, tuple(t[lane] for t in T),
+                                        roots[lane, slot])
+    # a lane raises for its first inadmissible root, as roots are taken
+    for r, error in errors.items():
+        cols.error.setdefault(lanes[lane[r]], error)
     # a lane's roots fill its slots in turn, back in the caller's axis order
     pos = np.cumsum(taken, axis=1)[lane, slot] - 1
     cols.c[lane, pos], cols.p[lane, pos] = c, roots[lane, slot]
@@ -76,41 +105,60 @@ def _cubic_many(group, plans: list) -> Columns:
     cols.n[:] = taken.sum(axis=1)
     # each lane in ascending c; equal c keep their order, as a stable sort
     swap = cols.c[:, 1] < cols.c[:, 0]
-    for col in cols[2:]:
+    for col in (cols.c, cols.v, cols.p, cols.q, cols.mult):
         col[swap] = col[swap][:, ::-1]
-    for i, lane_ok in zip(lanes, ok.tolist()):
-        if not lane_ok:
-            plans[i] = None
     return cols
 
 
 def _reconstruct_many(group, T, p):
-    """`_reconstruct` on arrays of lanes (T as three columns): (v, c, q,
-    ok), with v of shape (P, 3) and ok False where the scalar form would
-    raise or meet a non-finite value.  Raises LinAlgError from the polish."""
+    """(v, c, q, errors) of the cubic roots p (T as three columns of lanes):
+    the polished metrics v of shape (P, 3), their c = 1 / (v1 v2 v3) and the
+    cube roots q, and the ValueError of each inadmissible root by index.
+
+    q is the real (sign-preserving) cube root of p(p+T1)(p+T2)(p+-T3); the
+    x_i = q/(p +- T_i) rebuild the metric, and `_polish_many` removes the
+    sensitivity of that map near its poles."""
     sgn = _T3_SIGN[group.name]
+    T1, T2, T3 = T
     with np.errstate(all="ignore"):
-        d, q = _correspondence(sgn, T, p)
-        x = (q / d[0], q / d[1], q / d[2])
-        v_avg, slack = _averaged(sgn, x)
-        v = np.where(((T[0] != 0.0) & (T[1] != 0.0) & (T[2] != 0.0))[:, None],
-                     np.stack(_from_system(T, x), axis=1),
-                     np.stack(v_avg, axis=1))
-        ok = ((d[0] != 0.0) & (d[1] != 0.0) & (d[2] != 0.0)
-              & np.isfinite(np.stack(x, axis=1)).all(axis=1)
-              & ~((v_avg[0] + slack[0] <= 0.0) | (v_avg[1] + slack[1] <= 0.0)
-                  | (v_avg[2] + slack[2] <= 0.0))
-              & np.isfinite(v).all(axis=1) & (v.min(axis=1) > 0.0))
-        v = _polish_many(group, v, T, ok)
+        d = (p + T1, p + T2, p + sgn * T3)
+        q = np.cbrt(p * d[0] * d[1] * d[2])
+        x1, x2, x3 = q / d[0], q / d[1], q / d[2]
+        # admissibility is the sign pattern of the averaged forms
+        # v1 = (x2+x3)/2, v2 = (x1+x3)/2, v3 = +-(x1+x2)/2; allow exact
+        # cancellation to zero there, since thin case intervals make the
+        # x_i huge with opposite signs
+        v_avg = np.stack([(x2 + x3) / 2.0, (x1 + x3) / 2.0,
+                          sgn * (x1 + x2) / 2.0], axis=1)
+        slack = 1e-12 * np.stack([abs(x2) + abs(x3), abs(x1) + abs(x3),
+                                  abs(x1) + abs(x2)], axis=1)
+        averaged_bad = (v_avg + slack <= 0.0).any(axis=1)
+        # v_i = T_i / (2 x_j x_k) is the system solved for v: unlike the
+        # averaged forms it never cancels
+        v = np.where(((T1 != 0.0) & (T2 != 0.0) & (T3 != 0.0))[:, None],
+                     np.stack([T1 / (2.0 * x2 * x3), T2 / (2.0 * x3 * x1),
+                               T3 / (2.0 * x1 * x2)], axis=1), v_avg)
+        bad = averaged_bad | (v.min(axis=1) <= 0.0)
+        shown = np.where(averaged_bad[:, None], v_avg, v)
+        v = _polish_many(group, v, T, ~bad)
         c = 1.0 / (v[:, 0] * v[:, 1] * v[:, 2])
-        ok &= np.isfinite(c)
-    return v, c, q, ok
+    errors = {r: ValueError(f"root p={float(p[r])} is inadmissible: metric "
+                            f"{tuple(shown[r].tolist())} not positive")
+              for r in np.flatnonzero(bad).tolist()}
+    return v, c, q, errors
 
 
-def _polish_many(group, v, T, ok):
-    """`_polish_metric` on the lanes where `ok` holds (v of shape (P, 3), T
-    as three columns); clears `ok` where a residual or step is not finite.
-    Raises LinAlgError when any step matrix is singular."""
+def _polish_many(group, v, T, live):
+    """Newton-polish the metrics v, of shape (P, 3), on the normalized
+    system, on the lanes where `live` holds (T as three columns).
+
+    Reconstruction through the cubic variable p loses relative accuracy when
+    a correspondence denominator p +- T_i is small (thin case intervals); up
+    to POLISH_STEPS Newton steps directly in metric space restore residuals
+    to rounding level, POLISH_TOL * |T|_inf.  Each lane keeps its best
+    iterate and stops where a step is singular or would leave the positive
+    octant.
+    """
     done = POLISH_TOL * np.maximum(np.maximum(abs(T[0]), abs(T[1])),
                                    abs(T[2]))
 
@@ -120,8 +168,7 @@ def _polish_many(group, v, T, ok):
 
     v = v.copy()
     best, best_res = v.copy(), res(v, T)
-    ok &= np.isfinite(best_res)
-    live = ok.copy()
+    live = live.copy()
     for _ in range(POLISH_STEPS):
         live &= ~(best_res <= done)
         idx = np.flatnonzero(live)
@@ -131,18 +178,12 @@ def _polish_many(group, v, T, ok):
         F, x = _scaled_system(group, w.T, Tw)
         J = np.stack([np.stack(row, axis=-1)
                       for row in _jacobian(group, w.T, x)], axis=-2)
-        A, F = J * w[:, None, :], np.stack(F, axis=-1)
-        finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(F).all(axis=1)
-        u = np.full(F.shape, np.nan)
-        u[finite] = np.linalg.solve(A[finite], F[finite][..., None])[..., 0]
-        finite &= np.isfinite(u).all(axis=1)
-        u = np.clip(u, -0.5, 0.5)
+        # solve for the relative step u = dv/v: the components of v can span
+        # many decades and column scaling keeps the solve meaningful
+        u = np.clip(_steps(J * w[:, None, :], np.stack(F, axis=-1)), -0.5, 0.5)
         vn = w * (1.0 - u)
         rn = res(vn, Tw)
-        positive = vn.min(axis=1) > 0.0  # the scalar loop stops where not
-        finite &= ~positive | np.isfinite(rn)
-        ok[idx[~finite]] = False
-        step = finite & positive
+        step = vn.min(axis=1) > 0.0  # false where u is nan
         better = step & (rn < best_res[idx])
         best[idx[better]] = vn[better]
         best_res[idx[better]] = rn[better]
@@ -151,100 +192,16 @@ def _polish_many(group, v, T, ok):
     return best
 
 
-# the root isolation of `cubic.roots_in_interval`
-
-def _refine_brackets(a3, a2, a1, a0, a, b, fb):
-    """`_refine_bracket` on every lane at once (inside np.errstate(all=
-    "ignore")); lanes leave as they return."""
-    out = np.empty_like(a)
-    lane = np.arange(len(a))
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        if not lane.size:
-            return out
-        fx = ((a3 * x + a2) * x + a1) * x + a0
-        move_b = (fx > 0.0) == (fb > 0.0)
-        a = np.where(move_b, a, x)
-        b, fb = np.where(move_b, x, b), np.where(move_b, fx, fb)
-        dfx = (3.0 * a3 * x + 2.0 * a2) * x + a1
-        xn = x - fx / dfx
-        xn = np.where((dfx != 0.0) & (a < xn) & (xn < b), xn, 0.5 * (a + b))
-        hit = fx == 0.0
-        done = ~hit & (np.abs(xn - x)
-                       <= ROOT_TOL * np.maximum(1.0, np.abs(xn)))
-        if not (hit.any() or done.any()):
-            x = xn
-            continue
-        out[lane[hit]] = x[hit]
-        # the converged lanes take one more Newton step if it stays inside
-        x_end, c3, c2, c1, c0 = xn[done], a3[done], a2[done], a1[done], a0[done]
-        dfe = (3.0 * c3 * x_end + 2.0 * c2) * x_end + c1
-        xp = x_end - (((c3 * x_end + c2) * x_end + c1) * x_end + c0) / dfe
-        out[lane[done]] = np.where((dfe != 0.0) & (a[done] <= xp)
-                                   & (xp <= b[done]), xp, x_end)
-        go = ~(hit | done)
-        lane, x, a, b, fb = lane[go], xn[go], a[go], b[go], fb[go]
-        a3, a2, a1, a0 = a3[go], a2[go], a1[go], a0[go]
-    out[lane] = x
-    return out
-
-
-def roots_in_interval_many(coeffs, lo, hi):
-    """`roots_in_interval` for N cubics, each on its own open interval.
-
-    `coeffs` is (a3, a2, a1, a0), each an array of N lanes or a float, with
-    a1 = 0 and |a3| >= 1e-290 as `roots_in_interval` requires, and `lo`,
-    `hi` are arrays of N endpoints.  Returns (roots, mults, ok): roots and
-    mults of shape (N, 2), a root in each slot where mults > 0, ascending,
-    and ok (N,) False for the lanes left to the scalar function (those
-    with a non-finite coefficient or node value, an empty interval or 0
-    inside it); their rows are not meaningful.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a3, a2, a1, a0 = (np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
-                      for c in coeffs)
-    with np.errstate(all="ignore"):
-        ok = (np.isfinite(a3) & np.isfinite(a2) & np.isfinite(a1)
-              & np.isfinite(a0) & (lo < hi) & ~((lo < 0.0) & (0.0 < hi)))
-
-        bound = 1.0 + np.maximum(np.abs(a2), np.abs(a0)) / np.abs(a3)
-        wlo = np.maximum(lo, -bound)
-        whi = np.minimum(hi, bound)
-        window = ok & (wlo < whi)
-
-        def value(p):
-            return ((a3 * p + a2) * p + a1) * p + a0
-
-        # 0 is not inside, so -2*a2/(3*a3) is the one critical point that
-        # can be; where poly is within rounding of zero there, it is the
-        # lane's one root, a double root
-        crit = -2.0 * a2 / (3.0 * a3)
-        inner = window & (wlo < crit) & (crit < whi)
-        f_crit, q = value(crit), np.abs(crit)
-        double = inner & (np.abs(f_crit) <= ROOT_TOL * np.maximum(
-            ((np.abs(a3) * q + np.abs(a2)) * q + np.abs(a1)) * q
-            + np.abs(a0), 1e-30))
-
-        # the nodes wlo, crit, whi; without an inner critical point the
-        # middle node repeats wlo, whose empty bracket is skipped
-        mid = np.where(inner, crit, wlo)
-        nodes = np.stack([wlo, mid, whi], axis=1)
-        v0 = value(wlo)
-        vals = np.stack([v0, np.where(inner, np.where(double, 0.0, f_crit), v0),
-                         value(whi)], axis=1)
-        ok &= ~window | np.isfinite(vals).all(axis=1)
-
-        fa, fb = vals[:, :-1], vals[:, 1:]
-        bracket = (window[:, None] & (fa != 0.0) & (fb != 0.0)
-                   & ((fa > 0.0) != (fb > 0.0)))
-        rows, cols = np.nonzero(bracket)
-        roots = np.full((len(lo), 2), np.nan)
-        roots[rows, cols] = _refine_brackets(
-            a3[rows], a2[rows], a1[rows], a0[rows], nodes[rows, cols],
-            nodes[rows, cols + 1], fb[rows, cols])
-        mults = ((lo[:, None] < roots) & (roots < hi[:, None])).astype(int)
-        # a double root's brackets were skipped, so its slot is free
-        roots[double, 0] = crit[double]
-        mults[double, 0] = 2
-    return roots, mults, ok
+def _steps(A, F):
+    """The solutions u of A u = F, lane by lane (A of shape (P, 3, 3), F of
+    shape (P, 3)); nan for a lane whose A is singular."""
+    try:
+        return np.linalg.solve(A, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        u = np.full(F.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                u[i] = np.linalg.solve(A[i], F[i])
+            except np.linalg.LinAlgError:
+                pass
+        return u

@@ -1,4 +1,4 @@
-"""Certified real-root isolation for cubics on open intervals.
+"""Certified real-root isolation for cubics on open intervals, on arrays.
 
 The cubics are the solver's reductions a3*p^3 + a2*p^2 + a0, with no linear
 term, so their critical points are exactly 0 and -2*a2/(3*a3); and every
@@ -12,12 +12,19 @@ there rather than by clustering.
 Closed-form solvers were rejected: branch selection near a double root is
 exactly where they cancel catastrophically, and the two-solution regime of the
 curvature problem lives next to that boundary.
+
+`roots_in_interval_many` isolates N cubics at once, one lane each, on numpy
+arrays: it is the one isolation kernel, behind `solve` and `solve_many`.
+`roots_in_interval` is its one-lane form for a `CubicPoly`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CubicPoly", "RootReport", "roots_in_interval"]
+import numpy as np
+
+__all__ = ["CubicPoly", "RootReport", "roots_in_interval",
+           "roots_in_interval_many"]
 
 _TINY = 1e-290
 # roots are polished to |dp| <= ROOT_TOL * max(1, |p|)
@@ -40,16 +47,6 @@ class CubicPoly:
         a3, a2, a1, a0 = self.coeffs
         return ((a3 * p + a2) * p + a1) * p + a0
 
-    def deriv(self, p: float) -> float:
-        a3, a2, a1, _ = self.coeffs
-        return (3.0 * a3 * p + 2.0 * a2) * p + a1
-
-    def value_scale(self, p: float) -> float:
-        """Magnitude scale of the evaluation at p (for relative tolerances)."""
-        a3, a2, a1, a0 = self.coeffs
-        q = abs(p)
-        return ((abs(a3) * q + abs(a2)) * q + abs(a1)) * q + abs(a0)
-
 
 @dataclass(frozen=True)
 class RootReport:
@@ -60,37 +57,6 @@ class RootReport:
 
     def __len__(self):
         return len(self.roots)
-
-
-def _refine_bracket(poly: CubicPoly, a: float, b: float, fa: float,
-                    fb: float) -> float:
-    """Newton with a sign-change bracket as safety net.  fa*fb < 0 required."""
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        fx = poly(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-        dfx = poly.deriv(x)
-        if dfx != 0.0:
-            xn = x - fx / dfx
-            if not (a < xn < b):
-                xn = 0.5 * (a + b)
-        else:
-            xn = 0.5 * (a + b)
-        if abs(xn - x) <= ROOT_TOL * max(1.0, abs(xn)):
-            x = xn
-            dfx = poly.deriv(x)
-            if dfx != 0.0:
-                xp = x - poly(x) / dfx
-                if a <= xp <= b:
-                    x = xp
-            return x
-        x = xn
-    return x
 
 
 def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
@@ -106,7 +72,7 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
 
     Raises ValueError for a nonzero linear coefficient, an underflowing
     cubic coefficient (|a3| < 1e-290), an empty interval or an interval
-    with 0 inside.
+    with 0 inside; `roots_in_interval_many` on one lane otherwise.
     """
     a3, a2, a1, a0 = poly.coeffs
     if a1 != 0.0:
@@ -120,30 +86,100 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
         raise ValueError(f"interval ({lo}, {hi}) contains 0; the isolator "
                          "takes one side of it")
 
-    # All real roots lie within the Cauchy bound; clip infinite endpoints.
-    bound = 1.0 + max(abs(a2), abs(a0)) / abs(a3)
-    wlo = max(lo, -bound)
-    whi = min(hi, bound)
-    if not wlo < whi:
-        return RootReport((), ())
+    roots, mults = roots_in_interval_many(
+        poly.coeffs, np.array([lo], dtype=float), np.array([hi], dtype=float))
+    found = mults[0] > 0
+    return RootReport(tuple(roots[0, found].tolist()),
+                      tuple(mults[0, found].tolist()))
 
-    # the derivative 3*a3*p^2 + 2*a2*p vanishes at 0, which is not inside,
-    # and at -2*a2/(3*a3)
-    crit = -2.0 * a2 / (3.0 * a3)
-    nodes = [wlo, whi]
-    if wlo < crit < whi:
-        # where poly is within rounding of zero there, it is a double root
-        # and the interval's only one: poly is monotone from it to the ends
-        if abs(poly(crit)) <= ROOT_TOL * max(poly.value_scale(crit), 1e-30):
-            return RootReport((crit,), (2,))
-        nodes.insert(1, crit)
 
-    vals = [poly(p) for p in nodes]
-    roots = []
-    for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
-        if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
+def _refine_brackets(a3, a2, a1, a0, a, b, fb):
+    """Newton with a sign-change bracket (a, b) as safety net, on every lane
+    at once (inside np.errstate(all="ignore")); fb is the value at b, and
+    lanes leave as they converge."""
+    out = np.empty_like(a)
+    lane = np.arange(len(a))
+    x = 0.5 * (a + b)
+    for _ in range(200):
+        if not lane.size:
+            return out
+        fx = ((a3 * x + a2) * x + a1) * x + a0
+        move_b = (fx > 0.0) == (fb > 0.0)
+        a = np.where(move_b, a, x)
+        b, fb = np.where(move_b, x, b), np.where(move_b, fx, fb)
+        dfx = (3.0 * a3 * x + 2.0 * a2) * x + a1
+        xn = x - fx / dfx
+        xn = np.where((dfx != 0.0) & (a < xn) & (xn < b), xn, 0.5 * (a + b))
+        hit = fx == 0.0
+        done = ~hit & (np.abs(xn - x)
+                       <= ROOT_TOL * np.maximum(1.0, np.abs(xn)))
+        if not (hit.any() or done.any()):
+            x = xn
             continue
-        r = _refine_bracket(poly, a, b, fa, fb)
-        if lo < r < hi:
-            roots.append(r)
-    return RootReport(tuple(roots), (1,) * len(roots))
+        out[lane[hit]] = x[hit]
+        # the converged lanes take one more Newton step if it stays inside
+        x_end, c3, c2, c1, c0 = xn[done], a3[done], a2[done], a1[done], a0[done]
+        dfe = (3.0 * c3 * x_end + 2.0 * c2) * x_end + c1
+        xp = x_end - (((c3 * x_end + c2) * x_end + c1) * x_end + c0) / dfe
+        out[lane[done]] = np.where((dfe != 0.0) & (a[done] <= xp)
+                                   & (xp <= b[done]), xp, x_end)
+        go = ~(hit | done)
+        lane, x, a, b, fb = lane[go], xn[go], a[go], b[go], fb[go]
+        a3, a2, a1, a0 = a3[go], a2[go], a1[go], a0[go]
+    out[lane] = x
+    return out
+
+
+def roots_in_interval_many(coeffs, lo, hi):
+    """`roots_in_interval` for N cubics, each on its own open interval.
+
+    `coeffs` is (a3, a2, a1, a0), each an array of N lanes or a float, and
+    `lo`, `hi` are arrays of N endpoints, each lane as `roots_in_interval`
+    requires (not checked here).  Returns (roots, mults) of shape (N, 2): a
+    root in each slot where mults > 0, ascending.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a3, a2, a1, a0 = (np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
+                      for c in coeffs)
+    with np.errstate(all="ignore"):
+        # all real roots lie within the Cauchy bound; clip infinite ends
+        bound = 1.0 + np.maximum(np.abs(a2), np.abs(a0)) / np.abs(a3)
+        wlo = np.maximum(lo, -bound)
+        whi = np.minimum(hi, bound)
+        window = wlo < whi
+
+        def value(p):
+            return ((a3 * p + a2) * p + a1) * p + a0
+
+        # 0 is not inside, so -2*a2/(3*a3) is the one critical point that
+        # can be; where poly is within rounding of zero there, it is the
+        # lane's one root, a double root
+        crit = -2.0 * a2 / (3.0 * a3)
+        inner = window & (wlo < crit) & (crit < whi)
+        f_crit, q = value(crit), np.abs(crit)
+        double = inner & (np.abs(f_crit) <= ROOT_TOL * np.maximum(
+            ((np.abs(a3) * q + np.abs(a2)) * q + np.abs(a1)) * q
+            + np.abs(a0), 1e-30))
+
+        # the nodes wlo, crit, whi; without an inner critical point the
+        # middle node repeats wlo, whose empty bracket is skipped
+        mid = np.where(inner, crit, wlo)
+        nodes = np.stack([wlo, mid, whi], axis=1)
+        v0 = value(wlo)
+        vals = np.stack([v0, np.where(inner, np.where(double, 0.0, f_crit), v0),
+                         value(whi)], axis=1)
+
+        fa, fb = vals[:, :-1], vals[:, 1:]
+        bracket = (window[:, None] & (fa != 0.0) & (fb != 0.0)
+                   & ((fa > 0.0) != (fb > 0.0)))
+        rows, cols = np.nonzero(bracket)
+        roots = np.full((len(lo), 2), np.nan)
+        roots[rows, cols] = _refine_brackets(
+            a3[rows], a2[rows], a1[rows], a0[rows], nodes[rows, cols],
+            nodes[rows, cols + 1], fb[rows, cols])
+        mults = ((lo[:, None] < roots) & (roots < hi[:, None])).astype(int)
+        # a double root's brackets were skipped, so its slot is free
+        roots[double, 0] = crit[double]
+        mults[double, 0] = 2
+    return roots, mults

@@ -18,7 +18,9 @@ import numpy as np
 from .groups import (as_group, check_milnor_frame, check_milnor_frame_many,
                      e2_frame_change, e11_frame_change, h3_frame_change,
                      random_rotation, sl2_frame_change)
-from .solver import solve, solve_many
+# solve is imported only for bench/spans.py, which wraps it here by name:
+# the base tensor is solved as lane 0 of the frames' solve_many call
+from .solver import _NONE, _plan, solve, solve_many  # noqa: F401
 from .verify import oracle_residual, oracle_residual_many
 
 __all__ = ["ProbeReport", "sample_diagonal_preserving_changes", "probe"]
@@ -241,22 +243,26 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     outcomes the pulled-back family sample is instead certified against the
     original tensor through the curvature oracle.
 
-    The n transformed tensors are re-solved through `solve_many`, and every
-    pullback, oracle residual and proportionality test runs on one stack;
-    each lane has the bits of the frame-by-frame computation.
+    T and the n transformed tensors are solved by one `solve_many` call,
+    and every pullback, oracle residual and proportionality test runs on
+    one stack; each lane has the bits of the frame-by-frame computation.
 
-    Raises ValueError when (group, T) has no solution.
+    Raises ValueError when (group, T) has no solution: before sampling
+    where the case table alone says so, after it where the reduction
+    cubic has no admissible root.
     """
     group = as_group(group)
     T = _tensor(T)
-    base = solve(group, T)
-    if base.kind == "NoSolution":
-        raise ValueError(f"nothing to probe: no solution for {group.name}, "
+    nothing = ValueError(f"nothing to probe: no solution for {group.name}, "
                          f"T={tuple(T)}")
+    if _plan(group, T)[1] == _NONE:
+        raise nothing
     changes = sample_diagonal_preserving_changes(group, T, n, rng)
     Ms = np.array(changes)
-    outs = solve_many(group, np.diagonal(_transformed(Ms, T), axis1=1,
-                                         axis2=2))
+    base, *outs = solve_many(group, np.concatenate(
+        [T[None], np.diagonal(_transformed(Ms, T), axis1=1, axis2=2)]))
+    if base.kind == "NoSolution":
+        raise nothing
 
     # one lane per solution pulled back: (frame, solution, the base solution
     # its metric must be proportional to or None for a family sample,

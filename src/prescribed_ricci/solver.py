@@ -24,8 +24,9 @@ minus on SL2).  The remaining groups collapse to closed forms because their
 third bracket coefficient vanishes.  Whenever c is determined, returned
 metrics are scaled so that v1*v2*v3*c = 1.
 
-`solve_many` answers a sequence of tensors with the same outcomes as `solve`,
-solving the cubic rows of CHUNK tensors at a time in numpy arrays.
+`solve_many` answers a sequence of tensors, CHUNK at a time.  The roots of
+the cubic and their metrics come from one kernel, `arrays.cubic_columns`,
+which `solve` runs on one lane and `solve_many` on a chunk.
 """
 from __future__ import annotations
 
@@ -36,7 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cubic import CubicPoly, roots_in_interval
+from .arrays import _T3_SIGN, Columns, _reconstruct_many, cubic_columns
+# roots_in_interval is imported only for bench/spans.py, which wraps it
+# here by name; the solver isolates roots through `cubic_columns`
+from .cubic import roots_in_interval  # noqa: F401
 from .curvature import DiagonalMetric
 from .groups import as_group
 from .verify import residual
@@ -49,11 +53,6 @@ __all__ = [
 
 # a component of T counts as zero, and two as equal, within ZERO_TOL * |T|_inf
 ZERO_TOL = 1e-11
-# the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
-# in the last place
-POLISH_TOL = 5.0 * 2.0 ** -52
-# most Newton steps of the metric polish, shared with `arrays`'s kernel
-POLISH_STEPS = 4
 # tensors `solve_many` takes into one array pass
 CHUNK = 1024
 
@@ -130,148 +129,25 @@ def _tensor(T) -> tuple[float, float, float]:
     return _components(getattr(T, "T", T))
 
 
-# the one sign that tells the SO3 and SL2 reductions apart: T3 enters the
-# cubic, the denominators p +- T3 and v3 = +-(x1+x2)/2 with it
-_T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
-
-
-def _cubic_coeffs(sgn: float, T):
-    """(2, T1+T2+-T3, 0, -+T1 T2 T3): the reduction cubic's coefficients
-    for floats or arrays of lanes."""
-    T1, T2, T3 = T
-    return (2.0, T1 + T2 + sgn * T3, 0.0, -sgn * T1 * T2 * T3)
-
-
-def _correspondence(sgn: float, T, p):
-    """Denominators (p + T1, p + T2, p +- T3) and the real cube root q of
-    p times their product (floats or arrays; q comes out of np.cbrt)."""
-    d = (p + T[0], p + T[1], p + sgn * T[2])
-    return d, np.cbrt(p * d[0] * d[1] * d[2])
-
-
-def _averaged(sgn: float, x):
-    """The averaged forms v1 = (x2+x3)/2, v2 = (x1+x3)/2, v3 = +-(x1+x2)/2
-    and the slack their admissibility test allows each."""
-    v_avg = ((x[1] + x[2]) / 2.0, (x[0] + x[2]) / 2.0,
-             sgn * (x[0] + x[1]) / 2.0)
-    slack = (1e-12 * (abs(x[1]) + abs(x[2])), 1e-12 * (abs(x[0]) + abs(x[2])),
-             1e-12 * (abs(x[0]) + abs(x[1])))
-    return v_avg, slack
-
-
-def _from_system(T, x):
-    """v_i = T_i / (2 x_j x_k), the system solved for v."""
-    return tuple(T[i] / (2.0 * x[(i + 1) % 3] * x[(i + 2) % 3])
-                 for i in range(3))
-
-
-def _scaled_system(group, v, T):
-    """Residual vector of the normalized system 2 v_i x_j x_k - T_i
-    (the curvature equations with v1*v2*v3*c = 1 substituted in); v and T
-    index to floats or to arrays of lanes."""
-    lam = group.lambdas
-    x = [(sum(lam[m] * v[m] for m in range(3)) - 2.0 * lam[i] * v[i]) / 2.0
-         for i in range(3)]
-    return [2.0 * v[i] * x[(i + 1) % 3] * x[(i + 2) % 3] - T[i]
-            for i in range(3)], x
-
-
-def _jacobian(group, v, x):
-    """Rows of the Jacobian of `_scaled_system` in v (floats or arrays)."""
-    lam = group.lambdas
-    J = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        row = []
-        for n in range(3):
-            dxj = 0.5 * lam[n] * (-1.0 if j == n else 1.0)
-            dxk = 0.5 * lam[n] * (-1.0 if k == n else 1.0)
-            e = 2.0 * v[i] * (dxj * x[k] + x[j] * dxk)
-            if i == n:
-                e += 2.0 * x[j] * x[k]
-            row.append(e)
-        J.append(row)
-    return J
-
-
-def _polish_metric(group, v, T):
-    """Newton-polish v on the normalized system.
-
-    Reconstruction through the cubic variable p loses relative accuracy when
-    a correspondence denominator p +- T_i is small (thin case intervals); up
-    to POLISH_STEPS Newton steps directly in metric space restore residuals to
-    rounding level, POLISH_TOL * |T|_inf.  Keeps the best iterate; never
-    leaves the positive octant.
-    """
-    v = np.asarray(v, dtype=float).copy()
-    done = POLISH_TOL * max(abs(t) for t in T)
-
-    def res(w):
-        F, _ = _scaled_system(group, w, T)
-        return max(abs(f) for f in F)
-
-    best, best_res = v.copy(), res(v)
-    for _ in range(POLISH_STEPS):
-        if best_res <= done:
-            break
-        F, x = _scaled_system(group, v, T)
-        J = np.array(_jacobian(group, v, x))
-        # solve for the relative step u = dv/v: the components of v can span
-        # many decades and column scaling keeps the solve meaningful
-        try:
-            u = np.linalg.solve(J * v[None, :], np.asarray(F))
-        except np.linalg.LinAlgError:
-            break
-        u = np.clip(u, -0.5, 0.5)
-        vn = v * (1.0 - u)
-        if min(vn) <= 0.0:
-            break
-        rn = res(vn)
-        if rn < best_res:
-            best, best_res = vn.copy(), rn
-        v = vn
-    return tuple(best)
-
-
-def _reconstruct(group, T, p: float):
-    """(v, c, q) from a cubic root p of a validated T; the body of
-    `reconstruct_from_p`."""
-    sgn = _T3_SIGN[group.name]
-    denoms, q = _correspondence(sgn, T, p)
-    q = float(q)
-    x = tuple(q / d for d in denoms)
-    # admissibility is the sign pattern of the averaged forms; allow exact
-    # cancellation to zero there, since thin case intervals make the x_i
-    # huge with opposite signs
-    v_avg, slack = _averaged(sgn, x)
-    if any(va + s <= 0.0 for va, s in zip(v_avg, slack)):
-        raise ValueError(f"root p={p} is inadmissible: metric {v_avg} "
-                         f"not positive")
-    # v_i = T_i / (2 x_j x_k) is the system solved for v: unlike the
-    # averaged forms it never cancels
-    v = _from_system(T, x) if all(t != 0.0 for t in T) else v_avg
-    if min(v) <= 0.0:
-        raise ValueError(f"root p={p} is inadmissible: metric {v} not positive")
-    v = _polish_metric(group, v, T)
-    c = 1.0 / (v[0] * v[1] * v[2])
-    return DiagonalMetric(v).v, c, q
-
-
 def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
-    """Metric and constant from a verified cubic root p (SO3 and SL2 only).
+    """Metric and constant from a verified cubic root p (SO3 and SL2 only):
+    the kernel's reconstruction and polish on one lane.
 
     q is the real (sign-preserving) cube root of p(p+T1)(p+T2)(p+-T3); the
     x_i = q/(p +- T_i) rebuild the metric, and a short metric-space Newton
     polish removes the sensitivity of that map near its poles.  Raises
     ValueError if any v_i fails to come out positive, which signals an
-    inadmissible p upstream.
+    inadmissible p upstream.  bench/spans.py wraps this name.
     """
     group = as_group(group)
     T = _tensor(T)
     if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
-    v, c, _ = _reconstruct(group, T, p)
-    return DiagonalMetric(v), c
+    v, c, _, errors = _reconstruct_many(
+        group, tuple(np.array([t]) for t in T), np.array([float(p)]))
+    if errors:
+        raise errors[0]
+    return DiagonalMetric(v[0]), float(c[0])
 
 
 def _normalized(v, c: float) -> tuple[float, float, float]:
@@ -310,48 +186,65 @@ def solve(group, T) -> SolveOutcome:
     component counts as zero within ZERO_TOL * |T|_inf, and `_outcome` maps
     the answer back.  Raises ValueError for a non-finite or malformed T, and
     for a c that leaves the float range (only possible for |T|_inf outside
-    [1e-300, 1e300]).
+    [1e-300, 1e300]).  A row the reduction cubic decides is answered by
+    the cubic kernel on one lane; the others straight from the case table.
     """
     group = as_group(group)
     k, raw = _plan(group, T)
     if type(raw) is _CubicCase:
-        raw = _solve_cubic(group, raw)
+        return next(_answers(group, [T]))
     return _outcome(k, *raw)
 
 
 def solve_many(group, Ts):
     """Yield `solve(group, T)` for each T of the iterable Ts, in order.
 
-    Takes CHUNK tensors at a time and plans each as `solve` does.  Lanes
-    whose case needs the reduction cubic (SO3 and SL2) are solved together
-    by an array form of the scalar kernel (root isolation, cube-root
-    reconstruction, metric polish) that performs the same float operations
-    in the same order, so each outcome equals the scalar one exactly; the
-    other lanes are finished from their plan.  The scalar `solve` takes
-    every lane where it would raise, where the array form meets a
-    non-finite value or a case it does not cover, and the whole chunk when
-    a batched linear solve finds a singular matrix; so errors are raised as
-    `solve` raises them, at their place in the sequence.
+    Takes CHUNK tensors at a time and plans each as `solve` does; the
+    chunk's cubic rows go through the cubic kernel together, each lane
+    with the bits it gets alone.  Errors are raised as `solve` raises them,
+    at their place in the sequence.
     """
-    # loaded here, not at import: code that only calls solve never needs it
-    from .arrays import plan_chunk
-
     group = as_group(group)
     Ts = iter(Ts)
     while chunk := list(itertools.islice(Ts, CHUNK)):
-        plans, cols = plan_chunk(group, chunk)
-        n = cols.n.tolist()
-        sols = _slots(cols.v, cols.c)
-        traces = _slots(cols.p, cols.q, cols.mult)
-        for i, (T, plan) in enumerate(zip(chunk, plans)):
-            if plan is None:
-                yield solve(group, T)
-            elif type(plan[1]) is _CubicCase:
-                j = cols.row[i]
-                yield _outcome(plan[0], *_cubic_kind(plan[1].label, n[j]),
-                               sols[j][:n[j]], traces[j][:n[j]])
-            else:
-                yield _outcome(plan[0], *plan[1])
+        yield from _answers(group, chunk)
+
+
+def _plan_chunk(group, Ts) -> tuple[list, Columns]:
+    """Per tensor of the list Ts, its plan (k, raw) or the exception to
+    raise at its place (`_plan`'s, or the ValueError of its cubic lane),
+    and the kernel's `Columns` for the plans whose raw is a `_CubicCase`."""
+    plans = []
+    for T in Ts:
+        try:
+            plans.append(_plan(group, T))
+        except Exception as exc:
+            plans.append(exc)
+    cols = cubic_columns(group, {
+        i: plan[1] for i, plan in enumerate(plans)
+        if type(plan) is tuple and type(plan[1]) is _CubicCase})
+    for i, error in cols.error.items():
+        plans[i] = error
+    return plans, cols
+
+
+def _answers(group, Ts):
+    """Yield the outcome of each T of the list Ts, raising its error at its
+    place."""
+    plans, cols = _plan_chunk(group, Ts)
+    n = cols.n.tolist()
+    sols = _slots(cols.v, cols.c)
+    traces = _slots(cols.p, cols.q, cols.mult)
+    for i, plan in enumerate(plans):
+        if isinstance(plan, Exception):
+            raise plan
+        k, raw = plan
+        if type(raw) is _CubicCase:
+            j = cols.row[i]
+            yield _outcome(k, *_cubic_kind(raw.label, n[j]),
+                           sols[j][:n[j]], traces[j][:n[j]])
+        else:
+            yield _outcome(k, *raw)
 
 
 def _slots(*cols) -> list:
@@ -367,19 +260,20 @@ def solve_columns(group, Ts):
     `solve_many`; a cubic lane's answer is read off the kernel's columns,
     with no outcome built.  Raises what `solve` raises for the first T at
     which it raises."""
-    from .arrays import plan_chunk
-
     group = as_group(group)
-    plans, cols = plan_chunk(group, Ts)
+    plans, cols = _plan_chunk(group, Ts)
     c, n = cols.c.tolist(), cols.n.tolist()
     kinds, labels, cs = [], [], []
-    for i, (T, plan) in enumerate(zip(Ts, plans)):
-        if plan is not None and type(plan[1]) is _CubicCase:
+    for i, plan in enumerate(plans):
+        if isinstance(plan, Exception):
+            raise plan
+        k, raw = plan
+        if type(raw) is _CubicCase:
             j = cols.row[i]
-            kind, label = _cubic_kind(plan[1].label, n[j])
-            c_T = [_c_back(x, plan[0]) for x in c[j][:n[j]]]
+            kind, label = _cubic_kind(raw.label, n[j])
+            c_T = [_c_back(x, k) for x in c[j][:n[j]]]
         else:
-            out = _outcome(plan[0], *plan[1]) if plan else solve(group, T)
+            out = _outcome(k, *raw)
             kind, label, c_T = out.kind, out.case_label, out.c_values()
         kinds.append(kind)
         labels.append(label)
@@ -435,20 +329,13 @@ def _c_back(c: float, k: int) -> float:
     return c
 
 
-def _unsorted(order, v_sorted) -> list[float]:
-    """Components given by sorted position, back in the caller's order."""
-    v = [0.0, 0.0, 0.0]
-    for pos, axis in enumerate(order):
-        v[axis] = v_sorted[pos]
-    return v
-
-
 class _CubicCase(NamedTuple):
     """A case row decided by the roots of the reduction cubic of T in the
     open interval (lo, hi), which lies on one side of 0: the first `take`
     roots are reconstructed (root isolation reports at most two, so 2 takes
-    them all).  For SO3, T is sorted descending and `order` maps its
-    positions to the caller's axes."""
+    them all).  An interval of one point, lo == hi, pins the one root there
+    (the SL2 T1 = T2 row).  For SO3, T is sorted descending and `order`
+    maps its positions to the caller's axes."""
 
     T: tuple
     lo: float
@@ -456,20 +343,6 @@ class _CubicCase(NamedTuple):
     label: str
     take: int = 2
     order: tuple = (0, 1, 2)
-
-
-def _solve_cubic(group, case: _CubicCase):
-    """Raw outcome of a `_CubicCase`, one root at a time."""
-    rep = roots_in_interval(CubicPoly(_cubic_coeffs(
-        _T3_SIGN[group.name], case.T)), case.lo, case.hi)
-    found = []
-    for p, mult in itertools.islice(zip(rep.roots, rep.multiplicities),
-                                    case.take):
-        v, c, q = _reconstruct(group, case.T, p)
-        found.append(((_unsorted(case.order, v), c), (p, q, mult)))
-    found.sort(key=lambda st: st[0][1])
-    return (*_cubic_kind(case.label, len(found)),
-            tuple(sol for sol, _ in found), tuple(t for _, t in found))
 
 
 def _cubic_kind(label: str, n: int) -> tuple[str, str]:
@@ -494,7 +367,9 @@ def _solve_so3(group, T, s, ztol):
 
     if s == (1, 0, 0):
         c = 8.0 / Ts[0]
-        v = _normalized(_unsorted(order, (2.0, 1.0, 1.0)), c)
+        v = [1.0, 1.0, 1.0]
+        v[order[0]] = 2.0  # on the caller's axis of the positive component
+        v = _normalized(v, c)
         j, k = sorted(order[1:])
         return ("FamilyFixedC", "SO3 (+,0,0)", ((v, c),), (),
                 f"v{order[0] + 1}=v{j + 1}+v{k + 1}")
@@ -560,9 +435,8 @@ def _solve_sl2(group, T, s, ztol):
             # root -T1, a pole of the correspondence on the interval's end,
             # is no solution; the quadratic's positive root is the one
             p = (T3 + math.sqrt(T3 * T3 - 8.0 * T1 * T3)) / 4.0
-            v, c, q = _reconstruct(group, T, p)
-            return ("Unique", "SL2 case (iii)" if hi_gap > ztol
-                    else "SL2 case (iv)", ((v, c),), ((p, q, 1),))
+            return _CubicCase(T, p, p, "SL2 case (iii)" if hi_gap > ztol
+                              else "SL2 case (iv)", take=1)
         if hi_gap > ztol:
             return _CubicCase(T, max(-T1, -T2), T3, "SL2 case (iii)", take=1)
         if lo_gap > ztol:

@@ -6,6 +6,20 @@ from prescribed_ricci import E2, E11, GROUPS, H3, R3, SL2, SO3
 ALL_GROUPS = (SO3, SL2, E2, E11, H3, R3)
 
 
+def singular_steps(monkeypatch, marked):
+    """Make `np.linalg.solve` raise LinAlgError ("Singular matrix") for any
+    stack holding a matrix A with marked(A) true, as LAPACK does for a
+    singular one; marked maps (..., 3, 3) to (...) booleans."""
+    solve = np.linalg.solve
+
+    def singular(A, b):
+        if np.any(marked(A)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

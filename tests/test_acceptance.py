@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, certify, probe,
-                              ricci_diagonal, ricci_koszul, solve,
+                              ricci_diagonal, ricci_koszul, solve, solve_many,
                               structure_constants)
 
 from conftest import ALL_GROUPS, random_solvable
@@ -121,12 +121,14 @@ def test_criterion_05_region_maps():
         return 2.0 * p ** 3 + (T1_ + T2 + T3) * p ** 2 - T1_ * T2 * T3
 
     disc = np.empty((n, n))
-    kinds = np.empty((n, n), dtype=object)
     for i, t2 in enumerate(t2s):
         for j, t3 in enumerate(t3s):
             A = T1 + t2 + t3
             disc[i, j] = fbar(-A / 3.0, T1, t2, t3)
-            kinds[i, j] = solve(SO3, (T1, t2, t3)).kind
+    # the whole grid in one solve_many call, row by row
+    kinds = np.array([out.kind for out in solve_many(
+        SO3, [(T1, t2, t3) for t2 in t2s for t3 in t3s])],
+        dtype=object).reshape(n, n)
     at_t1_positive = fbar(-T1, T1, t2s.min(), t3s.min()) > 0
     assert not at_t1_positive  # interval endpoint value is negative here
     mismatches = 0
@@ -145,23 +147,24 @@ def test_criterion_05_region_maps():
     assert mismatches <= n  # at most a one-cell band along the boundary
 
     # SL2 cases (i)-(iv): strict inequalities, matched pointwise
+    # (each case's tensors in one solve_many call)
     grid = _half_open(-3.0, 0.0, n)
     for i_case, (fixed, expect) in enumerate((
             ("T1", lambda t2, t3: t3 > -2.0),
             ("T2", lambda t1, t3: t3 > -2.0))):
-        for a in grid[::7]:
-            for b in grid[::7]:
-                T = (2.0, a, b) if fixed == "T1" else (a, 2.0, b)
-                kind = solve(SL2, T).kind
-                assert kind == ("Unique" if expect(a, b) else "NoSolution"), T
-    for a in grid[::3]:
-        for b in grid[::3]:
-            T = (a, b, 1.0)
-            hi, lo = max(-a, -b), min(-a, -b)
-            expect = "Unique" if (hi < 1.0 or lo > 1.0) else "NoSolution"
-            if abs(a - b) <= 1e-12 and abs(a + 1.0) <= 1e-12:
-                expect = "FamilyFixedC"
-            assert solve(SL2, T).kind == expect, T
+        cases = [(a, b, (2.0, a, b) if fixed == "T1" else (a, 2.0, b))
+                 for a in grid[::7] for b in grid[::7]]
+        for (a, b, T), out in zip(cases, solve_many(
+                SL2, [T for _, _, T in cases])):
+            assert out.kind == ("Unique" if expect(a, b)
+                                else "NoSolution"), T
+    cases = [(a, b, (a, b, 1.0)) for a in grid[::3] for b in grid[::3]]
+    for (a, b, T), out in zip(cases, solve_many(SL2, [T for *_, T in cases])):
+        hi, lo = max(-a, -b), min(-a, -b)
+        expect = "Unique" if (hi < 1.0 or lo > 1.0) else "NoSolution"
+        if abs(a - b) <= 1e-12 and abs(a + 1.0) <= 1e-12:
+            expect = "FamilyFixedC"
+        assert out.kind == expect, T
 
     # E2(ii), E11(ii): T1 + T2 > 0 and opposite signs, T3 < 0
     grid = _half_open(-2.0, 2.0, n)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prescribed_ricci import CubicPoly, arrays, roots_in_interval
+from prescribed_ricci import CubicPoly, roots_in_interval
+from prescribed_ricci.cubic import roots_in_interval_many
 
 GOLDEN = math.sqrt(5.0)
 
@@ -16,6 +17,23 @@ def whole_line(poly: CubicPoly) -> tuple[tuple, tuple]:
     neg = roots_in_interval(poly, -math.inf, 0.0)
     pos = roots_in_interval(poly, 0.0, math.inf)
     return neg.roots + pos.roots, neg.multiplicities + pos.multiplicities
+
+
+def whole_line_many(polys: list) -> list[tuple[tuple, tuple]]:
+    """`whole_line` of each poly, from one `roots_in_interval_many` call
+    per half-line."""
+    coeffs = tuple(np.array([poly.coeffs for poly in polys]).T)
+    n = len(polys)
+    halves = [roots_in_interval_many(coeffs, np.full(n, lo), np.full(n, hi))
+              for lo, hi in ((-math.inf, 0.0), (0.0, math.inf))]
+    out = []
+    for i in range(n):
+        found, mults = (), ()
+        for roots, m in halves:
+            found += tuple(roots[i, m[i] > 0].tolist())
+            mults += tuple(m[i, m[i] > 0].tolist())
+        out.append((found, mults))
+    return out
 
 
 def test_two_roots_in_interval():
@@ -41,11 +59,6 @@ def test_interval_with_zero_inside_raises():
             roots_in_interval(poly, lo, hi)
     assert roots_in_interval(poly, -1.0, 0.0).roots == ()
     assert roots_in_interval(poly, 0.0, 1.0).roots == ()
-    # the array form leaves such a lane to the scalar function
-    _, _, ok = arrays.roots_in_interval_many(
-        (1.0, 0.0, 0.0, 0.0), np.array([-1.0, -1.0, 0.0, -math.inf]),
-        np.array([1.0, 0.0, 1.0, math.inf]))
-    assert ok.tolist() == [False, True, True, False]
 
 
 def test_root_outside_interval_not_reported():
@@ -96,29 +109,32 @@ def planted(r1: float, r2: float) -> tuple[CubicPoly, list[float]]:
 def test_planted_simple_roots_bulk():
     rng = np.random.default_rng(7)
     worst = 0.0
+    drawn = []
     for _ in range(10_000):
         while True:
             poly, roots = planted(*rng.uniform(-10.0, 10.0, size=2))
             if abs(roots[0]) <= 10 and abs(roots[2]) <= 10 and np.min(
                     np.diff(roots)) > 1e-2:
                 break
-        found, mults = whole_line(poly)
+        drawn.append((poly, roots))
+    lines = whole_line_many([poly for poly, _ in drawn])
+    for (poly, roots), (found, mults) in zip(drawn, lines):
         assert len(found) == 3
         assert mults == (1, 1, 1)
         for r in found:
-            assert abs(poly(r)) <= 1e-12 * max(1.0, poly.value_scale(r))
+            scale = CubicPoly(tuple(map(abs, poly.coeffs)))(abs(r))
+            assert abs(poly(r)) <= 1e-12 * max(1.0, scale)
         worst = max(worst, float(np.max(np.abs(np.array(found) - roots))))
     assert worst < 1e-10
 
 
 def test_planted_double_and_triple_roots():
     rng = np.random.default_rng(11)
-    for _ in range(2000):
-        a = float(rng.uniform(-10.0, 10.0))
-        if abs(a) < 0.1:
-            continue
-        # 2(p - a)^2 (p + a/2) = 2p^3 - 3a p^2 + a^3
-        found, mults = whole_line(CubicPoly((2.0, -3.0 * a, 0.0, a ** 3)))
+    a_s = [a for a in rng.uniform(-10.0, 10.0, 2000).tolist() if abs(a) >= 0.1]
+    # 2(p - a)^2 (p + a/2) = 2p^3 - 3a p^2 + a^3
+    lines = whole_line_many([CubicPoly((2.0, -3.0 * a, 0.0, a ** 3))
+                             for a in a_s])
+    for a, (found, mults) in zip(a_s, lines):
         assert sum(mults) == 3
         assert sorted(mults) == [1, 2]
         by_mult = dict(zip(mults, found))

@@ -1,28 +1,30 @@
 """`solve_many` is `solve` over a sequence: the same outcomes, compared with
-`==`, so every float bit for bit, and the same exceptions at the same place."""
+`==`, so every float bit for bit, and the same exceptions at the same place.
+Both run one cubic kernel, `solve` on one lane, so these tests check that a
+lane's answer never depends on its chunk-mates."""
 import itertools
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, CubicPoly,
-                              roots_in_interval, solve, solve_many)
-from prescribed_ricci import arrays, cli, solver
+from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, reconstruct_from_p,
+                              solve, solve_many)
+from prescribed_ricci import arrays, cubic, solver
 
-from conftest import ALL_GROUPS
+from conftest import ALL_GROUPS, singular_steps
+from exact_count import Cubic
 
 
 def _raised(exc):
     return (type(exc), str(exc))
 
 
-def scalar(group, Ts):
-    """solve on each T, up to and including the first exception."""
+def one_lane(group, Ts):
+    """solve on each T, one lane at a time, up to and including the first
+    exception."""
     out = []
     for T in Ts:
         try:
@@ -45,7 +47,7 @@ def batched(group, Ts):
 
 def assert_same(group, Ts):
     Ts = list(Ts)
-    expected = scalar(group, Ts)
+    expected = one_lane(group, Ts)
     got = batched(group, iter(Ts))
     assert got == expected
     # == on floats hides the sign of zero; repr does not
@@ -126,7 +128,8 @@ def test_sl2_ties():
 
 
 def test_chunks_and_fallbacks(monkeypatch):
-    # chunk edges fall between and inside the lanes the scalar code takes
+    # chunk edges fall between and inside cubic lanes, closed-form lanes
+    # and family rows
     monkeypatch.setattr(solver, "CHUNK", 3)
     Ts = [(10.0, -1.0, -1.0), (0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (1.0, 2.0, 3.0),
           (8.0, -1.0, -1.0), (-1.0, -1.0, -1.0), (10.0, -1.6, -0.8)]
@@ -135,32 +138,56 @@ def test_chunks_and_fallbacks(monkeypatch):
 
 
 def test_singular_polish_falls_back_per_lane(monkeypatch):
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # a singular step stops only its own lane, at its best iterate
+    Ts = sweep_grid(10.0, 8)
+    polished = list(solve_many(SO3, Ts))
+    monkeypatch.setattr(arrays, "POLISH_STEPS", 0)
+    unpolished = list(solve_many(SO3, Ts))
+    monkeypatch.undo()
+    assert polished != unpolished
+    # every first step singular: each lane keeps its unpolished metric
+    singular_steps(monkeypatch, lambda A: np.ones(A.shape[:-2], bool))
+    assert list(solve_many(SO3, Ts)) == unpolished
+    # some steps singular: a lane stops or not whatever its chunk-mates,
+    # and the other lanes are polished as before (each lane here converges
+    # in one step, so a stopped lane keeps its unpolished metric)
+    monkeypatch.undo()
+    singular_steps(monkeypatch, lambda A: A[..., 0, 0] * 1e6 % 2 < 1)
+    assert_same(SO3, Ts)
+    outs = list(solve_many(SO3, Ts))
+    stopped = [a != b for a, b in zip(outs, polished)]
+    assert 0 < sum(stopped) < len(Ts)
+    assert all(a in (b, c) for a, b, c in zip(outs, polished, unpolished))
 
-    monkeypatch.setattr(arrays, "_polish_many", singular)
-    assert_same(SO3, sweep_grid(10.0, 8))
+
+# SL2 near-ties just past the zero tolerance whose one root is inadmissible,
+# with their root, the metric that shows it and so the exact ValueError text
+INADMISSIBLE = [
+    ("SL2", (-1.0, -0.99999999998, 1.000001), 1.0000003333266667,
+     (-0.3149613991729722, -0.3149991964338367, 1.2599211904993453)),
+    ("SL2", (-1.0, -0.9999999999, 1.00000001), 1.0000000033,
+     (-0.30569342020281765, -0.32450100629246226, 1.2601081844837352)),
+    ("SL2", (-1.0, -0.99999999998, 0.9999999999), 0.99999999996,
+     (-0.6057068642693038, -0.15142671606732594, 1.3628404446059337)),
+]
 
 
-def test_cubic_sweep_never_calls_the_scalar_isolation(monkeypatch, tmp_path):
-    # every point of this grid is an SO3 (+,-,-) cubic lane, so the array
-    # kernel solves them all; a silent fallback would lose the speedup
-    calls = []
-    scalar_isolation = solver.roots_in_interval
+@pytest.mark.parametrize("group, T, p, metric", INADMISSIBLE)
+def test_inadmissible_root_messages(group, T, p, metric):
+    message = f"root p={p} is inadmissible: metric {metric} not positive"
+    for answer in (lambda: solve(group, T),
+                   lambda: list(solve_many(group, [(1.0, 1.0, 1.0), T]))):
+        with pytest.raises(ValueError) as err:
+            answer()
+        assert str(err.value) == message
 
-    def counting(*args):
-        calls.append(args)
-        return scalar_isolation(*args)
 
-    monkeypatch.setattr(solver, "roots_in_interval", counting)
-    out = tmp_path / "sweep.jsonl"
-    assert cli.main(["--format", "json-lines", "--out", str(out), "sweep",
-                     "so3", "--T1", "10", "--T2-range=-2..0",
-                     "--T3-range=-2..0", "--steps", "40"]) == 0
-    assert calls == []
-    assert out.read_text().count("sweep-point") == 1600
-    solve(SO3, (10.0, -1.0, -1.0))
-    assert len(calls) == 1
+def test_inadmissible_reconstruction_message():
+    with pytest.raises(ValueError) as err:
+        reconstruct_from_p(SO3, (10.0, -1.0, -1.0), 0.5)
+    assert str(err.value) == (
+        "root p=0.5 is inadmissible: metric (-2.1897595699439445, "
+        "-1.0427426523542593, -1.0427426523542593) not positive")
 
 
 # small integers draw the ties and zeros that uniform floats miss
@@ -180,8 +207,13 @@ def test_equals_solve_at_every_scale(g, Ts):
 def test_root_isolation_matches_scalar():
     # reduction cubics 2p^3 + b p^2 + d: random b and d of either sign over
     # 1e-3..1e3, the double-root family 2(p-a)^2(p+a/2) = 2p^3 - 3a p^2 +
-    # a^3, 2p^3 (its triple root 0 an interval end), and small-integer b, d
-    # and interval ends; each interval on one side of 0, as the solver's are
+    # a^3 and its neighbours at relative distances 1e-14..1e-4, 2p^3 (its
+    # triple root 0 an interval end), small-integer b, d and interval ends,
+    # and planted simple roots; each interval on one side of 0, as the
+    # solver's are.  Against rational arithmetic (`exact_count.Cubic`): the
+    # root count is exact outside the ROOT_TOL band of double roots, and
+    # each root is within 1e-10 max(1, |p|) of an exact one; planted roots
+    # are found to 1e-10.
     gen = np.random.default_rng(7)
     n = 3000
 
@@ -195,41 +227,51 @@ def test_root_isolation_matches_scalar():
         left = gen.random(n) < 0.5
         return (np.where(cut & ~left, 0.0, lo), np.where(cut & left, 0.0, hi))
 
+    def half_line(side):
+        return (np.where(side > 0, 0.0, -np.inf), np.where(side > 0, np.inf, 0.0))
+
     a = gen.uniform(-2, 2, n)
     ends = np.sort(np.stack([magnitudes(), magnitudes()]), axis=0)
     lo = gen.uniform(-3, 0, n)
     negative = (np.full(n, -np.inf), np.zeros(n))
     positive = (np.zeros(n), np.full(n, np.inf))
     small_lo = gen.integers(-3, 3, n).astype(float)
+    near = gen.choice([-1.0, 1.0], n) * 10.0 ** gen.uniform(-14, -4, n)
+    # 2(p - r1)(p - r2)(p - r3), r3 = -r1 r2 / (r1 + r2), roots 0.1 apart
+    r1 = gen.uniform(0.2, 10.0, n)
+    r2 = r1 + gen.uniform(0.1, 10.0, n)
+    r3 = -r1 * r2 / (r1 + r2)
+    sides = gen.choice([-1.0, 1.0], n)
     families = [
-        ((magnitudes(), magnitudes()), negative),
-        ((magnitudes(), magnitudes()), positive),
-        ((magnitudes(), magnitudes()), one_side(*ends)),
-        ((-3.0 * a, a ** 3), negative),
-        ((-3.0 * a, a ** 3), positive),
-        ((-3.0 * a, a ** 3), one_side(lo, lo + gen.uniform(0, 6, n))),
-        ((np.zeros(n), np.zeros(n)), one_side(lo, lo + gen.uniform(0, 6, n))),
+        ((magnitudes(), magnitudes()), negative, None),
+        ((magnitudes(), magnitudes()), positive, None),
+        ((magnitudes(), magnitudes()), one_side(*ends), None),
+        ((-3.0 * a, a ** 3), negative, None),
+        ((-3.0 * a, a ** 3), positive, None),
+        ((-3.0 * a, a ** 3), one_side(lo, lo + gen.uniform(0, 6, n)), None),
+        ((-3.0 * a, a ** 3 * (1.0 + near)), half_line(a), None),
+        ((np.zeros(n), np.zeros(n)), one_side(lo, lo + gen.uniform(0, 6, n)),
+         None),
         (tuple(gen.integers(-3, 4, (2, n)).astype(float)),
-         one_side(small_lo, small_lo + gen.integers(1, 4, n))),
+         one_side(small_lo, small_lo + gen.integers(1, 4, n)), None),
+        ((-2.0 * sides * (r1 + r2 + r3), -2.0 * sides ** 3 * r1 * r2 * r3),
+         half_line(sides), np.sort(np.stack([r1, r2]) * sides, axis=0).T),
     ]
-    for (b, d), (lo, hi) in families:
-        coeffs = np.stack([np.full(n, 2.0), b, np.zeros(n), d], axis=1)
-        roots, mults, ok = arrays.roots_in_interval_many(tuple(coeffs.T), lo,
-                                                         hi)
+    for (b, d), (lo, hi), planted in families:
+        roots, mults = cubic.roots_in_interval_many((2.0, b, 0.0, d), lo, hi)
         assert mults.shape == (n, 2)
-        assert ok.all()
         for i in range(n):
-            rep = roots_in_interval(CubicPoly(tuple(coeffs[i])), lo[i], hi[i])
-            found = mults[i] > 0
-            assert tuple(roots[i, found].tolist()) == rep.roots
-            assert tuple(mults[i, found].tolist()) == rep.multiplicities
-
-
-def test_solve_alone_never_loads_the_array_kernel():
-    code = ("import sys; from prescribed_ricci import solve; "
-            "solve('so3', (10, -1, -1)); "
-            "print('prescribed_ricci.arrays' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+            exact = Cubic(b[i], d[i])
+            found = roots[i, mults[i] > 0].tolist()
+            if 2 in mults[i]:
+                assert exact.double_root_ratio() <= 2 * cubic.ROOT_TOL
+                assert found == [-2.0 * b[i] / 6.0]
+                continue
+            pieces = exact.roots(lo[i], hi[i])
+            assert len(found) == len(pieces), (b[i], d[i], lo[i], hi[i])
+            for r, piece in zip(found, pieces):
+                tol = Fraction(max(1.0, abs(r))) / 10 ** 10
+                assert exact.above(piece, Fraction(r) - tol) >= 0
+                assert exact.above(piece, Fraction(r) + tol) <= 0
+        if planted is not None:
+            assert np.allclose(roots, planted, rtol=1e-10, atol=0.0)

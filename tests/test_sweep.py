@@ -1,14 +1,15 @@
-"""`sweep` renders its points from the array kernel's columns through
-templates; its output must be, byte for byte, the records built from
-`solve(group, T)` and rendered by `_to_json` / `_flatten`, which still serve
-`solve` and `batch`."""
+"""`sweep` renders its points from the cubic kernel's columns through
+templates; its output must be, byte for byte, the records built from the
+outcomes of `solve_many` and rendered by `_to_json` / `_flatten`, which
+still serve `solve` and `batch`."""
 import itertools
 import json
 
-import numpy as np
 import pytest
 
-from prescribed_ricci import arrays, cli, solve
+from prescribed_ricci import cli, solve_many
+
+from conftest import singular_steps
 
 GROUPS = ("so3", "sl2", "e2", "e11", "h3", "r3")
 SCALES = (1e-300, 1.0, 1e300)
@@ -16,11 +17,12 @@ SCALES = (1e-300, 1.0, 1e300)
 
 def reference(fmt, group, axes, path):
     """The sweep's output built the way `solve` builds its records: one
-    record dict per point, rendered by `Reporter.render`."""
+    record dict per point, from one `solve_many` call over the grid,
+    rendered by `Reporter.render`."""
     reporter = cli.Reporter(fmt, str(path))
     counts, kinds = {}, {}
-    for T in itertools.product(*axes):
-        out = solve(group, T)
+    points = list(itertools.product(*axes))
+    for T, out in zip(points, solve_many(group, points)):
         counts[out.case_label] = counts.get(out.case_label, 0) + 1
         kinds[out.kind] = kinds.get(out.kind, 0) + 1
         record = {"command": "sweep-point", "T": list(T), "kind": out.kind,
@@ -88,11 +90,10 @@ def test_sweep_equals_solve_records_on_the_so3_band(scale, fmt, tmp_path):
 
 def test_sweep_with_a_singular_polish_equals_solve_records(tmp_path,
                                                            monkeypatch):
-    # a singular step matrix sends the whole chunk to the scalar solve
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(arrays, "_polish_many", singular)
+    # a singular step matrix stops only its own lane's polish: the sweep's
+    # chunks of 7 points and the reference's one chunk answer alike
+    singular_steps(monkeypatch, lambda A: A[..., 0, 0] * 1e6 % 2 < 1)
+    monkeypatch.setattr(cli, "CHUNK", 7)
     flags, axes = grid((8.0, 12.0), ((-2.0, 0.0), (-2.0, 0.0)), 6)
     assert swept("json-lines", "so3", flags, tmp_path / "a") == reference(
         "json-lines", "so3", axes, tmp_path / "b")
