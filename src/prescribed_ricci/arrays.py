@@ -27,11 +27,10 @@ POLISH_STEPS = 4
 # cubic, the denominators p +- T3 and v3 = +-(x1+x2)/2 with it
 _T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
 
-# a chunk's answers, a row per cubic lane (`row` maps a lane's tensor index
-# to it): the root count n, and per root slot, ascending in c and padded with
-# nan (0 in mult), c, v (caller's axis order), p, q, mult for T / 8^k; and
-# `error`, the ValueError of each tensor index whose lane raises
-Columns = namedtuple("Columns", "row n c v p q mult error")
+# a chunk's answers, a row per cubic lane: the root count n and, per root slot
+# (ascending in c, nan-padded; 0 in mult), c, v (caller's axis order), p, q,
+# mult for T / 8^k; and `error`, the ValueError of each row whose lane raises
+Columns = namedtuple("Columns", "n c v p q mult error")
 
 
 def _scaled_system(group, v, T):
@@ -63,24 +62,19 @@ def _jacobian(group, v, x):
     return J
 
 
-def cubic_columns(group, cases: dict) -> Columns:
-    """The `Columns` answering `cases`, a dict from tensor index to the
-    `solver._CubicCase` of its lane: the roots of the lane's cubic in the
-    case interval (or the one root an interval lo == hi pins), the first
-    `take` of them reconstructed and polished."""
-    lanes = list(cases)
-    cases = list(cases.values())
-    size = len(cases)
+def cubic_columns(group, T, lo, hi, take, order) -> Columns:
+    """The `Columns` of C cubic lanes, a row of T (C, 3) each: the roots of
+    a lane's cubic in its open interval (lo, hi) (or the one root an
+    interval lo == hi pins), the first `take` of them reconstructed and
+    polished, and each metric put in the caller's axes by `order` (C, 3),
+    the axis of each position of T."""
+    size = len(lo)
     c, p, q = np.full((3, size, 2), np.nan)
-    cols = Columns(dict(zip(lanes, range(size))), np.zeros(size, int), c,
-                   np.full((size, 2, 3), np.nan), p, q, np.zeros((size, 2), int),
-                   {})
-    if not cases:
+    cols = Columns(np.zeros(size, int), c, np.full((size, 2, 3), np.nan), p,
+                   q, np.zeros((size, 2), int), {})
+    if not size:
         return cols
-    T = np.array([case.T for case in cases])
     T = (T[:, 0], T[:, 1], T[:, 2])
-    lo = np.array([case.lo for case in cases])
-    hi = np.array([case.hi for case in cases])
     sgn = _T3_SIGN[group.name]
     # the reduction cubic 2 p^3 + (T1 + T2 +- T3) p^2 -+ T1 T2 T3
     roots, mults = roots_in_interval_many(
@@ -88,20 +82,18 @@ def cubic_columns(group, cases: dict) -> Columns:
         lo, hi)
     pinned = lo == hi
     roots[pinned, 0], mults[pinned, 0] = lo[pinned], 1
-    take = np.array([case.take for case in cases])
     taken = (mults > 0) & (np.cumsum(mults > 0, axis=1) <= take[:, None])
     lane, slot = np.nonzero(taken)
     v, c, q, errors = _reconstruct_many(group, tuple(t[lane] for t in T),
                                         roots[lane, slot])
     # a lane raises for its first inadmissible root, as roots are taken
     for r, error in errors.items():
-        cols.error.setdefault(lanes[lane[r]], error)
+        cols.error.setdefault(int(lane[r]), error)
     # a lane's roots fill its slots in turn, back in the caller's axis order
     pos = np.cumsum(taken, axis=1)[lane, slot] - 1
     cols.c[lane, pos], cols.p[lane, pos] = c, roots[lane, slot]
     cols.q[lane, pos], cols.mult[lane, pos] = q, mults[lane, slot]
-    cols.v[lane[:, None], pos[:, None],
-           np.array([case.order for case in cases])[lane]] = v
+    cols.v[lane[:, None], pos[:, None], order[lane]] = v
     cols.n[:] = taken.sum(axis=1)
     # each lane in ascending c; equal c keep their order, as a stable sort
     swap = cols.c[:, 1] < cols.c[:, 0]

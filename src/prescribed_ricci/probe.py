@@ -20,7 +20,7 @@ from .groups import (as_group, check_milnor_frame, check_milnor_frame_many,
                      random_rotation, sl2_frame_change)
 # solve is imported only for bench/spans.py, which wraps it here by name:
 # the base tensor is solved as lane 0 of the frames' solve_many call
-from .solver import _NONE, _plan, solve, solve_many  # noqa: F401
+from .solver import _plan_rows, solve, solve_many  # noqa: F401
 from .verify import oracle_residual, oracle_residual_many
 
 __all__ = ["ProbeReport", "sample_diagonal_preserving_changes", "probe"]
@@ -255,8 +255,9 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     T = _tensor(T)
     nothing = ValueError(f"nothing to probe: no solution for {group.name}, "
                          f"T={tuple(T)}")
-    if _plan(group, T)[1] == _NONE:
-        raise nothing
+    plan = _plan_rows(group, [T])
+    if plan.errors or not (plan.lanes.size or plan.closed):
+        raise plan.errors.get(0, nothing)
     changes = sample_diagonal_preserving_changes(group, T, n, rng)
     Ms = np.array(changes)
     base, *outs = solve_many(group, np.concatenate(

@@ -24,16 +24,16 @@ minus on SL2).  The remaining groups collapse to closed forms because their
 third bracket coefficient vanishes.  Whenever c is determined, returned
 metrics are scaled so that v1*v2*v3*c = 1.
 
-`solve_many` answers a sequence of tensors, CHUNK at a time.  The roots of
-the cubic and their metrics come from one kernel, `arrays.cubic_columns`,
-which `solve` runs on one lane and `solve_many` on a chunk.
+`solve_many` answers a sequence of tensors, CHUNK at a time: the case table
+and the cubic kernel (`arrays.cubic_columns`) run on arrays of a chunk's
+lanes, each lane with the bits it gets alone, and `solve` on one lane.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -156,23 +156,6 @@ def _normalized(v, c: float) -> tuple[float, float, float]:
     return (v[0] * s, v[1] * s, v[2] * s)
 
 
-def _plan(group, T):
-    """(k, raw): T = 8^k T' with |T'|_inf in [1, 8), and the raw outcome of
-    T', or its `_CubicCase` when the roots of the reduction cubic decide
-    it.  `solve` and `solve_many` both start here."""
-    T = _tensor(T)
-    m = max(abs(T[0]), abs(T[1]), abs(T[2]))
-    # m = f * 2^e with f in [0.5, 1), so m / 8^k is in [1, 8); T = 0 keeps k = 0
-    k = (math.frexp(m or 1.0)[1] - 1) // 3
-    if k:
-        e = -3 * k
-        T = (math.ldexp(T[0], e), math.ldexp(T[1], e), math.ldexp(T[2], e))
-        m = math.ldexp(m, e)
-    ztol = ZERO_TOL * m
-    s = tuple([0 if abs(t) <= ztol else (1 if t > 0.0 else -1) for t in T])
-    return k, _BRANCHES[group.name](group, T, s, ztol)
-
-
 def solve(group, T) -> SolveOutcome:
     """Classify (group, T) and construct every solution of Ric(g) = c T.
 
@@ -186,23 +169,19 @@ def solve(group, T) -> SolveOutcome:
     component counts as zero within ZERO_TOL * |T|_inf, and `_outcome` maps
     the answer back.  Raises ValueError for a non-finite or malformed T, and
     for a c that leaves the float range (only possible for |T|_inf outside
-    [1e-300, 1e300]).  A row the reduction cubic decides is answered by
-    the cubic kernel on one lane; the others straight from the case table.
+    [1e-300, 1e300]).  `solve` is `solve_many` on one lane: the case table
+    and the cubic kernel run on arrays of one tensor.
     """
-    group = as_group(group)
-    k, raw = _plan(group, T)
-    if type(raw) is _CubicCase:
-        return next(_answers(group, [T]))
-    return _outcome(k, *raw)
+    return next(_answers(as_group(group), [T]))
 
 
 def solve_many(group, Ts):
     """Yield `solve(group, T)` for each T of the iterable Ts, in order.
 
-    Takes CHUNK tensors at a time and plans each as `solve` does; the
-    chunk's cubic rows go through the cubic kernel together, each lane
-    with the bits it gets alone.  Errors are raised as `solve` raises them,
-    at their place in the sequence.
+    Takes CHUNK tensors at a time and plans them together; the chunk's
+    cubic rows go through the cubic kernel together, each lane with the
+    bits it gets alone.  Errors are raised as `solve` raises them, at their
+    place in the sequence.
     """
     group = as_group(group)
     Ts = iter(Ts)
@@ -210,41 +189,70 @@ def solve_many(group, Ts):
         yield from _answers(group, chunk)
 
 
-def _plan_chunk(group, Ts) -> tuple[list, Columns]:
-    """Per tensor of the list Ts, its plan (k, raw) or the exception to
-    raise at its place (`_plan`'s, or the ValueError of its cubic lane),
-    and the kernel's `Columns` for the plans whose raw is a `_CubicCase`."""
-    plans = []
-    for T in Ts:
-        try:
-            plans.append(_plan(group, T))
-        except Exception as exc:
-            plans.append(exc)
-    cols = cubic_columns(group, {
-        i: plan[1] for i, plan in enumerate(plans)
-        if type(plan) is tuple and type(plan[1]) is _CubicCase})
-    for i, error in cols.error.items():
-        plans[i] = error
-    return plans, cols
+# a chunk's case rows on T' = T / 8^k, |T'|_inf in [1, 8): each lane's k; by
+# lane, the raw outcome of each closed-form lane and the exception of each
+# lane that raises; for the cubic `lanes`, in order, the row (an index of
+# `_CUBIC_ROWS`), T' (SO3: descending), the interval (lo, hi) on one side of 0
+# holding the roots (lo == hi pins one: the SL2 T1 = T2 row) and `order`.
+_Plan = namedtuple("_Plan", "k closed errors lanes row T lo hi order")
+
+
+def _plan_rows(group, Ts) -> _Plan:
+    """The case table on the list Ts: scaling, sign patterns and the SO3 and
+    SL2 rows run on arrays, each lane with the float operations of its own."""
+    errors = {}
+    try:
+        A = np.array(Ts, dtype=float)
+        valid = A.shape == (len(Ts), 3) and np.isfinite(A).all()
+    except Exception:  # raised again below, at its tensor's place
+        valid = False
+    if not valid:
+        A = np.zeros((len(Ts), 3))
+        for i, T in enumerate(Ts):
+            try:
+                A[i] = _tensor(T)
+            except Exception as exc:
+                errors[i] = exc
+    m = abs(A).max(axis=1)
+    # m = f * 2^e with f in [0.5, 1), so m / 8^k is in [1, 8); T = 0 keeps k = 0
+    k = (np.frexp(m)[1] - (m > 0.0)) // 3
+    e = -3 * k
+    T, ztol = np.ldexp(A, e[:, None]), ZERO_TOL * np.ldexp(m, e)
+    s = np.where(abs(T) <= ztol[:, None], 0, np.where(T > 0.0, 1, -1))
+    closed, row, *case = _ROWS[group.name](group, T, s, ztol)
+    row[list(errors)] = -1
+    closed = {i: raw for i, raw in closed.items() if i not in errors}
+    lanes = (row >= 0).nonzero()[0]
+    return _Plan(k, closed, errors, lanes, *[a[lanes] for a in (row, *case)])
+
+
+def _plan_chunk(group, Ts) -> tuple[_Plan, Columns]:
+    """The plan of the list Ts and the cubic kernel's `Columns` for its
+    cubic lanes, a row each in the order of `lanes`; the ValueError of a
+    cubic lane joins the plan's errors."""
+    plan = _plan_rows(group, Ts)
+    cols = cubic_columns(group, plan.T, plan.lo, plan.hi, _TAKE[plan.row],
+                         plan.order)
+    plan.errors.update({int(plan.lanes[j]): e for j, e in cols.error.items()})
+    return plan, cols
 
 
 def _answers(group, Ts):
     """Yield the outcome of each T of the list Ts, raising its error at its
     place."""
-    plans, cols = _plan_chunk(group, Ts)
-    n = cols.n.tolist()
-    sols = _slots(cols.v, cols.c)
-    traces = _slots(cols.p, cols.q, cols.mult)
-    for i, plan in enumerate(plans):
-        if isinstance(plan, Exception):
-            raise plan
-        k, raw = plan
-        if type(raw) is _CubicCase:
-            j = cols.row[i]
-            yield _outcome(k, *_cubic_kind(raw.label, n[j]),
-                           sols[j][:n[j]], traces[j][:n[j]])
+    plan, cols = _plan_chunk(group, Ts)
+    cubic = dict(zip(plan.lanes.tolist(), zip(
+        plan.row.tolist(), cols.n.tolist(), _slots(cols.v, cols.c),
+        _slots(cols.p, cols.q, cols.mult))))
+    for i, k in enumerate(plan.k.tolist()):
+        if i in plan.errors:
+            raise plan.errors[i]
+        if i in cubic:
+            row, n, sols, traces = cubic[i]
+            yield _outcome(k, *_cubic_kind(_CUBIC_ROWS[row], n), sols[:n],
+                           traces[:n])
         else:
-            yield _outcome(k, *raw)
+            yield _outcome(k, *plan.closed.get(i, _NONE))
 
 
 def _slots(*cols) -> list:
@@ -258,35 +266,43 @@ def solve_columns(group, Ts):
     """Kinds, case labels and c values (ascending) of `solve(group, T)` for
     each T of the list Ts, as three lists, solved as one chunk of
     `solve_many`; a cubic lane's answer is read off the kernel's columns,
-    with no outcome built.  Raises what `solve` raises for the first T at
-    which it raises."""
+    mapped back to T on arrays, with no outcome built.  Raises what `solve`
+    raises for the first T at which it raises."""
     group = as_group(group)
-    plans, cols = _plan_chunk(group, Ts)
-    c, n = cols.c.tolist(), cols.n.tolist()
-    kinds, labels, cs = [], [], []
-    for i, plan in enumerate(plans):
-        if isinstance(plan, Exception):
-            raise plan
-        k, raw = plan
-        if type(raw) is _CubicCase:
-            j = cols.row[i]
-            kind, label = _cubic_kind(raw.label, n[j])
-            c_T = [_c_back(x, k) for x in c[j][:n[j]]]
-        else:
-            out = _outcome(k, *raw)
-            kind, label, c_T = out.kind, out.case_label, out.c_values()
-        kinds.append(kind)
-        labels.append(label)
-        cs.append(c_T)
+    plan, cols = _plan_chunk(group, Ts)
+    size = len(plan.k)
+    row, n, c = np.full(size, -1), np.zeros(size, int), np.full((size, 2),
+                                                                np.nan)
+    row[plan.lanes], n[plan.lanes], c[plan.lanes] = plan.row, cols.n, cols.c
+    k = plan.k.tolist()
+    with np.errstate(over="ignore"):
+        back = c / np.ldexp(1.0, 3 * plan.k)[:, None]  # as `_c_back`
+    # a lane whose c leaves the float range: `_c_back` names it
+    for i in np.flatnonzero(((np.arange(2) < n[:, None]) & ~(
+            (back > 0.0) & (back < np.inf))).any(axis=1)).tolist():
+        try:
+            [_c_back(x, k[i]) for x in c[i, :n[i]].tolist()]
+        except ValueError as exc:
+            plan.errors.setdefault(i, exc)
+    kinds = _CUBIC_KINDS[3 * row + 3 + n].tolist()
+    labels = _CUBIC_LABELS[3 * row + 3 + n].tolist()
+    cs = [lane[:j] for lane, j in zip(back.tolist(), n.tolist())]
+    for i, raw in plan.closed.items():
+        try:
+            out = _outcome(k[i], *raw)
+        except ValueError as exc:
+            plan.errors[i] = exc
+            continue
+        kinds[i], labels[i], cs[i] = out.kind, out.case_label, out.c_values()
+    if plan.errors:
+        raise plan.errors[min(plan.errors)]
     return kinds, labels, cs
 
 
-# Each branch below takes (group, normalized T, its signs, zero tolerance)
-# and returns a raw outcome (kind, label, solutions, traces, constraint,
-# notes), or the `_CubicCase` of a row the reduction cubic decides: solutions
-# are (v, c) pairs (a family's one pair is its sample, with c = 1 when c is
-# free), traces are (p, q, multiplicity) and notes are `_sl2_note`
-# arguments.
+# The case rows below give a closed form's raw outcome (kind, label,
+# solutions, traces, constraint, notes): solutions are (v, c) pairs (a
+# family's one pair is its sample, with c = 1 when c is free), traces are
+# (p, q, multiplicity) and notes are `_sl2_note` arguments.
 _NONE = ("NoSolution", "none")
 _NO_SOLUTION = SolveOutcome(kind="NoSolution", case_label="none")
 
@@ -329,24 +345,15 @@ def _c_back(c: float, k: int) -> float:
     return c
 
 
-class _CubicCase(NamedTuple):
-    """A case row decided by the roots of the reduction cubic of T in the
-    open interval (lo, hi), which lies on one side of 0: the first `take`
-    roots are reconstructed (root isolation reports at most two, so 2 takes
-    them all).  An interval of one point, lo == hi, pins the one root there
-    (the SL2 T1 = T2 row).  For SO3, T is sorted descending and `order`
-    maps its positions to the caller's axes."""
-
-    T: tuple
-    lo: float
-    hi: float
-    label: str
-    take: int = 2
-    order: tuple = (0, 1, 2)
+# the rows the reduction cubic decides, and the roots each reconstructs
+# (root isolation reports at most two, so 2 takes them all)
+_CUBIC_ROWS = ("SO3 (+,+,+)", "SO3 (+,-,-)", "SL2 case (i)", "SL2 case (ii)",
+               "SL2 case (iii)", "SL2 case (iv)")
+_TAKE = np.array([2, 2, 1, 1, 1, 1])
 
 
 def _cubic_kind(label: str, n: int) -> tuple[str, str]:
-    """Kind and label of a `_CubicCase` row with n reconstructed roots."""
+    """Kind and label of a cubic row with n reconstructed roots."""
     if not n:
         return _NONE
     if label == "SO3 (+,-,-)":
@@ -354,35 +361,89 @@ def _cubic_kind(label: str, n: int) -> tuple[str, str]:
     return "Unique" if n == 1 else "TwoSolutions", label
 
 
+# `_cubic_kind` at 3 * (row + 1) + n, and NoSolution at 0
+_CUBIC_KINDS, _CUBIC_LABELS = (np.array(col, dtype=object) for col in zip(*[
+    _cubic_kind(label, n) for label in ("",) + _CUBIC_ROWS for n in range(3)]))
+
+
+def _fixed_family(label: str, v, c: float, constraint: str):
+    """The raw outcome of a FamilyFixedC row: its sample is v normalized."""
+    return ("FamilyFixedC", label, ((_normalized(v, c), c),), (), constraint)
+
+
+def _is(key, pattern):
+    """Per lane, whether the signs s, with key 9 s1 + 3 s2 + s3, are
+    `pattern`."""
+    return key == 9 * pattern[0] + 3 * pattern[1] + pattern[2]
+
+
+def _select(rows):
+    """Per lane, the first cubic row (guard, label, lo, hi) whose guard
+    holds: its index in `_CUBIC_ROWS` (or -1) and its interval ends."""
+    *rows, (guard, label, lo, hi) = rows
+    row = np.where(guard, _CUBIC_ROWS.index(label), -1)
+    for guard, label, row_lo, row_hi in reversed(rows):
+        row = np.where(guard, _CUBIC_ROWS.index(label), row)
+        lo, hi = np.where(guard, row_lo, lo), np.where(guard, row_hi, hi)
+    return row, lo, hi
+
+
 # ---------------------------------------------------------------------------
 # SO3
 # ---------------------------------------------------------------------------
 
-def _solve_so3(group, T, s, ztol):
-    # descending and stable, as the key -T_i sorts ascending
-    order = sorted(range(3), key=T.__getitem__, reverse=True)
-    Ts = (T[order[0]], T[order[1]], T[order[2]])
-    # sorting is monotone, so the signs of Ts are the sorted signs of T
-    s = tuple(sorted(s, reverse=True))
-
-    if s == (1, 0, 0):
-        c = 8.0 / Ts[0]
-        v = [1.0, 1.0, 1.0]
-        v[order[0]] = 2.0  # on the caller's axis of the positive component
-        v = _normalized(v, c)
-        j, k = sorted(order[1:])
-        return ("FamilyFixedC", "SO3 (+,0,0)", ((v, c),), (),
-                f"v{order[0] + 1}=v{j + 1}+v{k + 1}")
-    if s == (1, 1, 1):
-        return _CubicCase(Ts, 0.0, math.inf, "SO3 (+,+,+)", order=order)
-    if s == (1, -1, -1):
-        return _CubicCase(Ts, -Ts[0], 0.0, "SO3 (+,-,-)", order=order)
-    return _NONE
+def _so3_rows(group, T, s, ztol):
+    # descending and stable: equal components keep their order
+    order = np.argsort(-T, axis=1, kind="stable")
+    lane = np.arange(len(T))[:, None]
+    T = T[lane, order]
+    # sorting is monotone, so the signs of the sorted T are the sorted signs
+    key = (s[lane, order] * (9, 3, 1)).sum(axis=1)
+    closed = {}
+    for i in _is(key, (1, 0, 0)).nonzero()[0].tolist():
+        (a, j, k), v = order[i].tolist(), [1.0, 1.0, 1.0]
+        v[a] = 2.0  # on the caller's axis of the positive component
+        j, k = sorted((j, k))
+        closed[i] = _fixed_family("SO3 (+,0,0)", v, 8.0 / float(T[i, 0]),
+                                  f"v{a + 1}=v{j + 1}+v{k + 1}")
+    row, lo, hi = _select((
+        (_is(key, (1, 1, 1)), "SO3 (+,+,+)", 0.0, np.inf),
+        (_is(key, (1, -1, -1)), "SO3 (+,-,-)", -T[:, 0], 0.0)))
+    return closed, row, T, lo, hi, order
 
 
 # ---------------------------------------------------------------------------
 # SL2
 # ---------------------------------------------------------------------------
+
+def _sl2_rows(group, T, s, ztol):
+    T1, T2, T3 = T.T
+    key = (s * (9, 3, 1)).sum(axis=1)
+    closed = {i: _sl2_zero_family(tuple(T[i].tolist()), index)
+              for index, pattern in enumerate(((-1, 0, 0), (0, -1, 0)))
+              for i in _is(key, pattern).nonzero()[0].tolist()}
+    tie, mixed = abs(T1 - T2) <= ztol, _is(key, (-1, -1, 1))
+    corner = mixed & tie & (abs(T1 + T3) <= ztol)
+    for i in corner.nonzero()[0].tolist():
+        closed[i] = _fixed_family("SL2 case (v)", (1.0, 1.0, 2.0),
+                                  8.0 / float(T3[i]), "v3=v1+v2")
+    mixed &= ~corner
+    n1, n2 = -T1, -T2
+    top, bottom = np.maximum(n1, n2), np.minimum(n1, n2)
+    row, lo, hi = _select((
+        (_is(key, (1, -1, -1)) & (T1 + T3 > ztol), "SL2 case (i)", n1, T3),
+        (_is(key, (-1, 1, -1)) & (T2 + T3 > ztol), "SL2 case (ii)", n2, T3),
+        (mixed & (T3 - top > ztol), "SL2 case (iii)", top, T3),
+        (mixed & (bottom - T3 > ztol), "SL2 case (iv)", T3, bottom)))
+    # T1 = T2: the cubic is (p + T1)(2p^2 - T3 p + T1 T3), and its root -T1,
+    # a pole of the correspondence on the interval's end, is no solution;
+    # the quadratic's positive root is the one, and it pins both ends
+    pin = mixed & tie
+    if pin.any():
+        t1, t3 = T1[pin], T3[pin]
+        lo[pin] = hi[pin] = (t3 + np.sqrt(t3 * t3 - 8.0 * t1 * t3)) / 4.0
+    return closed, row, T, lo, hi, np.zeros(T.shape, int) + np.arange(3)
+
 
 # the two-zero families by negative index: constraint, raw sample, label
 _SL2_ZERO_FAMILIES = (("v2=v1+v3", (1.0, 2.0, 1.0), "SL2 case (vi)"),
@@ -415,45 +476,14 @@ def _sl2_note(p_up: float, c: float, i: int, alt: float, res_c: float,
             f"inconsistent (sample residual {res_alt:.3g})")
 
 
-def _solve_sl2(group, T, s, ztol):
-    T1, T2, T3 = T
-
-    if s == (1, -1, -1) and T1 + T3 > ztol:
-        return _CubicCase(T, -T1, T3, "SL2 case (i)", take=1)
-    if s == (-1, 1, -1) and T2 + T3 > ztol:
-        return _CubicCase(T, -T2, T3, "SL2 case (ii)", take=1)
-
-    if s == (-1, -1, 1):
-        if abs(T1 - T2) <= ztol and abs(T1 + T3) <= ztol:
-            c = 8.0 / T3
-            return ("FamilyFixedC", "SL2 case (v)",
-                    ((_normalized((1.0, 1.0, 2.0), c), c),), (), "v3=v1+v2")
-        hi_gap = T3 - max(-T1, -T2)
-        lo_gap = min(-T1, -T2) - T3
-        if abs(T1 - T2) <= ztol and max(hi_gap, lo_gap) > ztol:
-            # T1 = T2: the cubic is (p + T1)(2p^2 - T3 p + T1 T3), and its
-            # root -T1, a pole of the correspondence on the interval's end,
-            # is no solution; the quadratic's positive root is the one
-            p = (T3 + math.sqrt(T3 * T3 - 8.0 * T1 * T3)) / 4.0
-            return _CubicCase(T, p, p, "SL2 case (iii)" if hi_gap > ztol
-                              else "SL2 case (iv)", take=1)
-        if hi_gap > ztol:
-            return _CubicCase(T, max(-T1, -T2), T3, "SL2 case (iii)", take=1)
-        if lo_gap > ztol:
-            return _CubicCase(T, T3, min(-T1, -T2), "SL2 case (iv)", take=1)
-        return _NONE
-
-    if s in ((-1, 0, 0), (0, -1, 0)):
-        return _sl2_zero_family(T, s.index(-1))
-
-    return _NONE
-
-
 # ---------------------------------------------------------------------------
-# E2 and E11: third bracket coefficient zero, so the system collapses.
+# E2, E11, H3 and the abelian group: no row of theirs needs the cubic, and
+# each branch below takes (group, normalized T, its signs, zero tolerance)
+# of one lane and returns its raw outcome.
 # ---------------------------------------------------------------------------
 
 def _solve_l3zero(group, T, s, ztol):
+    # E2 and E11: third bracket coefficient zero, so the system collapses
     T1, T2, T3 = T
 
     if group.name == "E2" and s == (0, 0, 0):
@@ -461,9 +491,8 @@ def _solve_l3zero(group, T, s, ztol):
                 "v1=v2")
 
     if group.name == "E11" and s[0] == 0 and s[1] == 0 and s[2] == -1:
-        c = -8.0 / T3
-        return ("FamilyFixedC", "E11 (0,0,-)",
-                ((_normalized((1.0, 1.0, 1.0), c), c),), (), "v1=v2")
+        return _fixed_family("E11 (0,0,-)", (1.0, 1.0, 1.0), -8.0 / T3,
+                             "v1=v2")
 
     if s[2] == -1 and T1 + T2 > ztol and s[0] * s[1] == -1:
         # Ratio of the first two equations pins v1/v2 = -T1/T2; the third
@@ -484,10 +513,6 @@ def _solve_l3zero(group, T, s, ztol):
     return _NONE
 
 
-# ---------------------------------------------------------------------------
-# H3 and the abelian group
-# ---------------------------------------------------------------------------
-
 def _solve_h3(group, T, s, ztol):
     T1, T2, T3 = T
     if s != (1, -1, -1):
@@ -503,8 +528,18 @@ def _solve_r3(group, T, s, ztol):
     return _NONE
 
 
-_BRANCHES = {"SO3": _solve_so3, "SL2": _solve_sl2, "E2": _solve_l3zero,
-             "E11": _solve_l3zero, "H3": _solve_h3, "R3": _solve_r3}
+def _lane_rows(group, T, s, ztol):
+    """The rows of a group without a cubic row: its branch on each lane."""
+    raws = (_BRANCHES[group.name](group, tuple(t), tuple(sign), tol)
+            for t, sign, tol in zip(T.tolist(), s.tolist(), ztol.tolist()))
+    closed = {i: raw for i, raw in enumerate(raws) if raw != _NONE}
+    return (closed,) + (np.full(len(T), -1),) * 5  # and no cubic lane
+
+
+_BRANCHES = {"E2": _solve_l3zero, "E11": _solve_l3zero, "H3": _solve_h3,
+             "R3": _solve_r3}
+_ROWS = dict.fromkeys(_BRANCHES, _lane_rows) | {"SO3": _so3_rows,
+                                                "SL2": _sl2_rows}
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,10 @@ def residual(group, m, c: float, T) -> float:
     group = as_group(group)
     v = _unwrap(m)
     t = np.asarray(getattr(T, "T", T), dtype=float)[None]
-    (res,) = _normalized_residuals(ricci_diagonal(group, v)[None],
-                                   np.array([float(c)]), t, t)
+    # as in `certify_many`: a metric that overflows has residual inf or nan
+    with np.errstate(all="ignore"):
+        (res,) = _normalized_residuals(ricci_diagonal(group, v)[None],
+                                       np.array([float(c)]), t, t)
     return float(res)
 
 

@@ -3,6 +3,7 @@
 Both run one cubic kernel, `solve` on one lane, so these tests check that a
 lane's answer never depends on its chunk-mates."""
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, reconstruct_from_p,
                               solve, solve_many)
 from prescribed_ricci import arrays, cubic, solver
 
-from conftest import ALL_GROUPS, singular_steps
+from conftest import ALL_GROUPS, random_solvable, singular_steps
 from exact_count import Cubic
 
 
@@ -135,6 +136,57 @@ def test_chunks_and_fallbacks(monkeypatch):
           (8.0, -1.0, -1.0), (-1.0, -1.0, -1.0), (10.0, -1.6, -0.8)]
     assert_same(SO3, Ts)
     assert list(solve_many(SO3, [])) == []
+
+
+def planner_chunk(group, gen):
+    """A chunk that meets every case row of the group and every decision
+    of the case table at its edge: random solvable tensors, random ones,
+    and every ordering of ±0.0, components at exactly ±ztol and one float
+    past it, and nonzero components with the SO3 ties (equal components in
+    every order) and the SL2 T1 = T2 ties among them."""
+    m = 4.0  # |T|_inf of the edge tensors that have ±m, so ztol is tol
+    tol = solver.ZERO_TOL * m
+    past = float(np.nextafter(tol, 1.0))
+    edges = (m, -m, 1.0, -1.0, 3.0, 0.0, -0.0, tol, -tol, past, -past)
+    Ts = [random_solvable(group, gen) for _ in range(60)]
+    Ts += [tuple(gen.uniform(-3.0, 3.0, 3)) for _ in range(20)]
+    Ts += list(itertools.product(edges, repeat=3))
+    Ts += [(-t, -t, r * t) for t in (0.1, 1.0, 3.0)
+           for r in (0.5, 1.0, 1.0 + 1e-9, 3.0)]
+    Ts += [(8.0, -1.0, -1.0), (-1.0, 8.0, -1.0)]  # SO3 double roots
+    return [Ts[i] for i in gen.permutation(len(Ts))]
+
+
+# every case label of each group
+ROWS = {"SO3": ("SO3 (+,0,0)", "SO3 (+,+,+)", "SO3 (+,-,-) unique subcase",
+                "SO3 (+,-,-) two-solution subcase", "none"),
+        "SL2": ("SL2 case (i)", "SL2 case (ii)", "SL2 case (iii)",
+                "SL2 case (iv)", "SL2 case (v)", "SL2 case (vi)",
+                "SL2 case (vii)", "none"),
+        "E2": ("E2 (0,0,0)", "E2 (+,-,-)", "E2 (-,+,-)", "none"),
+        "E11": ("E11 (0,0,-)", "E11 (+,-,-)", "E11 (-,+,-)", "none"),
+        "H3": ("H3 (+,-,-)", "none"), "R3": ("R3 (0,0,0)", "none")}
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_planner_lanes_are_independent(group):
+    # one chunk, the chunk reversed and one lane at a time give equal
+    # outcomes; scaled by 8^j, the chunk keeps its labels and each c is
+    # c * 8^-j exactly, as the case table runs on T / 8^k
+    Ts = planner_chunk(group, np.random.default_rng(11))
+    chunk = list(solve_many(group, Ts))
+    assert chunk == list(solve_many(group, Ts[::-1]))[::-1]
+    lanes = [solve(group, T) for T in Ts]
+    assert chunk == lanes
+    assert [repr(o) for o in chunk] == [repr(o) for o in lanes]
+    assert {o.case_label for o in chunk} >= set(ROWS[group.name])
+    for j in (-30, -1, 1, 30):
+        scaled = list(solve_many(group, [tuple(math.ldexp(t, 3 * j)
+                                               for t in T) for T in Ts]))
+        assert ([o.case_label for o in scaled]
+                == [o.case_label for o in chunk])
+        assert [o.c_values() for o in scaled] == [
+            tuple(math.ldexp(c, -3 * j) for c in o.c_values()) for o in chunk]
 
 
 def test_singular_polish_falls_back_per_lane(monkeypatch):

@@ -464,9 +464,9 @@ def test_cubic_intervals_lie_on_one_side_of_zero(g, seed, integers, shrunk,
          else np.asarray(integers, dtype=float))
     if shrunk >= 0:
         T[shrunk] *= 10.0 ** shrink
-    _, raw = solver._plan(g, tuple(10.0 ** exponent * T))
-    if type(raw) is solver._CubicCase:
-        assert not raw.lo < 0.0 < raw.hi, raw
+    plan = solver._plan_rows(g, [tuple(10.0 ** exponent * T)])
+    inside = (plan.lo < 0.0) & (0.0 < plan.hi)
+    assert not inside.any(), (plan.lo, plan.hi)
 
 
 def test_c_uniqueness_taxonomy(rng):

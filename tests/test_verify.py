@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,16 @@ def test_residual_exact_solutions():
 def test_residual_wrong_constant():
     # Ric = (2,2,2), cT = (1,1,1): max gap 1 over denominator 1 + 1
     assert abs(residual(SO3, (1, 1, 1), 1.0, (1, 1, 1)) - 0.5) <= 1e-15
+
+
+def test_residual_of_overflowing_metric_is_inf_without_warnings():
+    # Ric of this metric overflows the closed form; the residual says the
+    # claim fails by an unbounded amount, as certify's closed-form route does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = residual("so3", (1e200, 1e-100, 1e-100), 1.0, (1, 1, 1))
+        cert = certify("so3", (1e200, 1e-100, 1e-100), 1.0, (1, 1, 1))
+    assert res == cert.residual_closed_form == math.inf
 
 
 def test_certify_solver_output_passes():
