@@ -256,7 +256,7 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     nothing = ValueError(f"nothing to probe: no solution for {group.name}, "
                          f"T={tuple(T)}")
     plan = _plan_rows(group, [T])
-    if plan.errors or not (plan.lanes.size or plan.closed):
+    if plan.errors or plan.row[0] < 0:
         raise plan.errors.get(0, nothing)
     changes = sample_diagonal_preserving_changes(group, T, n, rng)
     Ms = np.array(changes)

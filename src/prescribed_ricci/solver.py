@@ -24,9 +24,22 @@ minus on SL2).  The remaining groups collapse to closed forms because their
 third bracket coefficient vanishes.  Whenever c is determined, returned
 metrics are scaled so that v1*v2*v3*c = 1.
 
-`solve_many` answers a sequence of tensors, CHUNK at a time: the case table
-and the cubic kernel (`arrays.cubic_columns`) run on arrays of a chunk's
-lanes, each lane with the bits it gets alone, and `solve` on one lane.
+Every existence condition is a sign pattern.  The case table `_TABLES`
+writes each group's rows as data: a label, the three-way signs (0 within
+ZERO_TOL * |T|_inf) that the row needs of seven linear forms of
+T' = T / 8^k (sorted descending on SO3),
+
+    T1  T2  T3  T1+T2  T1+T3  T2+T3  T1-T2
+
+and an answer: a closed form, or the reduction cubic on an interval whose
+ends are linear in T' (or the max or min of two such ends).  No sign vector
+matches two rows of a group, so the order of the rows decides nothing.
+
+`solve_many` answers a sequence of tensors, CHUNK at a time: one
+interpreter (`_plan_rows`) matches a chunk's lanes against the table and
+the cubic kernel (`arrays.cubic_columns`) answers the cubic rows, both on
+arrays of lanes, each lane with the bits it gets alone, and `solve` is the
+same on one lane.
 """
 from __future__ import annotations
 
@@ -34,6 +47,7 @@ import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +56,7 @@ from .arrays import _T3_SIGN, Columns, _reconstruct_many, cubic_columns
 # here by name; the solver isolates roots through `cubic_columns`
 from .cubic import roots_in_interval  # noqa: F401
 from .curvature import DiagonalMetric
-from .groups import as_group
+from .groups import GROUPS, as_group
 from .verify import residual
 
 __all__ = [
@@ -68,10 +82,19 @@ class DiagonalTensor:
 
 
 def _components(T) -> tuple[float, float, float]:
-    """T as three finite floats; raises ValueError for anything else."""
-    if isinstance(T, (str, bytes)):
-        raise ValueError(f"tensor components must be numbers, got {T!r}")
-    T = tuple(map(float, T))
+    """T (or a DiagonalTensor's T) as three finite floats; raises ValueError
+    for anything else."""
+    if isinstance(T, DiagonalTensor):
+        return T.T
+    try:
+        if isinstance(T, (str, bytes)):
+            raise TypeError
+        T = tuple(map(float, T))
+    except TypeError:
+        raise ValueError(f"tensor components must be numbers, got {T!r}"
+                         ) from None
+    except OverflowError:
+        raise ValueError(f"non-finite tensor components {T!r}") from None
     if len(T) != 3:
         raise ValueError("diagonal tensor needs exactly three components")
     if not all(map(math.isfinite, T)):
@@ -125,10 +148,6 @@ class SolveOutcome:
         return ()
 
 
-def _tensor(T) -> tuple[float, float, float]:
-    return _components(getattr(T, "T", T))
-
-
 def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     """Metric and constant from a verified cubic root p (SO3 and SL2 only):
     the kernel's reconstruction and polish on one lane.
@@ -140,7 +159,7 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     inadmissible p upstream.  bench/spans.py wraps this name.
     """
     group = as_group(group)
-    T = _tensor(T)
+    T = _components(T)
     if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
     v, c, _, errors = _reconstruct_many(
@@ -189,17 +208,20 @@ def solve_many(group, Ts):
         yield from _answers(group, chunk)
 
 
-# a chunk's case rows on T' = T / 8^k, |T'|_inf in [1, 8): each lane's k; by
+# a chunk's case rows on T' = T / 8^k, |T'|_inf in [1, 8): each lane's k
+# and matched `row` of its group's table (-1: none, or the lane raises); by
 # lane, the raw outcome of each closed-form lane and the exception of each
-# lane that raises; for the cubic `lanes`, in order, the row (an index of
-# `_CUBIC_ROWS`), T' (SO3: descending), the interval (lo, hi) on one side of 0
-# holding the roots (lo == hi pins one: the SL2 T1 = T2 row) and `order`.
-_Plan = namedtuple("_Plan", "k closed errors lanes row T lo hi order")
+# lane that raises; for the cubic `lanes`, in order, T' (SO3: descending),
+# the interval (lo, hi) on one side of 0 holding the roots (lo == hi pins
+# one: the SL2 T1 = T2 rows), the roots to `take` and `order`.
+_Plan = namedtuple("_Plan", "k row closed errors lanes T lo hi take order")
 
 
 def _plan_rows(group, Ts) -> _Plan:
-    """The case table on the list Ts: scaling, sign patterns and the SO3 and
-    SL2 rows run on arrays, each lane with the float operations of its own."""
+    """The case table on the list Ts: each lane is scaled, the signs of its
+    forms are taken and matched against its group's rows on arrays, each
+    lane with the float operations of its own, and each closed-form lane
+    gets its row's answer."""
     errors = {}
     try:
         A = np.array(Ts, dtype=float)
@@ -210,7 +232,7 @@ def _plan_rows(group, Ts) -> _Plan:
         A = np.zeros((len(Ts), 3))
         for i, T in enumerate(Ts):
             try:
-                A[i] = _tensor(T)
+                A[i] = _components(T)
             except Exception as exc:
                 errors[i] = exc
     m = abs(A).max(axis=1)
@@ -218,12 +240,48 @@ def _plan_rows(group, Ts) -> _Plan:
     k = (np.frexp(m)[1] - (m > 0.0)) // 3
     e = -3 * k
     T, ztol = np.ldexp(A, e[:, None]), ZERO_TOL * np.ldexp(m, e)
-    s = np.where(abs(T) <= ztol[:, None], 0, np.where(T > 0.0, 1, -1))
-    closed, row, *case = _ROWS[group.name](group, T, s, ztol)
-    row[list(errors)] = -1
-    closed = {i: raw for i, raw in closed.items() if i not in errors}
-    lanes = (row >= 0).nonzero()[0]
-    return _Plan(k, closed, errors, lanes, *[a[lanes] for a in (row, *case)])
+    table = _TABLES[group.name]
+    order = np.zeros(T.shape, int) + np.arange(3)
+    if group.name == "SO3":
+        # signed permutations of an SO3 frame preserve the brackets, so its
+        # rows read T sorted descending, stably: equal components keep
+        # their order
+        order = np.argsort(-T, axis=1, kind="stable")
+        T = T[np.arange(len(T))[:, None], order]
+    T1, T2, T3 = T.T
+    # a row per form, lanes along it: numpy runs along lanes many times
+    # faster than across a lane's few forms
+    forms = np.array((T1, T2, T3, T1 + T2, T1 + T3, T2 + T3,
+                      T1 - T2)[:len(table.patterns)])
+    # each form's sign, 0 where it is within ztol
+    signs = np.sign(forms) * (abs(forms) > ztol)
+    # at most one row matches a sign vector, so the sum is its index + 1
+    hit = ((signs[:, None] == table.patterns) | table.free).all(axis=0)
+    row = (hit * np.arange(1, len(table.rows) + 1)[:, None]).sum(axis=0) - 1
+    if errors:
+        row[list(errors)] = -1
+    closed = {}
+    at = table.closed[row].nonzero()[0]
+    for i, r, t, o in zip(at.tolist(), row[at].tolist(), T[at].tolist(),
+                          order[at].tolist()):
+        label, _, answer = table.rows[r]
+        closed[i] = answer(label, tuple(t), tuple(o))
+    lanes = table.cubic[row].nonzero()[0]
+    rows, T = row[lanes], T[lanes]
+    lo = hi = np.zeros(len(lanes))
+    for r in set(rows.tolist()):
+        (_, _, cubic), here = table.rows[r], rows == r
+        lo = np.where(here, _ENDS[cubic.lo](T), lo)
+        hi = np.where(here, _ENDS[cubic.hi](T), hi)
+        if cubic.pin:
+            # T1 = T2: the cubic is (p + T1)(2p^2 - T3 p + T1 T3), and its
+            # root -T1, a pole of the correspondence on the interval's end,
+            # is no solution; the quadratic's positive root is the one
+            pin = here & (signs[6, lanes] == 0)
+            t1, t3 = T[pin, 0], T[pin, 2]
+            lo[pin] = hi[pin] = (t3 + np.sqrt(t3 * t3 - 8.0 * t1 * t3)) / 4.0
+    return _Plan(k, row, closed, errors, lanes, T, lo, hi, table.take[rows],
+                 order[lanes])
 
 
 def _plan_chunk(group, Ts) -> tuple[_Plan, Columns]:
@@ -231,7 +289,7 @@ def _plan_chunk(group, Ts) -> tuple[_Plan, Columns]:
     cubic lanes, a row each in the order of `lanes`; the ValueError of a
     cubic lane joins the plan's errors."""
     plan = _plan_rows(group, Ts)
-    cols = cubic_columns(group, plan.T, plan.lo, plan.hi, _TAKE[plan.row],
+    cols = cubic_columns(group, plan.T, plan.lo, plan.hi, plan.take,
                          plan.order)
     plan.errors.update({int(plan.lanes[j]): e for j, e in cols.error.items()})
     return plan, cols
@@ -241,15 +299,16 @@ def _answers(group, Ts):
     """Yield the outcome of each T of the list Ts, raising its error at its
     place."""
     plan, cols = _plan_chunk(group, Ts)
+    rows = _TABLES[group.name].rows
     cubic = dict(zip(plan.lanes.tolist(), zip(
-        plan.row.tolist(), cols.n.tolist(), _slots(cols.v, cols.c),
-        _slots(cols.p, cols.q, cols.mult))))
+        plan.row[plan.lanes].tolist(), cols.n.tolist(),
+        _slots(cols.v, cols.c), _slots(cols.p, cols.q, cols.mult))))
     for i, k in enumerate(plan.k.tolist()):
         if i in plan.errors:
             raise plan.errors[i]
         if i in cubic:
             row, n, sols, traces = cubic[i]
-            yield _outcome(k, *_cubic_kind(_CUBIC_ROWS[row], n), sols[:n],
+            yield _outcome(k, *_cubic_kind(rows[row][0], n), sols[:n],
                            traces[:n])
         else:
             yield _outcome(k, *plan.closed.get(i, _NONE))
@@ -269,11 +328,11 @@ def solve_columns(group, Ts):
     mapped back to T on arrays, with no outcome built.  Raises what `solve`
     raises for the first T at which it raises."""
     group = as_group(group)
+    table = _TABLES[group.name]
     plan, cols = _plan_chunk(group, Ts)
     size = len(plan.k)
-    row, n, c = np.full(size, -1), np.zeros(size, int), np.full((size, 2),
-                                                                np.nan)
-    row[plan.lanes], n[plan.lanes], c[plan.lanes] = plan.row, cols.n, cols.c
+    n, c = np.zeros(size, int), np.full((size, 2), np.nan)
+    n[plan.lanes], c[plan.lanes] = cols.n, cols.c
     k = plan.k.tolist()
     with np.errstate(over="ignore"):
         back = c / np.ldexp(1.0, 3 * plan.k)[:, None]  # as `_c_back`
@@ -284,8 +343,9 @@ def solve_columns(group, Ts):
             [_c_back(x, k[i]) for x in c[i, :n[i]].tolist()]
         except ValueError as exc:
             plan.errors.setdefault(i, exc)
-    kinds = _CUBIC_KINDS[3 * row + 3 + n].tolist()
-    labels = _CUBIC_LABELS[3 * row + 3 + n].tolist()
+    # a closed-form lane reads NoSolution here (n = 0) and is set below
+    kinds = table.kinds[3 * plan.row + 3 + n].tolist()
+    labels = table.labels[3 * plan.row + 3 + n].tolist()
     cs = [lane[:j] for lane, j in zip(back.tolist(), n.tolist())]
     for i, raw in plan.closed.items():
         try:
@@ -299,8 +359,9 @@ def solve_columns(group, Ts):
     return kinds, labels, cs
 
 
-# The case rows below give a closed form's raw outcome (kind, label,
-# solutions, traces, constraint, notes): solutions are (v, c) pairs (a
+# A closed-form row's answer is a function of its label, one lane's T' as
+# three floats (SO3: descending) and `order`, giving the raw outcome (kind,
+# label, solutions, traces, constraint, notes): solutions are (v, c) pairs (a
 # family's one pair is its sample, with c = 1 when c is free), traces are
 # (p, q, multiplicity) and notes are `_sl2_note` arguments.
 _NONE = ("NoSolution", "none")
@@ -345,13 +406,6 @@ def _c_back(c: float, k: int) -> float:
     return c
 
 
-# the rows the reduction cubic decides, and the roots each reconstructs
-# (root isolation reports at most two, so 2 takes them all)
-_CUBIC_ROWS = ("SO3 (+,+,+)", "SO3 (+,-,-)", "SL2 case (i)", "SL2 case (ii)",
-               "SL2 case (iii)", "SL2 case (iv)")
-_TAKE = np.array([2, 2, 1, 1, 1, 1])
-
-
 def _cubic_kind(label: str, n: int) -> tuple[str, str]:
     """Kind and label of a cubic row with n reconstructed roots."""
     if not n:
@@ -361,110 +415,38 @@ def _cubic_kind(label: str, n: int) -> tuple[str, str]:
     return "Unique" if n == 1 else "TwoSolutions", label
 
 
-# `_cubic_kind` at 3 * (row + 1) + n, and NoSolution at 0
-_CUBIC_KINDS, _CUBIC_LABELS = (np.array(col, dtype=object) for col in zip(*[
-    _cubic_kind(label, n) for label in ("",) + _CUBIC_ROWS for n in range(3)]))
-
-
-def _fixed_family(label: str, v, c: float, constraint: str):
-    """The raw outcome of a FamilyFixedC row: its sample is v normalized."""
+def _family(i: int, num: float, v, constraint, label, T, order=None):
+    """A FamilyFixedC row: c = num / T_i, and its sample is v normalized."""
+    c = num / T[i]
     return ("FamilyFixedC", label, ((_normalized(v, c), c),), (), constraint)
 
 
-def _is(key, pattern):
-    """Per lane, whether the signs s, with key 9 s1 + 3 s2 + s3, are
-    `pattern`."""
-    return key == 9 * pattern[0] + 3 * pattern[1] + pattern[2]
+def _any_c(constraint, label, T, order):
+    """A FamilyAnyC row: every metric on the constraint, and c is free."""
+    return ("FamilyAnyC", label, (((1.0, 1.0, 1.0), 1.0),), (), constraint)
 
 
-def _select(rows):
-    """Per lane, the first cubic row (guard, label, lo, hi) whose guard
-    holds: its index in `_CUBIC_ROWS` (or -1) and its interval ends."""
-    *rows, (guard, label, lo, hi) = rows
-    row = np.where(guard, _CUBIC_ROWS.index(label), -1)
-    for guard, label, row_lo, row_hi in reversed(rows):
-        row = np.where(guard, _CUBIC_ROWS.index(label), row)
-        lo, hi = np.where(guard, row_lo, lo), np.where(guard, row_hi, hi)
-    return row, lo, hi
+def _so3_axis_family(label, T, order):
+    """SO3 (+,0,0): c = 8/T1, and the constraint names the axes in the
+    caller's order, the positive component's on the left."""
+    (a, j, k), v = order, [1.0, 1.0, 1.0]
+    v[a] = 2.0
+    j, k = sorted((j, k))
+    return _family(0, 8.0, v, f"v{a + 1}=v{j + 1}+v{k + 1}", label, T)
 
 
-# ---------------------------------------------------------------------------
-# SO3
-# ---------------------------------------------------------------------------
-
-def _so3_rows(group, T, s, ztol):
-    # descending and stable: equal components keep their order
-    order = np.argsort(-T, axis=1, kind="stable")
-    lane = np.arange(len(T))[:, None]
-    T = T[lane, order]
-    # sorting is monotone, so the signs of the sorted T are the sorted signs
-    key = (s[lane, order] * (9, 3, 1)).sum(axis=1)
-    closed = {}
-    for i in _is(key, (1, 0, 0)).nonzero()[0].tolist():
-        (a, j, k), v = order[i].tolist(), [1.0, 1.0, 1.0]
-        v[a] = 2.0  # on the caller's axis of the positive component
-        j, k = sorted((j, k))
-        closed[i] = _fixed_family("SO3 (+,0,0)", v, 8.0 / float(T[i, 0]),
-                                  f"v{a + 1}=v{j + 1}+v{k + 1}")
-    row, lo, hi = _select((
-        (_is(key, (1, 1, 1)), "SO3 (+,+,+)", 0.0, np.inf),
-        (_is(key, (1, -1, -1)), "SO3 (+,-,-)", -T[:, 0], 0.0)))
-    return closed, row, T, lo, hi, order
-
-
-# ---------------------------------------------------------------------------
-# SL2
-# ---------------------------------------------------------------------------
-
-def _sl2_rows(group, T, s, ztol):
-    T1, T2, T3 = T.T
-    key = (s * (9, 3, 1)).sum(axis=1)
-    closed = {i: _sl2_zero_family(tuple(T[i].tolist()), index)
-              for index, pattern in enumerate(((-1, 0, 0), (0, -1, 0)))
-              for i in _is(key, pattern).nonzero()[0].tolist()}
-    tie, mixed = abs(T1 - T2) <= ztol, _is(key, (-1, -1, 1))
-    corner = mixed & tie & (abs(T1 + T3) <= ztol)
-    for i in corner.nonzero()[0].tolist():
-        closed[i] = _fixed_family("SL2 case (v)", (1.0, 1.0, 2.0),
-                                  8.0 / float(T3[i]), "v3=v1+v2")
-    mixed &= ~corner
-    n1, n2 = -T1, -T2
-    top, bottom = np.maximum(n1, n2), np.minimum(n1, n2)
-    row, lo, hi = _select((
-        (_is(key, (1, -1, -1)) & (T1 + T3 > ztol), "SL2 case (i)", n1, T3),
-        (_is(key, (-1, 1, -1)) & (T2 + T3 > ztol), "SL2 case (ii)", n2, T3),
-        (mixed & (T3 - top > ztol), "SL2 case (iii)", top, T3),
-        (mixed & (bottom - T3 > ztol), "SL2 case (iv)", T3, bottom)))
-    # T1 = T2: the cubic is (p + T1)(2p^2 - T3 p + T1 T3), and its root -T1,
-    # a pole of the correspondence on the interval's end, is no solution;
-    # the quadratic's positive root is the one, and it pins both ends
-    pin = mixed & tie
-    if pin.any():
-        t1, t3 = T1[pin], T3[pin]
-        lo[pin] = hi[pin] = (t3 + np.sqrt(t3 * t3 - 8.0 * t1 * t3)) / 4.0
-    return closed, row, T, lo, hi, np.zeros(T.shape, int) + np.arange(3)
-
-
-# the two-zero families by negative index: constraint, raw sample, label
-_SL2_ZERO_FAMILIES = (("v2=v1+v3", (1.0, 2.0, 1.0), "SL2 case (vi)"),
-                      ("v1=v2+v3", (2.0, 1.0, 1.0), "SL2 case (vii)"))
-
-
-def _sl2_zero_family(T, negative_index: int):
-    """The two-zero families: T_i < 0 for i in {1, 2}, other components zero.
+def _sl2_zero_family(i, v, constraint, label, T, order):
+    """SL2 (vi)/(vii): T_i < 0 for i in {0, 1}, other components zero.
 
     The curvature equations force one x to vanish; the surviving equation
     reads -8 = c*T_i, so c = -8/T_i.  The sign convention matters: the other
     orientation, c = -T_i/8, is checked live against the residual and flagged
     (both residuals are taken on the normalized T, where neither overflows).
     """
-    c = -8.0 / T[negative_index]
-    constraint, raw_sample, label = _SL2_ZERO_FAMILIES[negative_index]
-    sample = _normalized(raw_sample, c)
-    res_c = residual("SL2", sample, c, T)
-    res_alt = residual("SL2", sample, -T[negative_index] / 8.0, T)
-    return ("FamilyFixedC", label, ((sample, c),), (), constraint,
-            ((negative_index, -T[negative_index] / 8.0, res_c, res_alt),))
+    raw = _family(i, -8.0, v, constraint, label, T)
+    ((sample, c),), alt = raw[2], -T[i] / 8.0
+    return raw + (((i, alt, residual("SL2", sample, c, T),
+                    residual("SL2", sample, alt, T)),),)
 
 
 def _sl2_note(p_up: float, c: float, i: int, alt: float, res_c: float,
@@ -476,70 +458,110 @@ def _sl2_note(p_up: float, c: float, i: int, alt: float, res_c: float,
             f"inconsistent (sample residual {res_alt:.3g})")
 
 
-# ---------------------------------------------------------------------------
-# E2, E11, H3 and the abelian group: no row of theirs needs the cubic, and
-# each branch below takes (group, normalized T, its signs, zero tolerance)
-# of one lane and returns its raw outcome.
-# ---------------------------------------------------------------------------
-
-def _solve_l3zero(group, T, s, ztol):
-    # E2 and E11: third bracket coefficient zero, so the system collapses
+def _l3zero(lambdas, label, T, order):
+    """E2 and E11 (+,-,-) and (-,+,-): the third bracket coefficient is zero,
+    so the system collapses.  The ratio of the first two equations pins
+    v1/v2 = -T1/T2; the third (independent of v3) pins c; the first
+    recovers v3."""
     T1, T2, T3 = T
-
-    if group.name == "E2" and s == (0, 0, 0):
-        return ("FamilyAnyC", "E2 (0,0,0)", (((1.0, 1.0, 1.0), 1.0),), (),
-                "v1=v2")
-
-    if group.name == "E11" and s[0] == 0 and s[1] == 0 and s[2] == -1:
-        return _fixed_family("E11 (0,0,-)", (1.0, 1.0, 1.0), -8.0 / T3,
-                             "v1=v2")
-
-    if s[2] == -1 and T1 + T2 > ztol and s[0] * s[1] == -1:
-        # Ratio of the first two equations pins v1/v2 = -T1/T2; the third
-        # equation (independent of v3) pins c; the first recovers v3.
-        # x-coefficients of the metric (v1, v2, .); none of them involve v3
-        v1, v2 = -T1 / T2, 1.0
-        l1, l2, _ = group.lambdas
-        x = ((l2 * v2 - l1 * v1) / 2.0, (l1 * v1 - l2 * v2) / 2.0,
-             (l1 * v1 + l2 * v2) / 2.0)
-        # with the guard, c = -2(v1 -+ v2)^2 / (v1 v2 T3) > 0 and v3 has the
-        # sign of (v1 - 1)/T1 > 0 in both sign orders
-        c = (2.0 * x[0] * x[1] / (v1 * v2)) / T3
-        v3 = 2.0 * x[1] * x[2] / (v2 * c * T1)
-        pattern = "(+,-,-)" if s[0] == 1 else "(-,+,-)"
-        return ("Unique", f"{group.name} {pattern}",
-                ((_normalized((v1, v2, v3), c), c),))
-
-    return _NONE
+    v1, v2 = -T1 / T2, 1.0
+    l1, l2, _ = lambdas
+    # x-coefficients of the metric (v1, v2, .); none of them involve v3
+    x = ((l2 * v2 - l1 * v1) / 2.0, (l1 * v1 - l2 * v2) / 2.0,
+         (l1 * v1 + l2 * v2) / 2.0)
+    # with T1 + T2 > 0, c = -2(v1 -+ v2)^2 / (v1 v2 T3) > 0 and v3 has the
+    # sign of (v1 - 1)/T1 > 0 in both sign orders
+    c = (2.0 * x[0] * x[1] / (v1 * v2)) / T3
+    v3 = 2.0 * x[1] * x[2] / (v2 * c * T1)
+    return ("Unique", label, ((_normalized((v1, v2, v3), c), c),))
 
 
-def _solve_h3(group, T, s, ztol):
+def _h3(label, T, order):
+    """H3 (+,-,-): the one metric and c in closed form."""
     T1, T2, T3 = T
-    if s != (1, -1, -1):
-        return _NONE
     c = 2.0 * T1 / (T2 * T3)
-    return ("Unique", "H3 (+,-,-)",
+    return ("Unique", label,
             ((_normalized((1.0, -T2 / T1, -T3 / T1), c), c),))
 
 
-def _solve_r3(group, T, s, ztol):
-    if s == (0, 0, 0):
-        return ("FamilyAnyC", "R3 (0,0,0)", (((1.0, 1.0, 1.0), 1.0),))
-    return _NONE
+# ---------------------------------------------------------------------------
+# The case table
+# ---------------------------------------------------------------------------
+
+# A cubic row's answer: the roots of the reduction cubic in the open interval
+# between the ends named lo and hi (see `_ENDS`), of which the first `take`
+# are reconstructed (root isolation reports at most two, so 2 takes them
+# all); with `pin`, both ends are the one root where T1 - T2 is 0
+_Cubic = namedtuple("_Cubic", "lo hi take pin", defaults=(False,))
+
+# a group's rows (label, signs, answer); their sign `patterns` by form, row
+# and a lane axis, and `free` where any sign matches; whether each row is a
+# cubic or a closed-form row (False at row -1, no match) and its `take`;
+# `_cubic_kind` at 3 * (row + 1) + n, NoSolution at 0
+_Table = namedtuple("_Table",
+                    "rows patterns free cubic closed take kinds labels")
+
+_SIGNS = {"-": -1, "0": 0, "+": 1, ".": 2}
 
 
-def _lane_rows(group, T, s, ztol):
-    """The rows of a group without a cubic row: its branch on each lane."""
-    raws = (_BRANCHES[group.name](group, tuple(t), tuple(sign), tol)
-            for t, sign, tol in zip(T.tolist(), s.tolist(), ztol.tolist()))
-    closed = {i: raw for i, raw in enumerate(raws) if raw != _NONE}
-    return (closed,) + (np.full(len(T), -1),) * 5  # and no cubic lane
+def _table(*rows) -> _Table:
+    """A group's table from its rows (label, signs, answer): signs holds
+    '+', '-', '0' or '.' (any sign) for the forms in order, and the forms
+    past its end take any sign; the answer is a `_Cubic` or a closed form,
+    a function of the label, one lane's T' as three floats and `order`."""
+    width = max(len(signs) for _, signs, _ in rows)
+    patterns = np.array([[_SIGNS[c] for c in signs.ljust(width, ".")]
+                         for _, signs, _ in rows]).T[:, :, None]
+    cubic = [isinstance(answer, _Cubic) for *_, answer in rows]
+    kinds, labels = (np.array(col, dtype=object) for col in zip(*[
+        _cubic_kind(label, n)
+        for label in ("",) + tuple(r[0] for r in rows) for n in range(3)]))
+    return _Table(
+        rows, patterns, patterns == 2, np.array(cubic + [False]),
+        np.array([not c for c in cubic] + [False]),
+        np.array([r[2].take if c else 0 for r, c in zip(rows, cubic)]),
+        kinds, labels)
 
 
-_BRANCHES = {"E2": _solve_l3zero, "E11": _solve_l3zero, "H3": _solve_h3,
-             "R3": _solve_r3}
-_ROWS = dict.fromkeys(_BRANCHES, _lane_rows) | {"SO3": _so3_rows,
-                                                "SL2": _sl2_rows}
+# the interval ends that cubic rows name, on T of shape (N, 3)
+_ENDS = {"0": lambda T: 0.0, "inf": lambda T: np.inf,
+         "-T1": lambda T: -T[:, 0], "-T2": lambda T: -T[:, 1],
+         "T3": lambda T: T[:, 2],
+         "max(-T1,-T2)": lambda T: np.maximum(-T[:, 0], -T[:, 1]),
+         "min(-T1,-T2)": lambda T: np.minimum(-T[:, 0], -T[:, 1])}
+
+
+_E2, _E11 = (partial(_l3zero, GROUPS[name].lambdas) for name in ("E2", "E11"))
+
+#   signs of the forms  T1 T2 T3 T1+T2 T1+T3 T2+T3 T1-T2
+_TABLES = {
+    "SO3": _table(
+        ("SO3 (+,+,+)", "+++", _Cubic("0", "inf", 2)),
+        ("SO3 (+,-,-)", "+--", _Cubic("-T1", "0", 2)),
+        ("SO3 (+,0,0)", "+00", _so3_axis_family)),
+    "SL2": _table(
+        ("SL2 case (vi)", "-00",
+         partial(_sl2_zero_family, 0, (1.0, 2.0, 1.0), "v2=v1+v3")),
+        ("SL2 case (vii)", "0-0",
+         partial(_sl2_zero_family, 1, (2.0, 1.0, 1.0), "v1=v2+v3")),
+        ("SL2 case (v)", "--+.0.0",
+         partial(_family, 2, 8.0, (1.0, 1.0, 2.0), "v3=v1+v2")),
+        ("SL2 case (i)", "+--.+", _Cubic("-T1", "T3", 1)),
+        ("SL2 case (ii)", "-+-..+", _Cubic("-T2", "T3", 1)),
+        ("SL2 case (iii)", "--+.++", _Cubic("max(-T1,-T2)", "T3", 1, True)),
+        ("SL2 case (iv)", "--+.--", _Cubic("T3", "min(-T1,-T2)", 1, True))),
+    "E2": _table(
+        ("E2 (0,0,0)", "000", partial(_any_c, "v1=v2")),
+        ("E2 (+,-,-)", "+--+", _E2),
+        ("E2 (-,+,-)", "-+-+", _E2)),
+    "E11": _table(
+        ("E11 (0,0,-)", "00-", partial(_family, 2, -8.0, (1.0, 1.0, 1.0),
+                                       "v1=v2")),
+        ("E11 (+,-,-)", "+--+", _E11),
+        ("E11 (-,+,-)", "-+-+", _E11)),
+    "H3": _table(("H3 (+,-,-)", "+--", _h3)),
+    "R3": _table(("R3 (0,0,0)", "000", partial(_any_c, None))),
+}
 
 
 # ---------------------------------------------------------------------------

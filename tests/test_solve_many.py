@@ -104,7 +104,7 @@ def test_sl2_iii_iv_boundary():
 
 @pytest.mark.parametrize("group", [E2, E11, H3, R3])
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
-def test_other_groups_fall_back(group, scale):
+def test_closed_form_groups(group, scale):
     assert_same(group, [tuple(t * scale for t in T)
                         for T in itertools.product(EDGES, repeat=3)])
 
@@ -114,7 +114,11 @@ def test_errors_at_their_place():
     # solve raises them
     assert_same(SO3, [(10.0, -1.0, -1.0), (1.0, float("nan"), 0.0),
                       (1.0, 1.0, 1.0)])
-    assert_same(SO3, [(1.0, 1.0, 1.0), "123"])
+    for T in ("123", [1.0, None, 2.0], [[1.0], 2.0, 3.0], 7.0,
+              np.ones((3, 1)), [10 ** 400, 1.0, 1.0]):
+        assert_same(SO3, [(1.0, 1.0, 1.0), T])
+        with pytest.raises(ValueError):
+            list(solve_many(SO3, [(1.0, 1.0, 1.0), T]))
     assert_same(SL2, [(-1.0, -2.0, 3.0), (-1e-310, -2e-310, 3e-310),
                       (3.0, -1.0, -1.0)])
 
@@ -128,7 +132,7 @@ def test_sl2_ties():
     assert all(o.kind != "NoSolution" for o in solve_many(SL2, Ts))
 
 
-def test_chunks_and_fallbacks(monkeypatch):
+def test_chunk_edges(monkeypatch):
     # chunk edges fall between and inside cubic lanes, closed-form lanes
     # and family rows
     monkeypatch.setattr(solver, "CHUNK", 3)

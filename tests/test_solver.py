@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -538,5 +539,25 @@ def test_invalid_tensor_rejected():
         DiagonalTensor((1.0, float("nan"), 0.0))
     with pytest.raises(ValueError):
         solve(SO3, (1.0, float("inf"), 0.0))
-    with pytest.raises(ValueError):
-        solve(SO3, "123")
+    # numbers that are not three floats, including a column of three
+    for T in ("123", [1.0, None, 2.0], [[1.0], 2.0, 3.0], 7.0,
+              np.ones((3, 1)), [10 ** 400, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            solve(SO3, T)
+        with pytest.raises(ValueError):
+            DiagonalTensor(T)
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_case_table_rows_match_disjoint_sign_vectors(group):
+    # every row of a group's case table is a sign pattern over the seven
+    # forms; each of the 3^7 sign vectors matches at most one row, so the
+    # row order decides nothing, and every row matches some vector
+    rows = solver._TABLES[group.name].rows
+    matched = set()
+    for vector in itertools.product("-0+", repeat=7):
+        hits = [label for label, signs, _ in rows
+                if all(s in (".", v) for s, v in zip(signs, vector))]
+        assert len(hits) <= 1, (vector, hits)
+        matched.update(hits)
+    assert matched == {label for label, *_ in rows}
