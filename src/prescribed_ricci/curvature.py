@@ -28,6 +28,37 @@ __all__ = ["DiagonalMetric", "x_coefficients", "ricci_diagonal", "ricci_koszul"]
 
 
 @dataclass(frozen=True)
+class DiagonalTensor:
+    """Prescribed tensor components (T1, T2, T3) in a Milnor frame."""
+
+    T: tuple[float, float, float]
+
+    def __post_init__(self):
+        object.__setattr__(self, "T", tensor_components(self.T))
+
+
+def tensor_components(T) -> tuple[float, float, float]:
+    """T (or a DiagonalTensor's T) as three finite floats; raises ValueError
+    for anything else.  Every layer that takes a tensor reads it here."""
+    if isinstance(T, DiagonalTensor):
+        return T.T
+    try:
+        if isinstance(T, (str, bytes)):
+            raise TypeError
+        T = tuple(map(float, T))
+    except TypeError:
+        raise ValueError(f"tensor components must be numbers, got {T!r}"
+                         ) from None
+    except OverflowError:
+        raise ValueError(f"non-finite tensor components {T!r}") from None
+    if len(T) != 3:
+        raise ValueError("diagonal tensor needs exactly three components")
+    if not all(map(math.isfinite, T)):
+        raise ValueError(f"non-finite tensor components {T}")
+    return T
+
+
+@dataclass(frozen=True)
 class DiagonalMetric:
     """Metric components (v1, v2, v3) in a Milnor frame; all strictly positive."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import DiagonalTensor
+from .curvature import DiagonalTensor
 
 __all__ = ["DiagonalizationResult", "diagonalize_so3", "symmetric_from_upper"]
 

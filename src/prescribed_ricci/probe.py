@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curvature import tensor_components
 # check_milnor_frame and oracle_residual are the one-lane forms of the
 # stacked checks used here; bench/spans.py wraps them under these names
 from .groups import (as_group, check_milnor_frame, check_milnor_frame_many,
@@ -20,7 +21,7 @@ from .groups import (as_group, check_milnor_frame, check_milnor_frame_many,
                      random_rotation, sl2_frame_change)
 # solve is imported only for bench/spans.py, which wraps it here by name:
 # the base tensor is solved as lane 0 of the frames' solve_many call
-from .solver import _plan_rows, solve, solve_many  # noqa: F401
+from .solver import _match, solve, solve_many  # noqa: F401
 from .verify import oracle_residual, oracle_residual_many
 
 __all__ = ["ProbeReport", "sample_diagonal_preserving_changes", "probe"]
@@ -40,10 +41,6 @@ class ProbeReport:
     metric_match: bool
     c_unconstrained: bool
     violations: tuple = ()
-
-
-def _tensor(T) -> np.ndarray:
-    return np.asarray(getattr(T, "T", T), dtype=float)
 
 
 def _equal_blocks(values) -> list[list[int]]:
@@ -177,7 +174,7 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
     drawing and checking one candidate at a time.
     """
     group = as_group(group)
-    T = _tensor(T)
+    T = tensor_components(T)
     if n < 1:
         raise ValueError("need at least one sample")
     gen = np.random.default_rng(rng)  # a Generator passes through as is
@@ -194,7 +191,7 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
         k = min(n - len(out), 200 * n - attempts)
         if k == 0:
             raise RuntimeError(f"sampler failed to produce {n} admissible "
-                               f"changes for {group.name}, T={tuple(T)}")
+                               f"changes for {group.name}, T={T}")
         attempts += k
         cands = [draw() for _ in range(k)]
         Ms = np.array(cands)
@@ -252,16 +249,15 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     cubic has no admissible root.
     """
     group = as_group(group)
-    T = _tensor(T)
+    T = tensor_components(T)
     nothing = ValueError(f"nothing to probe: no solution for {group.name}, "
-                         f"T={tuple(T)}")
-    plan = _plan_rows(group, [T])
-    if plan.errors or plan.row[0] < 0:
-        raise plan.errors.get(0, nothing)
+                         f"T={T}")
+    if _match(group, [T]).row[0] < 0:
+        raise nothing
     changes = sample_diagonal_preserving_changes(group, T, n, rng)
     Ms = np.array(changes)
     base, *outs = solve_many(group, np.concatenate(
-        [T[None], np.diagonal(_transformed(Ms, T), axis1=1, axis2=2)]))
+        [[T], np.diagonal(_transformed(Ms, T), axis1=1, axis2=2)]))
     if base.kind == "NoSolution":
         raise nothing
 

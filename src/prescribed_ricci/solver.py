@@ -35,11 +35,11 @@ and an answer: a closed form, or the reduction cubic on an interval whose
 ends are linear in T' (or the max or min of two such ends).  No sign vector
 matches two rows of a group, so the order of the rows decides nothing.
 
-`solve_many` answers a sequence of tensors, CHUNK at a time: one
-interpreter (`_plan_rows`) matches a chunk's lanes against the table and
-the cubic kernel (`arrays.cubic_columns`) answers the cubic rows, both on
-arrays of lanes, each lane with the bits it gets alone, and `solve` is the
-same on one lane.
+`solve_many` answers a sequence of tensors, CHUNK at a time: the matcher
+(`_match`) finds each lane's row on arrays and answers nothing, the cubic
+kernel (`arrays.cubic_columns`) answers the cubic lanes together, each with
+the bits it gets alone, and a closed-form lane is answered where its
+outcome is made (`_closed`).  `solve` is the same on one lane.
 """
 from __future__ import annotations
 
@@ -55,9 +55,9 @@ from .arrays import _T3_SIGN, Columns, _reconstruct_many, cubic_columns
 # roots_in_interval is imported only for bench/spans.py, which wraps it
 # here by name; the solver isolates roots through `cubic_columns`
 from .cubic import roots_in_interval  # noqa: F401
-from .curvature import DiagonalMetric
+from .curvature import (DiagonalMetric, DiagonalTensor, ricci_diagonal,
+                        tensor_components)
 from .groups import GROUPS, as_group
-from .verify import residual
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
@@ -69,37 +69,6 @@ __all__ = [
 ZERO_TOL = 1e-11
 # tensors `solve_many` takes into one array pass
 CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class DiagonalTensor:
-    """Prescribed tensor components (T1, T2, T3) in a Milnor frame."""
-
-    T: tuple[float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "T", _components(self.T))
-
-
-def _components(T) -> tuple[float, float, float]:
-    """T (or a DiagonalTensor's T) as three finite floats; raises ValueError
-    for anything else."""
-    if isinstance(T, DiagonalTensor):
-        return T.T
-    try:
-        if isinstance(T, (str, bytes)):
-            raise TypeError
-        T = tuple(map(float, T))
-    except TypeError:
-        raise ValueError(f"tensor components must be numbers, got {T!r}"
-                         ) from None
-    except OverflowError:
-        raise ValueError(f"non-finite tensor components {T!r}") from None
-    if len(T) != 3:
-        raise ValueError("diagonal tensor needs exactly three components")
-    if not all(map(math.isfinite, T)):
-        raise ValueError(f"non-finite tensor components {T}")
-    return T
 
 
 @dataclass(frozen=True)
@@ -150,16 +119,13 @@ class SolveOutcome:
 
 def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     """Metric and constant from a verified cubic root p (SO3 and SL2 only):
-    the kernel's reconstruction and polish on one lane.
-
-    q is the real (sign-preserving) cube root of p(p+T1)(p+T2)(p+-T3); the
-    x_i = q/(p +- T_i) rebuild the metric, and a short metric-space Newton
-    polish removes the sensitivity of that map near its poles.  Raises
-    ValueError if any v_i fails to come out positive, which signals an
-    inadmissible p upstream.  bench/spans.py wraps this name.
+    the kernel's reconstruction and polish (`arrays._reconstruct_many`) on
+    one lane.  Raises ValueError if any v_i fails to come out positive,
+    which signals an inadmissible p upstream.  bench/spans.py wraps this
+    name.
     """
     group = as_group(group)
-    T = _components(T)
+    T = tensor_components(T)
     if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
     v, c, _, errors = _reconstruct_many(
@@ -208,20 +174,15 @@ def solve_many(group, Ts):
         yield from _answers(group, chunk)
 
 
-# a chunk's case rows on T' = T / 8^k, |T'|_inf in [1, 8): each lane's k
-# and matched `row` of its group's table (-1: none, or the lane raises); by
-# lane, the raw outcome of each closed-form lane and the exception of each
-# lane that raises; for the cubic `lanes`, in order, T' (SO3: descending),
-# the interval (lo, hi) on one side of 0 holding the roots (lo == hi pins
-# one: the SL2 T1 = T2 rows), the roots to `take` and `order`.
-_Plan = namedtuple("_Plan", "k row closed errors lanes T lo hi take order")
+_Match = namedtuple("_Match", "k row errors T order signs")
 
 
-def _plan_rows(group, Ts) -> _Plan:
-    """The case table on the list Ts: each lane is scaled, the signs of its
-    forms are taken and matched against its group's rows on arrays, each
-    lane with the float operations of its own, and each closed-form lane
-    gets its row's answer."""
+def _match(group, Ts) -> _Match:
+    """Match the list Ts against the case table on arrays of lanes, each
+    lane with the float operations of its own, and answer nothing: each
+    lane's k and `row` (-1: none, or it raises the exception in `errors`),
+    T' = T / 8^k with |T'|_inf in [1, 8) (SO3: descending), the axis of T
+    at each position of T' (`order`) and the forms' `signs`."""
     errors = {}
     try:
         A = np.array(Ts, dtype=float)
@@ -232,7 +193,7 @@ def _plan_rows(group, Ts) -> _Plan:
         A = np.zeros((len(Ts), 3))
         for i, T in enumerate(Ts):
             try:
-                A[i] = _components(T)
+                A[i] = tensor_components(T)
             except Exception as exc:
                 errors[i] = exc
     m = abs(A).max(axis=1)
@@ -260,14 +221,16 @@ def _plan_rows(group, Ts) -> _Plan:
     row = (hit * np.arange(1, len(table.rows) + 1)[:, None]).sum(axis=0) - 1
     if errors:
         row[list(errors)] = -1
-    closed = {}
-    at = table.closed[row].nonzero()[0]
-    for i, r, t, o in zip(at.tolist(), row[at].tolist(), T[at].tolist(),
-                          order[at].tolist()):
-        label, _, answer = table.rows[r]
-        closed[i] = answer(label, tuple(t), tuple(o))
-    lanes = table.cubic[row].nonzero()[0]
-    rows, T = row[lanes], T[lanes]
+    return _Match(k, row, errors, T, order, signs)
+
+
+def _cubic_lanes(group, match) -> tuple:
+    """The cubic lanes of a match and `cubic_columns`'s arguments for them:
+    T', the interval (lo, hi) on one side of 0 that holds a lane's roots
+    (lo == hi pins one: SL2 T1 = T2), the roots to take and `order`."""
+    table = _TABLES[group.name]
+    lanes = table.cubic[match.row].nonzero()[0]
+    rows, T = match.row[lanes], match.T[lanes]
     lo = hi = np.zeros(len(lanes))
     for r in set(rows.tolist()):
         (_, _, cubic), here = table.rows[r], rows == r
@@ -277,41 +240,51 @@ def _plan_rows(group, Ts) -> _Plan:
             # T1 = T2: the cubic is (p + T1)(2p^2 - T3 p + T1 T3), and its
             # root -T1, a pole of the correspondence on the interval's end,
             # is no solution; the quadratic's positive root is the one
-            pin = here & (signs[6, lanes] == 0)
+            pin = here & (match.signs[6, lanes] == 0)
             t1, t3 = T[pin, 0], T[pin, 2]
             lo[pin] = hi[pin] = (t3 + np.sqrt(t3 * t3 - 8.0 * t1 * t3)) / 4.0
-    return _Plan(k, row, closed, errors, lanes, T, lo, hi, table.take[rows],
-                 order[lanes])
+    return lanes, T, lo, hi, table.take[rows], match.order[lanes]
 
 
-def _plan_chunk(group, Ts) -> tuple[_Plan, Columns]:
-    """The plan of the list Ts and the cubic kernel's `Columns` for its
-    cubic lanes, a row each in the order of `lanes`; the ValueError of a
-    cubic lane joins the plan's errors."""
-    plan = _plan_rows(group, Ts)
-    cols = cubic_columns(group, plan.T, plan.lo, plan.hi, plan.take,
-                         plan.order)
-    plan.errors.update({int(plan.lanes[j]): e for j, e in cols.error.items()})
-    return plan, cols
+def _plan_chunk(group, Ts) -> tuple[_Match, np.ndarray, Columns]:
+    """The match of the list Ts, its cubic lanes and their `Columns`, in
+    order; the ValueError of a cubic lane joins the match's errors."""
+    match = _match(group, Ts)
+    lanes, *cubic = _cubic_lanes(group, match)
+    cols = cubic_columns(group, *cubic)
+    match.errors.update({int(lanes[j]): e for j, e in cols.error.items()})
+    return match, lanes, cols
+
+
+def _closed(group, match) -> dict:
+    """Each closed-form lane of a match and its row's answer on it, run when
+    called; T' and order become Python numbers once for all the lanes."""
+    table = _TABLES[group.name]
+    at = table.closed[match.row].nonzero()[0]
+    lanes = zip(at.tolist(), match.row[at].tolist(), match.T[at].tolist(),
+                match.order[at].tolist())
+    return {i: partial(table.rows[r][2], table.rows[r][0], tuple(t),
+                       tuple(o)) for i, r, t, o in lanes}
 
 
 def _answers(group, Ts):
     """Yield the outcome of each T of the list Ts, raising its error at its
-    place."""
-    plan, cols = _plan_chunk(group, Ts)
+    place; a closed-form lane is answered when it is reached."""
+    match, lanes, cols = _plan_chunk(group, Ts)
     rows = _TABLES[group.name].rows
-    cubic = dict(zip(plan.lanes.tolist(), zip(
-        plan.row[plan.lanes].tolist(), cols.n.tolist(),
+    cubic = dict(zip(lanes.tolist(), zip(
+        match.row[lanes].tolist(), cols.n.tolist(),
         _slots(cols.v, cols.c), _slots(cols.p, cols.q, cols.mult))))
-    for i, k in enumerate(plan.k.tolist()):
-        if i in plan.errors:
-            raise plan.errors[i]
+    closed = _closed(group, match)
+    for i, k in enumerate(match.k.tolist()):
+        if i in match.errors:
+            raise match.errors[i]
         if i in cubic:
             row, n, sols, traces = cubic[i]
             yield _outcome(k, *_cubic_kind(rows[row][0], n), sols[:n],
                            traces[:n])
         else:
-            yield _outcome(k, *plan.closed.get(i, _NONE))
+            yield _outcome(k, *closed[i]()) if i in closed else _NO_SOLUTION
 
 
 def _slots(*cols) -> list:
@@ -329,33 +302,32 @@ def solve_columns(group, Ts):
     raises for the first T at which it raises."""
     group = as_group(group)
     table = _TABLES[group.name]
-    plan, cols = _plan_chunk(group, Ts)
-    size = len(plan.k)
-    n, c = np.zeros(size, int), np.full((size, 2), np.nan)
-    n[plan.lanes], c[plan.lanes] = cols.n, cols.c
-    k = plan.k.tolist()
+    match, lanes, cols = _plan_chunk(group, Ts)
+    n, c = np.zeros(len(Ts), int), np.full((len(Ts), 2), np.nan)
+    n[lanes], c[lanes] = cols.n, cols.c
+    k = match.k.tolist()
     with np.errstate(over="ignore"):
-        back = c / np.ldexp(1.0, 3 * plan.k)[:, None]  # as `_c_back`
+        back = c / np.ldexp(1.0, 3 * match.k)[:, None]  # as `_c_back`
     # a lane whose c leaves the float range: `_c_back` names it
     for i in np.flatnonzero(((np.arange(2) < n[:, None]) & ~(
             (back > 0.0) & (back < np.inf))).any(axis=1)).tolist():
         try:
             [_c_back(x, k[i]) for x in c[i, :n[i]].tolist()]
         except ValueError as exc:
-            plan.errors.setdefault(i, exc)
+            match.errors.setdefault(i, exc)
     # a closed-form lane reads NoSolution here (n = 0) and is set below
-    kinds = table.kinds[3 * plan.row + 3 + n].tolist()
-    labels = table.labels[3 * plan.row + 3 + n].tolist()
+    kinds = table.kinds[3 * match.row + 3 + n].tolist()
+    labels = table.labels[3 * match.row + 3 + n].tolist()
     cs = [lane[:j] for lane, j in zip(back.tolist(), n.tolist())]
-    for i, raw in plan.closed.items():
+    for i, answer in _closed(group, match).items():
         try:
-            out = _outcome(k[i], *raw)
+            out = _outcome(k[i], *answer())
         except ValueError as exc:
-            plan.errors[i] = exc
+            match.errors[i] = exc
             continue
         kinds[i], labels[i], cs[i] = out.kind, out.case_label, out.c_values()
-    if plan.errors:
-        raise plan.errors[min(plan.errors)]
+    if match.errors:
+        raise match.errors[min(match.errors)]
     return kinds, labels, cs
 
 
@@ -364,7 +336,6 @@ def solve_columns(group, Ts):
 # label, solutions, traces, constraint, notes): solutions are (v, c) pairs (a
 # family's one pair is its sample, with c = 1 when c is free), traces are
 # (p, q, multiplicity) and notes are `_sl2_note` arguments.
-_NONE = ("NoSolution", "none")
 _NO_SOLUTION = SolveOutcome(kind="NoSolution", case_label="none")
 
 
@@ -409,7 +380,7 @@ def _c_back(c: float, k: int) -> float:
 def _cubic_kind(label: str, n: int) -> tuple[str, str]:
     """Kind and label of a cubic row with n reconstructed roots."""
     if not n:
-        return _NONE
+        return "NoSolution", "none"
     if label == "SO3 (+,-,-)":
         label += " unique subcase" if n == 1 else " two-solution subcase"
     return "Unique" if n == 1 else "TwoSolutions", label
@@ -445,8 +416,10 @@ def _sl2_zero_family(i, v, constraint, label, T, order):
     """
     raw = _family(i, -8.0, v, constraint, label, T)
     ((sample, c),), alt = raw[2], -T[i] / 8.0
-    return raw + (((i, alt, residual("SL2", sample, c, T),
-                    residual("SL2", sample, alt, T)),),)
+    ric, size = ricci_diagonal("SL2", sample).tolist(), max(map(abs, T))
+    return raw + (((i, alt, *[
+        max(abs(r - x * t) for r, t in zip(ric, T)) / (1.0 + abs(x) * size)
+        for x in (c, alt)]),),)
 
 
 def _sl2_note(p_up: float, c: float, i: int, alt: float, res_c: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ricci_diagonal, ricci_koszul
+from .curvature import ricci_diagonal, ricci_koszul, tensor_components
 from .groups import as_group, structure_constants
 
 __all__ = ["Certificate", "residual", "certify", "certify_many"]
@@ -78,9 +78,8 @@ def _normalized_residuals(ric, c, target, t) -> np.ndarray:
 
 def residual(group, m, c: float, T) -> float:
     """max_i |Ric_i(v) - c*T_i| / (1 + |c| * |T|_inf) via the closed form."""
-    group = as_group(group)
     v = _unwrap(m)
-    t = np.asarray(getattr(T, "T", T), dtype=float)[None]
+    t = np.array([tensor_components(T)])
     # as in `certify_many`: a metric that overflows has residual inf or nan
     with np.errstate(all="ignore"):
         (res,) = _normalized_residuals(ricci_diagonal(group, v)[None],
@@ -92,7 +91,7 @@ def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
     """Same normalized residual, but from the Koszul oracle on a full Gram
     matrix; usable for non-diagonal pullbacks of diagonal solutions.
     `oracle_residual_many` on one lane."""
-    (res,) = oracle_residual_many(group, [gram], [c], [getattr(T, "T", T)])
+    (res,) = oracle_residual_many(group, [gram], [c], [tensor_components(T)])
     return float(res)
 
 
@@ -148,5 +147,5 @@ def certify_many(group, vs, cs, Ts) -> list[Certificate]:
 def certify(group, m, c: float, T) -> Certificate:
     """Certify a claimed solution against both curvature implementations:
     `certify_many` on one lane."""
-    (cert,) = certify_many(group, _unwrap(m)[None], [c], [getattr(T, "T", T)])
+    (cert,) = certify_many(group, [_unwrap(m)], [c], [tensor_components(T)])
     return cert

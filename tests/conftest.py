@@ -5,6 +5,14 @@ from prescribed_ricci import E2, E11, GROUPS, H3, R3, SL2, SO3
 
 ALL_GROUPS = (SO3, SL2, E2, E11, H3, R3)
 
+# tensors that are not three finite numbers, by name: every entry point
+# that takes a tensor raises ValueError for each
+INVALID_TENSORS = {
+    "string": "123", "none": [1.0, None, 2.0], "nested": [[1.0], 2.0, 3.0],
+    "number": 7.0, "column": np.ones((3, 1)), "short": (1.0, 2.0),
+    "huge-int": [10 ** 400, 1.0, 1.0], "nan": (1.0, float("nan"), 0.0),
+    "inf": (1.0, float("inf"), 0.0)}
+
 
 def singular_steps(monkeypatch, marked):
     """Make `np.linalg.solve` raise LinAlgError ("Singular matrix") for any

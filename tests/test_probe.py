@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, check_milnor_frame,
-                              probe, sample_diagonal_preserving_changes, solve)
+                              probe, sample_diagonal_preserving_changes, solve,
+                              solver)
 
-from conftest import ALL_GROUPS, random_solvable
+from conftest import ALL_GROUPS, INVALID_TENSORS, random_solvable
 
 # the package re-exports the function `probe` under the module's name
 probe_module = importlib.import_module("prescribed_ricci.probe")
@@ -150,9 +152,10 @@ def test_sampler_attempt_cap(monkeypatch):
     draws = []
     monkeypatch.setattr(probe_module, "_so3_block_change",
                         lambda T, gen: draws.append(1) or 2.0 * np.eye(3))
-    with pytest.raises(RuntimeError, match="failed to produce 3"):
+    with pytest.raises(RuntimeError, match="failed to produce 3") as info:
         sample_diagonal_preserving_changes(SO3, (3.0, 2.0, 1.0), 3)
     assert len(draws) == 600
+    assert str(info.value).endswith("T=(3.0, 2.0, 1.0)")
 
 
 def test_sampler_needs_positive_count():
@@ -163,6 +166,40 @@ def test_sampler_needs_positive_count():
 def test_probe_requires_solvable_input():
     with pytest.raises(ValueError):
         probe(SO3, (0.0, 0.0, 0.0), n=4)
+    # the case table says so before sampling: the sampler cannot keep an
+    # R3 tensor other than 0 diagonal, and would raise RuntimeError
+    for g in (H3, R3):
+        with pytest.raises(ValueError, match="nothing to probe") as info:
+            probe(g, (1, 0, 0), n=4)
+        assert str(info.value).endswith(f"{g.name}, T=(1.0, 0.0, 0.0)")
+
+
+@pytest.mark.parametrize("T", INVALID_TENSORS.values(),
+                         ids=list(INVALID_TENSORS))
+def test_invalid_tensor_rejected(T):
+    with pytest.raises(ValueError):
+        probe(SO3, T, n=4)
+    with pytest.raises(ValueError):
+        sample_diagonal_preserving_changes(SO3, T, 4)
+
+
+def test_probe_answers_each_tensor_once(monkeypatch):
+    # the check before sampling only matches T; T is answered once, as lane
+    # 0 of the frames' solve_many, and each frame once (a frame may swap
+    # the first two axes, which takes case (vi) to case (vii))
+    calls = []
+
+    def counted(answer, *args):
+        calls.append(args)
+        return answer(*args)
+
+    rows = [(label, signs, functools.partial(counted, answer)
+             if label in ("SL2 case (vi)", "SL2 case (vii)") else answer)
+            for label, signs, answer in solver._TABLES["SL2"].rows]
+    monkeypatch.setitem(solver._TABLES, "SL2", solver._table(*rows))
+    rep = probe(SL2, (-2.0, 0.0, 0.0), n=4)
+    assert rep.base_kind == "FamilyFixedC" and rep.samples == 4
+    assert len(calls) == 5
 
 
 # the probe's tolerances are relative, so every verdict holds at any scale;

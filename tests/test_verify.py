@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from prescribed_ricci import SL2, SO3, H3, certify, residual, solve
+from prescribed_ricci import (SL2, SO3, H3, DiagonalTensor, certify, residual,
+                              solve)
+from prescribed_ricci.verify import oracle_residual
 
-from conftest import ALL_GROUPS, random_solvable
+from conftest import ALL_GROUPS, INVALID_TENSORS, random_solvable
 
 
 def test_residual_exact_solutions():
@@ -86,3 +88,22 @@ def test_two_residual_routes_agree(rng):
 def test_certify_rejects_bad_metric():
     with pytest.raises(ValueError):
         certify(SO3, (1.0, -1.0, 1.0), 1.0, (1, 1, 1))
+
+
+@pytest.mark.parametrize("T", INVALID_TENSORS.values(),
+                         ids=list(INVALID_TENSORS))
+def test_invalid_tensor_rejected(T):
+    # every entry point reads T as the solver does, never transposed
+    for check in (lambda: residual(SO3, (1, 1, 1), 2.0, T),
+                  lambda: oracle_residual(SO3, np.eye(3), 2.0, T),
+                  lambda: certify(SO3, (1, 1, 1), 2.0, T)):
+        with pytest.raises(ValueError):
+            check()
+
+
+def test_tensor_read_as_given():
+    # a DiagonalTensor and an array give the residual of their components
+    T = np.array([1.0, 1.0, 1.0])
+    for given in (T, DiagonalTensor(T), tuple(T)):
+        assert residual(SO3, (1, 1, 1), 2.0, given) <= 1e-15
+        assert certify(SO3, (1, 1, 1), 2.0, given).passed
