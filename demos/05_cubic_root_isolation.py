@@ -5,10 +5,13 @@ The solver's hard cases reduce to locating roots of a cubic a3 p^3 + a2 p^2 +
 a0 (no linear term) inside an open interval on one side of 0, including the
 delicate double-root boundary between the two-solution and no-solution
 regimes.  The cubic's critical points are 0 and -2 a2 / (3 a3), so only the
-second can lie inside; the isolator splits there, brackets sign changes,
-polishes with safeguarded Newton, and detects multiplicity at the critical
-point instead of trusting closed forms.  A cubic with a linear term, or an
-interval with 0 inside, is refused with ValueError.
+second can lie inside, as can the inflection point -a2 / (3 a3) halfway to
+it.  The isolator splits the interval at both, so that f' and f'' keep one sign
+on each piece, and runs Newton on each piece with a sign change from the
+end where f f'' > 0 (Fourier's condition): the iterates move monotonically
+to the root, with no bracket and no bisection.  Multiplicity is detected at
+the critical point instead of trusting closed forms.  A cubic with a linear
+term, or an interval with 0 inside, is refused with ValueError.
 """
 import math
 

@@ -1,14 +1,17 @@
 """Certified real-root isolation for cubics on open intervals, on arrays.
 
 The cubics are the solver's reductions a3*p^3 + a2*p^2 + a0, with no linear
-term, so their critical points are exactly 0 and -2*a2/(3*a3); and every
-interval the solver searches lies on one side of 0.  So at most one critical
-point, -2*a2/(3*a3), falls inside the interval.  The method is deliberately
-boring: split the interval there, bracket sign changes on the monotone
-pieces, and polish each bracket with safeguarded Newton (bisection
-fallback).  Double roots are the delicate case; they sit at the critical
-point where the polynomial value is within rounding of zero, and are detected
-there rather than by clustering.
+term, so their critical points are exactly 0 and crit = -2*a2/(3*a3), and
+their inflection point is crit/2; every interval the solver searches lies on
+one side of 0.  So only crit and crit/2 can fall inside, and on each piece
+between them f' and f'' keep one sign.  On a piece with a sign change,
+Newton from the end where f*f'' > 0 (Fourier's condition) moves
+monotonically to the root and never leaves the piece: no bracket is kept
+and nothing bisects.  A lane stops when its step is within ROOT_TOL or no
+longer moves it forward (rounding level), within NEWTON_STEPS steps.
+Double roots are the delicate case; they sit at the critical point where
+the polynomial value is within rounding of zero, and are detected there
+rather than by clustering.
 Closed-form solvers were rejected: branch selection near a double root is
 exactly where they cancel catastrophically, and the two-solution regime of the
 curvature problem lives next to that boundary.
@@ -27,8 +30,10 @@ __all__ = ["CubicPoly", "RootReport", "roots_in_interval",
            "roots_in_interval_many"]
 
 _TINY = 1e-290
-# roots are polished to |dp| <= ROOT_TOL * max(1, |p|)
+# Newton stops at a step |dp| <= ROOT_TOL * max(1, |p|)
 ROOT_TOL = 1e-12
+# the cap on a root's Newton steps; the slowest measured take 31
+NEWTON_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,11 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
     """All real roots of `poly` strictly inside the open interval (lo, hi),
     which lies on one side of 0.
 
-    Either endpoint may be +-inf, and 0 may be one.  Roots are polished to
-    |dp| <= ROOT_TOL * max(1, |p|).  Where |poly| <= ROOT_TOL * scale at the
-    critical point -2*a2/(3*a3), that point is reported as a double root,
-    the interval's only root.
+    Either endpoint may be +-inf, and 0 may be one.  Each root is Newton's
+    iterate once a step falls to ROOT_TOL * max(1, |p|) or stops moving
+    towards the root, plus one more step if that stays in its piece.  Where
+    |poly| <= ROOT_TOL * scale at the critical point -2*a2/(3*a3), that
+    point is reported as a double root, the interval's only root.
     Strict-inequality questions at interval endpoints are the caller's to
     adjudicate; endpoint roots are never reported.
 
@@ -93,41 +99,30 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
                       tuple(mults[0, found].tolist()))
 
 
-def _refine_brackets(a3, a2, a1, a0, a, b, fb):
-    """Newton with a sign-change bracket (a, b) as safety net, on every lane
-    at once (inside np.errstate(all="ignore")); fb is the value at b, and
-    lanes leave as they converge."""
-    out = np.empty_like(a)
-    lane = np.arange(len(a))
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        if not lane.size:
-            return out
-        fx = ((a3 * x + a2) * x + a1) * x + a0
-        move_b = (fx > 0.0) == (fb > 0.0)
-        a = np.where(move_b, a, x)
-        b, fb = np.where(move_b, x, b), np.where(move_b, fx, fb)
-        dfx = (3.0 * a3 * x + 2.0 * a2) * x + a1
-        xn = x - fx / dfx
-        xn = np.where((dfx != 0.0) & (a < xn) & (xn < b), xn, 0.5 * (a + b))
-        hit = fx == 0.0
-        done = ~hit & (np.abs(xn - x)
-                       <= ROOT_TOL * np.maximum(1.0, np.abs(xn)))
-        if not (hit.any() or done.any()):
-            x = xn
-            continue
-        out[lane[hit]] = x[hit]
-        # the converged lanes take one more Newton step if it stays inside
-        x_end, c3, c2, c1, c0 = xn[done], a3[done], a2[done], a1[done], a0[done]
-        dfe = (3.0 * c3 * x_end + 2.0 * c2) * x_end + c1
-        xp = x_end - (((c3 * x_end + c2) * x_end + c1) * x_end + c0) / dfe
-        out[lane[done]] = np.where((dfe != 0.0) & (a[done] <= xp)
-                                   & (xp <= b[done]), xp, x_end)
-        go = ~(hit | done)
-        lane, x, a, b, fb = lane[go], xn[go], a[go], b[go], fb[go]
-        a3, a2, a1, a0 = a3[go], a2[go], a1[go], a0[go]
-    out[lane] = x
-    return out
+def _newton(a3, a2, a0, a, b, left):
+    """The root of a3*p^3 + a2*p^2 + a0 on each piece [a, b], all lanes at
+    once (inside np.errstate(all="ignore")), by Newton from a where `left`,
+    else from b; and the steps the slowest lane took.  A lane stops once a
+    step is at most ROOT_TOL * max(1, |x|) or does not move it away from its
+    start (rounding level, or nan), and is frozen there, not compacted out;
+    one more step is kept if it stays in [a, b].  A lane still moving after
+    NEWTON_STEPS steps stops there and raises nothing."""
+    c2 = 2.0 * a2
+
+    def step(x):
+        u = a3 * x
+        return x - ((u + a2) * x * x + a0) / ((3.0 * u + c2) * x)
+
+    x, d = np.where(left, a, b), np.where(left, 1.0, -1.0)
+    live = np.ones(len(x), dtype=bool)
+    for steps in range(1, NEWTON_STEPS + 1):
+        xn = step(x)
+        x, live = np.where(live, xn, x), live & (
+            (xn - x) * d > ROOT_TOL * np.maximum(1.0, np.abs(xn)))
+        if not live.any():
+            break
+    xp = step(x)
+    return np.where((a <= xp) & (xp <= b), xp, x), steps
 
 
 def roots_in_interval_many(coeffs, lo, hi):
@@ -140,46 +135,52 @@ def roots_in_interval_many(coeffs, lo, hi):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    a3, a2, a1, a0 = (np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
-                      for c in coeffs)
+    a3, a2, _, a0 = (np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
+                     for c in coeffs)
     with np.errstate(all="ignore"):
         # all real roots lie within the Cauchy bound; clip infinite ends
         bound = 1.0 + np.maximum(np.abs(a2), np.abs(a0)) / np.abs(a3)
         wlo = np.maximum(lo, -bound)
         whi = np.minimum(hi, bound)
-        window = wlo < whi
 
-        def value(p):
-            return ((a3 * p + a2) * p + a1) * p + a0
-
-        # 0 is not inside, so -2*a2/(3*a3) is the one critical point that
-        # can be; where poly is within rounding of zero there, it is the
-        # lane's one root, a double root
+        # the nodes wlo, crit = -2*a2/(3*a3), the inflection point crit/2
+        # and whi, the inner two in order (both on crit's side of 0) and
+        # clipped into the window (an empty one clips all nodes to whi)
         crit = -2.0 * a2 / (3.0 * a3)
-        inner = window & (wlo < crit) & (crit < whi)
-        f_crit, q = value(crit), np.abs(crit)
-        double = inner & (np.abs(f_crit) <= ROOT_TOL * np.maximum(
-            ((np.abs(a3) * q + np.abs(a2)) * q + np.abs(a1)) * q
-            + np.abs(a0), 1e-30))
-
-        # the nodes wlo, crit, whi; without an inner critical point the
-        # middle node repeats wlo, whose empty bracket is skipped
-        mid = np.where(inner, crit, wlo)
-        nodes = np.stack([wlo, mid, whi], axis=1)
-        v0 = value(wlo)
-        vals = np.stack([v0, np.where(inner, np.where(double, 0.0, f_crit), v0),
-                         value(whi)], axis=1)
-
+        neg, infl = crit < 0.0, 0.5 * crit
+        nodes = np.stack([wlo, np.where(neg, crit, infl),
+                          np.where(neg, infl, crit), whi], axis=1)
+        nodes = np.minimum(np.maximum(nodes, wlo[:, None]), whi[:, None])
+        vals = ((a3[:, None] * nodes + a2[:, None]) * nodes * nodes
+                + a0[:, None])
+        # 0 is not inside, so crit is the one critical point that can be;
+        # where poly is within rounding of zero there, it is the lane's one
+        # root, a double root
+        f_crit, q = np.where(neg, vals[:, 1], vals[:, 2]), np.abs(crit)
+        double = (wlo < crit) & (crit < whi) & (np.abs(f_crit) <= ROOT_TOL
+                  * np.maximum((np.abs(a3) * q + np.abs(a2)) * q * q
+                               + np.abs(a0), 1e-30))
+        # f' and f'' keep one sign on each piece between the nodes; a root
+        # is a sign change there, or a zero at the piece's right end (the
+        # inflection node: an end of the interval is left out below)
         fa, fb = vals[:, :-1], vals[:, 1:]
-        bracket = (window[:, None] & (fa != 0.0) & (fb != 0.0)
-                   & ((fa > 0.0) != (fb > 0.0)))
+        bracket = (~double)[:, None] & (fa != 0.0) & (
+            ((fa > 0.0) != (fb > 0.0)) | (fb == 0.0))
         rows, cols = np.nonzero(bracket)
         roots = np.full((len(lo), 2), np.nan)
-        roots[rows, cols] = _refine_brackets(
-            a3[rows], a2[rows], a1[rows], a0[rows], nodes[rows, cols],
-            nodes[rows, cols + 1], fb[rows, cols])
+        if rows.size:
+            a, b = nodes[rows, cols], nodes[rows, cols + 1]
+            fa, fb = fa[rows, cols], fb[rows, cols]
+            a3, a2, a0 = a3[rows], a2[rows], a0[rows]
+            # Fourier's condition: from the end where f * f'' > 0 (f'' taken
+            # at the midpoint), Newton moves monotonically to the root and
+            # never leaves the piece; a zero end is its own root
+            left = ((fa > 0.0) == (3.0 * a3 * (a + b) + 2.0 * a2 > 0.0)) & (
+                fb != 0.0)
+            # the pieces of the monotone run left of crit take slot 0
+            slot = (cols + neg[rows] > 1).astype(int)
+            roots[rows, slot], _ = _newton(a3, a2, a0, a, b, left)
         mults = ((lo[:, None] < roots) & (roots < hi[:, None])).astype(int)
-        # a double root's brackets were skipped, so its slot is free
         roots[double, 0] = crit[double]
         mults[double, 0] = 2
     return roots, mults

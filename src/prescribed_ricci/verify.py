@@ -114,7 +114,7 @@ def certify_many(group, vs, cs, Ts) -> list[Certificate]:
     Both routes run on the whole stack: the closed form on (N, 3) arrays,
     the Koszul oracle on the N diagonal Gram matrices.  Raises ValueError,
     as `certify` does, for the first lane whose metric is not positive and
-    finite.
+    finite or whose tensor is not finite.
     """
     group = as_group(group)
     v = np.asarray(vs, dtype=float)
@@ -127,6 +127,12 @@ def certify_many(group, vs, cs, Ts) -> list[Certificate]:
         raise ValueError(f"expected N metric triples, N constants and N "
                          f"tensors, got shapes {v.shape}, {c.shape}, "
                          f"{t.shape}")
+    finite = np.isfinite(t).all(axis=1)
+    if not finite.all():
+        # the first failing lane raises what `certify` raises for it
+        first = int(np.argmin(finite))
+        _check_metrics(v[:first + 1])
+        tensor_components(t[first])
     _check_metrics(v)
     diag = np.arange(3)
     gram = np.zeros(v.shape + (3,))

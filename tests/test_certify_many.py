@@ -91,6 +91,28 @@ def test_bad_metric_raises_as_certify_does(bad):
     assert str(many.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("bad", [(1.0, float("nan"), 0.0),
+                                 (float("inf"), 1.0, 1.0),
+                                 (1.0, 1.0, -float("inf"))])
+def test_non_finite_tensor_raises_as_certify_does(bad):
+    with pytest.raises(ValueError) as scalar:
+        certify(SO3, (1.0, 1.0, 1.0), 2.0, bad)
+    assert "non-finite tensor components" in str(scalar.value)
+    # the first failing lane raises, whether its metric or its T is bad
+    for vs, Ts, first in (
+            ([(1.0,) * 3, (1.0,) * 3, (1.0, -1.0, 1.0)],
+             [(1.0,) * 3, bad, bad], ((1.0,) * 3, bad)),
+            ([(1.0,) * 3, (1.0, -1.0, 1.0), (1.0,) * 3],
+             [(1.0,) * 3, bad, (1.0,) * 3], ((1.0, -1.0, 1.0), bad)),
+            ([(1.0,) * 3, (1.0,) * 3, (1.0, -1.0, 1.0)],
+             [(1.0,) * 3, (1.0,) * 3, bad], ((1.0, -1.0, 1.0), bad))):
+        with pytest.raises(ValueError) as scalar:
+            certify(SO3, first[0], 2.0, first[1])
+        with pytest.raises(ValueError) as many:
+            certify_many(SO3, vs, [2.0] * 3, Ts)
+        assert str(many.value) == str(scalar.value)
+
+
 def test_mismatched_shapes_raise():
     with pytest.raises(ValueError):
         certify_many(SO3, [(1.0, 1.0, 1.0)], [1.0, 2.0], [(1.0, 1.0, 1.0)])

@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prescribed_ricci import CubicPoly, roots_in_interval
+import test_solve_many
+from exact_count import Cubic
+from prescribed_ricci import (SO3, CubicPoly, cubic, roots_in_interval,
+                              solve_many)
 from prescribed_ricci.cubic import roots_in_interval_many
 
 GOLDEN = math.sqrt(5.0)
@@ -178,3 +182,70 @@ def test_interval_shrinking_monotone(a2, a0, lo, hi, negative, f1, f2):
     inner = roots_in_interval(poly, lo2, hi2)
     for r in inner.roots:
         assert any(abs(r - s) <= 1e-8 * max(1.0, abs(s)) for s in outer.roots)
+
+
+def test_root_on_the_inflection_node():
+    # 2p^3 - 6p^2 + 4 = 2(p - 1)(p^2 - 2p - 2): the root 1 is exactly the
+    # inflection point -a2 / (3 a3), a node of the split; and its mirror
+    # 2p^3 + 6p^2 - 4 on the negative side
+    for sign in (1.0, -1.0):
+        poly = CubicPoly((2.0, -6.0 * sign, 0.0, 4.0 * sign))
+        lo, hi = sorted((0.0, 3.0 * sign))
+        rep = roots_in_interval(poly, lo, hi)
+        assert rep.multiplicities == (1, 1)
+        one, other = sorted(rep.roots, key=abs)
+        assert one == sign
+        assert abs(other - sign * (1.0 + math.sqrt(3.0))) <= 2 * math.ulp(other)
+        # with 1 an interval end, that root is left out
+        lo, hi = sorted((sign, 3.0 * sign))
+        assert roots_in_interval(poly, lo, hi).roots == (other,)
+
+
+def test_root_below_one_to_a_few_ulp():
+    # a root of modulus below 1, where ROOT_TOL is an absolute step: the
+    # stop at rounding level and the extra step still give it to 4 ulp of
+    # the exact root (Newton in rational arithmetic from the float root)
+    b, d = 1.1265585474157256, -0.0003832898051460663
+    roots, mults = roots_in_interval_many(
+        (2.0, b, 0.0, d), np.array([-1.2515585474157256]), np.array([0.0]))
+    assert mults[0, 1] == 1
+    found = roots[0, 1]
+    exact, x = Cubic(b, d), Fraction(found)
+    for _ in range(8):
+        x -= exact(x) / ((6 * x + 2 * exact.b) * x)
+        x = Fraction(round(x * 2 ** 400), 2 ** 400)
+    assert abs(exact(x)) < Fraction(1, 2 ** 390)
+    assert abs(Fraction(found) - x) <= 4 * Fraction(math.ulp(found))
+
+
+def test_newton_steps_stay_under_the_cap(monkeypatch):
+    """No lane of the ten families of `test_root_isolation_matches_scalar`
+    or of the seed-1 sweep grid reaches `cubic.NEWTON_STEPS` (64).
+
+    Why the cap holds: Newton starts at an end of its piece, so within the
+    piece's width of the root, and every piece lies inside the Cauchy bound
+    B = 1 + max(|a2|, |a0|) / |a3|.  It converges linearly, at a ratio of
+    at most 2/3 (a cubic has three roots at most; beside a near-double root
+    the ratio is 1/2), until its error falls below the distance to the
+    nearest other root, and quadratically after that; so the step count
+    grows only with log(width / distance).  Outside the ROOT_TOL band of
+    double roots that distance is at least about 3e-6 |crit| (two roots
+    closer to the critical point crit are reported as one double root).
+    The slowest lanes take 31 steps (the near-double family) and 14 (the
+    sweep grid), half the cap.
+    """
+    taken = []
+    newton = cubic._newton
+
+    def counted(*args):
+        roots, steps = newton(*args)
+        taken.append(steps)
+        return roots, steps
+
+    monkeypatch.setattr(cubic, "_newton", counted)
+    test_solve_many.test_root_isolation_matches_scalar()
+    families = max(taken)
+    list(solve_many(SO3, test_solve_many.sweep_grid(10.012468379325805, 100)))
+    assert len(taken) == 10 + 10
+    assert max(taken) < cubic.NEWTON_STEPS
+    assert families <= 40 and max(taken[10:]) <= 20
