@@ -3,9 +3,11 @@ decides is answered here, for one lane or a chunk of them.
 
 One lane per tensor: root isolation (`cubic.roots_in_interval_many`), the
 cube-root reconstruction of each root's metric and its metric polish run on
-numpy arrays of lanes.  A lane's float operations never depend on the other
-lanes, so `solve` (one lane) and `solve_many` (a chunk) give every lane the
-same bits.  A lane that would raise carries its ValueError in the columns.
+numpy arrays of lanes.  The polish works on (P, 3) arrays, a row per root:
+metrics, tensors, the residual and, as one (P, 3, 3) broadcast, the
+Jacobian.  A lane's float operations never depend on the other lanes, so
+`solve` (one lane) and `solve_many` (a chunk) give every lane the same
+bits.  A lane that would raise carries its ValueError in the columns.
 """
 from __future__ import annotations
 
@@ -33,32 +35,30 @@ _T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
 Columns = namedtuple("Columns", "n c v p q mult error")
 
 
+# the two other indices j = i+1 and k = i+2 (mod 3) of each row i
+_J, _K = [1, 2, 0], [2, 0, 1]
+
+
 def _scaled_system(group, v, T):
-    """Residual vector of the normalized system 2 v_i x_j x_k - T_i
-    (the curvature equations with v1*v2*v3*c = 1 substituted in); v and T
-    index to arrays of lanes."""
-    lam = group.lambdas
-    x = [(sum(lam[m] * v[m] for m in range(3)) - 2.0 * lam[i] * v[i]) / 2.0
-         for i in range(3)]
-    return [2.0 * v[i] * x[(i + 1) % 3] * x[(i + 2) % 3] - T[i]
-            for i in range(3)], x
+    """Residuals F of the normalized system 2 v_i x_j x_k - T_i (the
+    curvature equations with v1*v2*v3*c = 1 substituted in) and the
+    x_i = (l.v - 2 l_i v_i) / 2, for the (P, 3) arrays v and T."""
+    lam = np.asarray(group.lambdas)
+    lv = lam * v
+    x = ((lv[:, 0] + lv[:, 1] + lv[:, 2])[:, None] - 2.0 * lam * v) / 2.0
+    return 2.0 * v * x[:, _J] * x[:, _K] - T, x
 
 
 def _jacobian(group, v, x):
-    """Rows of the Jacobian of `_scaled_system` in v."""
-    lam = group.lambdas
-    J = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        row = []
-        for n in range(3):
-            dxj = 0.5 * lam[n] * (-1.0 if j == n else 1.0)
-            dxk = 0.5 * lam[n] * (-1.0 if k == n else 1.0)
-            e = 2.0 * v[i] * (dxj * x[k] + x[j] * dxk)
-            if i == n:
-                e += 2.0 * x[j] * x[k]
-            row.append(e)
-        J.append(row)
+    """The Jacobian of `_scaled_system` in v, (P, 3, 3), from its x: row i
+    is 2 v_i (dx_j x_k + x_j dx_k) with dx_m = l (1 - 2 e_m) / 2, plus
+    2 x_j x_k on the diagonal."""
+    lam = np.asarray(group.lambdas)
+    dx = 0.5 * lam * (1.0 - 2.0 * np.eye(3))
+    xj, xk = x[:, _J], x[:, _K]
+    J = (2.0 * v)[:, :, None] * (dx[_J] * xk[:, :, None]
+                                 + xj[:, :, None] * dx[_K])
+    J[:, range(3), range(3)] += 2.0 * xj * xk
     return J
 
 
@@ -74,18 +74,16 @@ def cubic_columns(group, T, lo, hi, take, order) -> Columns:
                    q, np.zeros((size, 2), int), {})
     if not size:
         return cols
-    T = (T[:, 0], T[:, 1], T[:, 2])
+    T1, T2, T3 = T.T
     sgn = _T3_SIGN[group.name]
     # the reduction cubic 2 p^3 + (T1 + T2 +- T3) p^2 -+ T1 T2 T3
     roots, mults = roots_in_interval_many(
-        (2.0, T[0] + T[1] + sgn * T[2], 0.0, -sgn * T[0] * T[1] * T[2]),
-        lo, hi)
+        (2.0, T1 + T2 + sgn * T3, 0.0, -sgn * T1 * T2 * T3), lo, hi)
     pinned = lo == hi
     roots[pinned, 0], mults[pinned, 0] = lo[pinned], 1
     taken = (mults > 0) & (np.cumsum(mults > 0, axis=1) <= take[:, None])
     lane, slot = np.nonzero(taken)
-    v, c, q, errors = _reconstruct_many(group, tuple(t[lane] for t in T),
-                                        roots[lane, slot])
+    v, c, q, errors = _reconstruct_many(group, T[lane], roots[lane, slot])
     # a lane raises for its first inadmissible root, as roots are taken
     for r, error in errors.items():
         cols.error.setdefault(int(lane[r]), error)
@@ -103,7 +101,7 @@ def cubic_columns(group, T, lo, hi, take, order) -> Columns:
 
 
 def _reconstruct_many(group, T, p):
-    """(v, c, q, errors) of the cubic roots p (T as three columns of lanes):
+    """(v, c, q, errors) of the cubic roots p (T of shape (P, 3)):
     the polished metrics v of shape (P, 3), their c = 1 / (v1 v2 v3) and the
     cube roots q, and the ValueError of each inadmissible root by index.
 
@@ -111,7 +109,7 @@ def _reconstruct_many(group, T, p):
     x_i = q/(p +- T_i) rebuild the metric, and `_polish_many` removes the
     sensitivity of that map near its poles."""
     sgn = _T3_SIGN[group.name]
-    T1, T2, T3 = T
+    T1, T2, T3 = T.T
     with np.errstate(all="ignore"):
         d = (p + T1, p + T2, p + sgn * T3)
         q = np.cbrt(p * d[0] * d[1] * d[2])
@@ -141,8 +139,8 @@ def _reconstruct_many(group, T, p):
 
 
 def _polish_many(group, v, T, live):
-    """Newton-polish the metrics v, of shape (P, 3), on the normalized
-    system, on the lanes where `live` holds (T as three columns).
+    """Newton-polish the metrics v on the normalized system, on the lanes
+    where `live` holds; v and T are (P, 3) arrays.
 
     Reconstruction through the cubic variable p loses relative accuracy when
     a correspondence denominator p +- T_i is small (thin case intervals); up
@@ -151,12 +149,10 @@ def _polish_many(group, v, T, live):
     iterate and stops where a step is singular or would leave the positive
     octant.
     """
-    done = POLISH_TOL * np.maximum(np.maximum(abs(T[0]), abs(T[1])),
-                                   abs(T[2]))
+    done = POLISH_TOL * abs(T).max(axis=1)
 
     def res(w, T):
-        F, _ = _scaled_system(group, w.T, T)
-        return np.maximum(np.maximum(abs(F[0]), abs(F[1])), abs(F[2]))
+        return abs(_scaled_system(group, w, T)[0]).max(axis=1)
 
     v = v.copy()
     best, best_res = v.copy(), res(v, T)
@@ -166,13 +162,12 @@ def _polish_many(group, v, T, live):
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        w, Tw = v[idx], tuple(t[idx] for t in T)
-        F, x = _scaled_system(group, w.T, Tw)
-        J = np.stack([np.stack(row, axis=-1)
-                      for row in _jacobian(group, w.T, x)], axis=-2)
+        w, Tw = v[idx], T[idx]
+        F, x = _scaled_system(group, w, Tw)
         # solve for the relative step u = dv/v: the components of v can span
         # many decades and column scaling keeps the solve meaningful
-        u = np.clip(_steps(J * w[:, None, :], np.stack(F, axis=-1)), -0.5, 0.5)
+        u = np.clip(_steps(_jacobian(group, w, x) * w[:, None, :], F),
+                    -0.5, 0.5)
         vn = w * (1.0 - u)
         rn = res(vn, Tw)
         step = vn.min(axis=1) > 0.0  # false where u is nan

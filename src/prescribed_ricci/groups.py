@@ -134,11 +134,26 @@ def check_milnor_frame(group, M) -> bool:
 _I, _J, _K = [0, 0, 1], [1, 2, 2], [2, 1, 0]
 
 
+def _flat(vectors, components) -> np.ndarray:
+    """Indices into a flattened M of X_v[c] = M[c, v]: a row per pair's
+    frame vector v, a column per component c."""
+    return 3 * np.asarray(components)[None, :] + np.asarray(vectors)[:, None]
+
+
+# the components c+1 and c+2 (mod 3) of each component c
+_C1, _C2 = [1, 2, 0], [2, 0, 1]
+_I1, _J2 = _flat(_I, _C1), _flat(_J, _C2)
+_I2, _J1 = _flat(_I, _C2), _flat(_J, _C1)
+_KC = _flat(_K, range(3))
+
+
 def check_milnor_frame_many(group, Ms) -> np.ndarray:
     """`check_milnor_frame` of each basis change of the stack Ms (N, 3, 3),
     as a boolean array.  [X_i, X_j] is l * (X_i x X_j) entrywise and the
     right side the one term C[i,j,k] X_k, so every lane is checked with
-    the same float operations, whatever the stack.
+    the same float operations, whatever the stack.  The cross product is
+    written out as `np.cross` computes it, X_i[c+1] X_j[c+2] - X_i[c+2]
+    X_j[c+1], without its per-call set-up.
 
     Raises ValueError when any M is singular.
     """
@@ -150,9 +165,10 @@ def check_milnor_frame_many(group, Ms) -> np.ndarray:
     if (np.abs(np.linalg.det(M))
             <= 1e-12 * np.abs(M).max(axis=(-2, -1)) ** 3).any():
         raise ValueError("singular matrix is not a valid basis change")
-    X = M.swapaxes(-1, -2)
-    lhs = np.asarray(group.lambdas) * np.cross(X[:, _I], X[:, _J])
-    rhs = structure_constants(group)[_I, _J, _K][:, None] * X[:, _K]
+    flat = M.reshape(-1, 9)
+    cross = flat[:, _I1] * flat[:, _J2] - flat[:, _I2] * flat[:, _J1]
+    lhs = np.asarray(group.lambdas) * cross
+    rhs = structure_constants(group)[_I, _J, _K][:, None] * flat[:, _KC]
     return np.abs(lhs - rhs).max(axis=(-2, -1)) <= FRAME_TOL
 
 

@@ -6,10 +6,16 @@ solutions back, and aggregates how well the c values and (where uniqueness is
 claimed) the metrics agree.  The sampler is the one place that checks each
 change against the brackets and T's diagonality; `probe` re-solves only
 changes that passed there.
+
+Every random sign is `_sign`, which draws the value and generator state
+that `rng.choice([-1.0, 1.0])` draws, at a fraction of its cost; what a
+draw needs of T alone (SO3's equal-value blocks) is computed once per
+sampler call, not once per candidate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,24 +61,35 @@ def _equal_blocks(values) -> list[list[int]]:
     return blocks
 
 
-def _so3_block_change(T, rng) -> np.ndarray:
-    """Random frame change with entries only inside equal-T blocks, det +1.
+def _sign(rng) -> float:
+    """-1.0 or 1.0 with equal odds: the value and generator state of
+    `rng.choice([-1.0, 1.0])`, which draws `rng.integers(0, 2)` as its
+    index, without `choice`'s argument handling."""
+    return (-1.0, 1.0)[rng.integers(2)]
+
+
+def _so3_blocks(T) -> list[list[int]]:
+    """The axes of T's equal-value blocks, blocks in descending T."""
+    order = sorted(range(3), key=lambda i: -T[i])
+    return [[order[i] for i in block]
+            for block in _equal_blocks([T[i] for i in order])]
+
+
+def _so3_block_change(blocks, rng) -> np.ndarray:
+    """Random frame change with entries only inside equal-T blocks, det +1;
+    `blocks` is `_so3_blocks(T)`.
 
     With pairwise distinct components this degenerates to the four diagonal
     sign matrices of determinant +1; an equal pair admits a circle of
     rotations (and reflections, compensated by the remaining sign); an
     isotropic T admits all rotations.
     """
-    order = sorted(range(3), key=lambda i: -T[i])
-    Ts = [T[i] for i in order]
-    blocks = _equal_blocks(Ts)
     M = np.zeros((3, 3))
     dets = []
-    for block in blocks:
-        axes = [order[i] for i in block]
-        n = len(block)
+    for axes in blocks:
+        n = len(axes)
         if n == 1:
-            s = rng.choice([-1.0, 1.0])
+            s = _sign(rng)
             M[axes[0], axes[0]] = s
             dets.append(s)
         elif n == 2:
@@ -90,10 +107,9 @@ def _so3_block_change(T, rng) -> np.ndarray:
     if np.prod(dets) < 0:
         # flip one size-1 block sign; a lone reflecting 2-block cannot occur
         # with det -1 unless a 1-block exists to absorb it
-        for block in blocks:
-            if len(block) == 1:
-                axis = order[block[0]]
-                M[axis, axis] = -M[axis, axis]
+        for axes in blocks:
+            if len(axes) == 1:
+                M[axes[0], axes[0]] = -M[axes[0], axes[0]]
                 break
     return M
 
@@ -115,8 +131,8 @@ def _sl2_change(T, rng, ztol) -> np.ndarray:
                     <= ztol)
         phi = rng.normal() if boost_ok else 0.0
         s = 0.0
-    a12_sign = int(rng.choice([-1, 1]))
-    branch = int(rng.choice([-1, 1]))
+    a12_sign = int(_sign(rng))
+    branch = int(_sign(rng))
     return sl2_frame_change(theta, phi, s, a12_sign, branch)
 
 
@@ -134,7 +150,7 @@ def _planar_change(name, T, rng, ztol) -> np.ndarray:
                 break
         a13, a23 = rng.normal(size=2)
         return build(a11, a12, a13, a23, upper)
-    scale = float(np.exp(rng.normal() * 0.5)) * float(rng.choice([-1.0, 1.0]))
+    scale = float(np.exp(rng.normal() * 0.5)) * _sign(rng)
     if rng.random() < 0.5:
         return build(scale, 0.0, 0.0, 0.0, upper)
     return build(0.0, scale, 0.0, 0.0, upper)
@@ -145,14 +161,22 @@ def _h3_change(T, rng) -> np.ndarray:
     # T's off-diagonal, so diagonality forces them to zero here
     if rng.random() < 0.3:
         # swap the two degenerate directions, with scales
-        a23 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
-        a32 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
+        a23 = float(np.exp(rng.normal() * 0.4)) * _sign(rng)
+        a32 = float(np.exp(rng.normal() * 0.4)) * _sign(rng)
         return h3_frame_change(0.0, a23, a32, 0.0)
-    a22 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
-    a33 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
-    a23 = rng.normal() * 0.5
+    a22 = float(np.exp(rng.normal() * 0.4)) * _sign(rng)
+    a33 = float(np.exp(rng.normal() * 0.4)) * _sign(rng)
     # T-diagonality needs T2*a22*a23 + T3*a32*a33 = 0
-    a32 = -T[1] * a22 * a23 / (T[2] * a33)
+    if T[2] != 0.0:
+        a23 = rng.normal() * 0.5
+        a32 = -T[1] * a22 * a23 / (T[2] * a33)
+    elif T[1] != 0.0:
+        a23, a32 = 0.0, rng.normal() * 0.5
+    else:
+        # both free: a32 takes the sign that keeps the lower block's
+        # determinant a22*a33 - a23*a32 at least |a22*a33|
+        a23 = rng.normal() * 0.5
+        a32 = -math.copysign(rng.normal() * 0.5, a22 * a23 * a33)
     return h3_frame_change(a22, a23, a32, a33)
 
 
@@ -171,7 +195,9 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
     Candidates are drawn in rounds as many as are still missing and each
     round is checked as one stack; a candidate's draws never depend on the
     checks, so the frames and the generator's final state are those of
-    drawing and checking one candidate at a time.
+    drawing and checking one candidate at a time.  On H3 with T3 = 0 the
+    (2,3) diagonality condition T2 a22 a23 = 0 forces a23 = 0 when T2 != 0
+    and leaves a23 and a32 free when T2 = 0.
     """
     group = as_group(group)
     T = tensor_components(T)
@@ -179,7 +205,8 @@ def sample_diagonal_preserving_changes(group, T, n: int, rng=0):
         raise ValueError("need at least one sample")
     gen = np.random.default_rng(rng)  # a Generator passes through as is
     ztol = EQUAL_TOL * float(np.max(np.abs(T)))
-    draw = {"SO3": lambda: _so3_block_change(T, gen),
+    blocks = _so3_blocks(T) if group.name == "SO3" else None
+    draw = {"SO3": lambda: _so3_block_change(blocks, gen),
             "SL2": lambda: _sl2_change(T, gen, ztol),
             "E2": lambda: _planar_change("E2", T, gen, ztol),
             "E11": lambda: _planar_change("E11", T, gen, ztol),
@@ -205,12 +232,15 @@ def _transformed(Ms: np.ndarray, T) -> np.ndarray:
     return Ms.swapaxes(-1, -2) @ np.diag(T) @ Ms
 
 
+# flat indices of the six off-diagonal entries of a 3x3 matrix
+_OFF_DIAGONAL = [1, 2, 3, 5, 6, 7]
+
+
 def _keeps_diagonal(Ms: np.ndarray, T) -> np.ndarray:
     """Whether each M^T diag(T) M is diagonal to DIAG_TOL relative."""
     Tp = _transformed(Ms, T)
-    off = Tp.copy()
-    off[:, range(3), range(3)] = 0.0
-    return (np.abs(off).max(axis=(1, 2))
+    off = Tp.reshape(-1, 9)[:, _OFF_DIAGONAL]
+    return (np.abs(off).max(axis=1)
             <= DIAG_TOL * np.abs(Tp).max(axis=(1, 2)))
 
 

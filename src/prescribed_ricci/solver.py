@@ -128,8 +128,8 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     T = tensor_components(T)
     if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
-    v, c, _, errors = _reconstruct_many(
-        group, tuple(np.array([t]) for t in T), np.array([float(p)]))
+    v, c, _, errors = _reconstruct_many(group, np.array([T]),
+                                        np.array([float(p)]))
     if errors:
         raise errors[0]
     return DiagonalMetric(v[0]), float(c[0])

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, UnimodularGroup,
                               bracket, check_milnor_frame, group_from_name,
                               structure_constants)
-from prescribed_ricci.groups import (check_milnor_frame_many, e2_frame_change,
+from prescribed_ricci.groups import (FRAME_TOL, check_milnor_frame_many,
+                                     e2_frame_change,
                                      e11_frame_change, h3_frame_change,
                                      random_rotation, rotation_so3,
                                      sl2_frame_change)
@@ -143,6 +144,36 @@ def test_check_milnor_frame_many_is_lane_by_lane(rng):
         check_milnor_frame_many(SO3, np.array(Ms + [np.zeros((3, 3))]))
     with pytest.raises(ValueError, match="3x3"):
         check_milnor_frame_many(SO3, np.eye(3))
+
+
+def _np_cross_check(group, Ms):
+    """`check_milnor_frame_many`'s bracket test through `np.cross`."""
+    X = Ms.swapaxes(-1, -2)
+    I, J, K = [0, 0, 1], [1, 2, 2], [2, 1, 0]
+    lhs = np.asarray(group.lambdas) * np.cross(X[:, I], X[:, J])
+    rhs = structure_constants(group)[I, J, K][:, None] * X[:, K]
+    return np.abs(lhs - rhs).max(axis=(-2, -1)) <= FRAME_TOL
+
+
+def test_check_milnor_frame_many_matches_np_cross(rng):
+    stacks = [rng.normal(size=(300, 3, 3)),
+              10.0 ** rng.uniform(-4, 4, (300, 1, 1)) * rng.normal(
+                  size=(300, 3, 3))]
+    # frames of every group, moved off by about FRAME_TOL: many lanes sit
+    # within a few rounding errors of the tolerance
+    frames = np.array([random_rotation(rng) for _ in range(100)]
+                      + [sl2_frame_change(*rng.normal(size=3))
+                         for _ in range(100)]
+                      + [e11_frame_change(*rng.normal(size=4))
+                         for _ in range(100)])
+    for scale in (0.3e-10, 0.5e-10, 1e-10):
+        stacks.append(frames + rng.normal(scale=scale, size=frames.shape))
+    for g in ALL_GROUPS:
+        for Ms in stacks:
+            got = check_milnor_frame_many(g, Ms)
+            assert got.tolist() == _np_cross_check(g, Ms).tolist()
+    near = check_milnor_frame_many(SO3, stacks[-2][:100])
+    assert 0 < near.sum() < 100
 
 
 def test_sl2_family_passes(rng):

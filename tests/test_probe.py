@@ -8,6 +8,8 @@ import pytest
 from prescribed_ricci import (E2, E11, H3, R3, SL2, SO3, check_milnor_frame,
                               probe, sample_diagonal_preserving_changes, solve,
                               solver)
+from prescribed_ricci.groups import (e2_frame_change, e11_frame_change,
+                                     h3_frame_change, sl2_frame_change)
 
 from conftest import ALL_GROUPS, INVALID_TENSORS, random_solvable
 
@@ -87,9 +89,123 @@ def test_probe_checks_each_frame_once(monkeypatch):
     assert lanes == sampled
 
 
+# The reference sampler draws with its own copy of the draw code, in its
+# plainest form: `rng.choice` for every sign, T's blocks found per draw.  A
+# change to any library draw shows here by name, not only in the golden.
+
+def _ref_equal_blocks(values):
+    scale = float(np.max(np.abs(values)))
+    blocks = []
+    for i, t in enumerate(values):
+        if blocks and (abs(t - values[blocks[-1][-1]])
+                       <= probe_module.EQUAL_TOL * scale):
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return blocks
+
+
+def _ref_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 2] = -q[:, 2]
+    return q
+
+
+def _ref_so3(T, rng):
+    order = sorted(range(3), key=lambda i: -T[i])
+    blocks = _ref_equal_blocks([T[i] for i in order])
+    M = np.zeros((3, 3))
+    dets = []
+    for block in blocks:
+        axes = [order[i] for i in block]
+        if len(block) == 1:
+            s = rng.choice([-1.0, 1.0])
+            M[axes[0], axes[0]] = s
+            dets.append(s)
+        elif len(block) == 2:
+            th = rng.uniform(0.0, 2.0 * np.pi)
+            reflect = rng.random() < 0.5
+            c, s = np.cos(th), np.sin(th)
+            B = (np.array([[c, s], [s, -c]]) if reflect
+                 else np.array([[c, -s], [s, c]]))
+            for a, ra in enumerate(axes):
+                for b, rb in enumerate(axes):
+                    M[ra, rb] = B[a, b]
+            dets.append(-1.0 if reflect else 1.0)
+        else:
+            M[:, :] = _ref_rotation(rng)
+            dets.append(1.0)
+    if np.prod(dets) < 0:
+        for block in blocks:
+            if len(block) == 1:
+                axis = order[block[0]]
+                M[axis, axis] = -M[axis, axis]
+                break
+    return M
+
+
+def _ref_sl2(T, rng, ztol):
+    T1, T2, T3 = T
+    t12_equal = abs(T1 - T2) <= ztol
+    if t12_equal and abs(T1 + T3) <= ztol:
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        phi = rng.normal()
+        s = rng.normal()
+    else:
+        k = rng.integers(0, 4)
+        theta = rng.uniform(0.0, 2.0 * np.pi) if t12_equal else 0.5 * np.pi * k
+        boost_ok = (abs(T1 * np.sin(theta) ** 2 + T2 * np.cos(theta) ** 2 + T3)
+                    <= ztol)
+        phi = rng.normal() if boost_ok else 0.0
+        s = 0.0
+    a12_sign = int(rng.choice([-1, 1]))
+    branch = int(rng.choice([-1, 1]))
+    return sl2_frame_change(theta, phi, s, a12_sign, branch)
+
+
+def _ref_planar(name, T, rng, ztol):
+    build, sign = ((e2_frame_change, 1.0) if name == "E2"
+                   else (e11_frame_change, -1.0))
+    upper = bool(rng.random() < 0.5)
+    if (abs(T[0]) <= ztol and abs(T[1]) <= ztol
+            and (name == "E11" or abs(T[2]) <= ztol)):
+        while True:
+            a11, a12 = rng.normal(size=2)
+            if abs(a11 * a11 + sign * a12 * a12) > 0.01:
+                break
+        a13, a23 = rng.normal(size=2)
+        return build(a11, a12, a13, a23, upper)
+    scale = float(np.exp(rng.normal() * 0.5)) * float(rng.choice([-1.0, 1.0]))
+    if rng.random() < 0.5:
+        return build(scale, 0.0, 0.0, 0.0, upper)
+    return build(0.0, scale, 0.0, 0.0, upper)
+
+
+def _ref_h3(T, rng):
+    # T3 != 0 only; test_h3_sampler_t3_zero checks the T3 = 0 draws
+    if rng.random() < 0.3:
+        a23 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
+        a32 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
+        return h3_frame_change(0.0, a23, a32, 0.0)
+    a22 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
+    a33 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
+    a23 = rng.normal() * 0.5
+    a32 = -T[1] * a22 * a23 / (T[2] * a33)
+    return h3_frame_change(a22, a23, a32, a33)
+
+
+def _ref_r3(rng):
+    while True:
+        M = rng.normal(size=(3, 3))
+        if abs(np.linalg.det(M)) > 0.1:
+            return M
+
+
 def _reference_sampler(group, T, n, gen):
     """The one-candidate-at-a-time sampler: draw, check, keep or redraw."""
-    T = np.asarray(T, dtype=float)
+    T = tuple(float(t) for t in T)
     ztol = probe_module.EQUAL_TOL * float(np.max(np.abs(T)))
     out, attempts = [], 0
     while len(out) < n:
@@ -97,15 +213,15 @@ def _reference_sampler(group, T, n, gen):
         if attempts > 200 * n:
             raise RuntimeError("attempt cap")
         if group.name == "SO3":
-            M = probe_module._so3_block_change(T, gen)
+            M = _ref_so3(T, gen)
         elif group.name == "SL2":
-            M = probe_module._sl2_change(T, gen, ztol)
+            M = _ref_sl2(T, gen, ztol)
         elif group.name in ("E2", "E11"):
-            M = probe_module._planar_change(group.name, T, gen, ztol)
+            M = _ref_planar(group.name, T, gen, ztol)
         elif group.name == "H3":
-            M = probe_module._h3_change(T, gen)
+            M = _ref_h3(T, gen)
         else:
-            M = probe_module._r3_change(gen)
+            M = _ref_r3(gen)
         Tp = M.T @ np.diag(T) @ M
         off = Tp - np.diag(np.diag(Tp))
         if (check_milnor_frame(group, M) and np.max(np.abs(off))
@@ -139,6 +255,34 @@ def test_sampler_matches_one_at_a_time(group, T):
             assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
+def test_sign_draw_is_choice():
+    # `_sign` must keep `rng.choice([-1.0, 1.0])`'s values and generator
+    # state, interleaved with other draws, or every probe frame moves
+    for seed in range(20):
+        ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(64):
+            assert probe_module._sign(gen) == ref.choice([-1.0, 1.0])
+            assert gen.normal() == ref.normal()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("T", [(1.0, -1.0, 0.0), (0.0, 0.0, 0.0),
+                               (-2.0, 0.0, 0.0)])
+def test_h3_sampler_t3_zero(T):
+    # T3 = 0 used to divide by zero: T2 != 0 forces a23 = 0, and T2 = 0
+    # leaves a23 and a32 free
+    for seed in range(5):
+        frames = sample_diagonal_preserving_changes(H3, T, 16, rng=seed)
+        assert len(frames) == 16
+        for M in frames:
+            assert check_milnor_frame(H3, M)
+            Tp = M.T @ np.diag(T) @ M
+            off = Tp - np.diag(np.diag(Tp))
+            assert np.max(np.abs(off)) <= 1e-10 * np.max(np.abs(Tp))
+    free = sample_diagonal_preserving_changes(H3, (0.0, 0.0, 0.0), 64, rng=0)
+    assert any(M[1, 2] != 0.0 and M[2, 1] != 0.0 for M in free)
+
+
 def test_sampler_raises_on_a_singular_candidate(monkeypatch):
     draws = iter([np.eye(3), np.eye(3), np.zeros((3, 3))] + [np.eye(3)] * 9)
     monkeypatch.setattr(probe_module, "_r3_change", lambda gen: next(draws))
@@ -151,7 +295,7 @@ def test_sampler_attempt_cap(monkeypatch):
     # Milnor frame, so the sampler gives up after exactly 200 n draws
     draws = []
     monkeypatch.setattr(probe_module, "_so3_block_change",
-                        lambda T, gen: draws.append(1) or 2.0 * np.eye(3))
+                        lambda blocks, gen: draws.append(1) or 2.0 * np.eye(3))
     with pytest.raises(RuntimeError, match="failed to produce 3") as info:
         sample_diagonal_preserving_changes(SO3, (3.0, 2.0, 1.0), 3)
     assert len(draws) == 600

@@ -216,6 +216,28 @@ def test_singular_polish_falls_back_per_lane(monkeypatch):
     assert all(a in (b, c) for a, b, c in zip(outs, polished, unpolished))
 
 
+@pytest.mark.parametrize("group", [SO3, SL2], ids=["SO3", "SL2"])
+def test_jacobian_matches_central_difference(group, rng):
+    # the polish's Jacobian against a central difference of its residual,
+    # on positive metrics over two decades (the step's rounding error grows
+    # with max(v) / v_n)
+    v = 10.0 ** rng.uniform(-1, 1, (200, 3))
+    T = rng.normal(size=(200, 3))
+    J = arrays._jacobian(group, v, arrays._scaled_system(group, v, T)[1])
+    assert J.shape == (200, 3, 3)
+    for n in range(3):
+        h = 1e-5 * v[:, n]
+        up, down = v.copy(), v.copy()
+        up[:, n] += h
+        down[:, n] -= h
+        diff = ((arrays._scaled_system(group, up, T)[0]
+                 - arrays._scaled_system(group, down, T)[0])
+                / (up[:, n] - down[:, n])[:, None])
+        # relative to the row's size, which the column's terms may cancel
+        size = np.abs(J).max(axis=2)
+        assert np.all(np.abs(J[:, :, n] - diff) <= 1e-6 * size)
+
+
 # SL2 near-ties just past the zero tolerance whose one root is inadmissible,
 # with their root, the metric that shows it and so the exact ValueError text
 INADMISSIBLE = [
