@@ -72,15 +72,11 @@ def _to_json(value) -> str:
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join([_to_json(v) for v in value]) + "]"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _to_json(float(value))
     if value is None:
         return "null"
-    return json.dumps(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # an int: records hold no other type
 
 
 def _flatten(record: dict, prefix: str = "") -> list[str]:
@@ -94,12 +90,12 @@ def _flatten(record: dict, prefix: str = "") -> list[str]:
                 for i, item in enumerate(value):
                     lines.extend(_flatten(item, prefix=f"{name}[{i}]."))
             else:
-                joined = ",".join(_fmt(v) if isinstance(v, (float, np.floating))
-                                  else str(v) for v in value)
+                joined = ",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in value)
                 lines.append(f"{name}: {joined}")
-        elif isinstance(value, (bool, np.bool_)):
+        elif isinstance(value, bool):
             lines.append(f"{name}: {'true' if value else 'false'}")
-        elif isinstance(value, (float, np.floating)):
+        elif isinstance(value, float):
             lines.append(f"{name}: {_fmt(value)}")
         elif value is None:
             lines.append(f"{name}: none")
@@ -415,15 +411,15 @@ def _chunk_lines(chunk: list, reporter) -> tuple[list, bool]:
 
     The jobs of each group are answered together: its solve and classify
     jobs by one `solve_many` call, then the claims of its solve jobs and its
-    certify jobs by one `certify_many` call.  When that raises, the chunk
-    is answered again a job at a time (and rendered whole, not through
-    templates), so the first failing line raises its own error."""
+    certify jobs by one `certify_many` call.  When that raises, the jobs
+    are answered again one at a time, only so that the first failing line
+    raises its own error; if none raises, the grouped error is raised."""
     try:
         return _grouped_lines(chunk, reporter)
     except (InputError, ValueError):
-        records = [_job_record(lineno, job) for lineno, job in chunk]
-        return ([reporter.render(r) for r in records],
-                all([_passed(r) for r in records]))
+        for lineno, job in chunk:
+            _job_record(lineno, job)
+        raise
 
 
 def _grouped_lines(chunk: list, reporter) -> tuple[list, bool]:
@@ -480,7 +476,10 @@ def _run_solve(args, reporter) -> int:
 
 def _run_certify(args, reporter) -> int:
     if args.from_file:
-        return _certify_from_file(args, reporter)
+        status, checked = _run_jobs(_claim_jobs(args.from_file), reporter)
+        reporter.emit({"command": "certify-summary", "checked": checked,
+                       "all_passed": status == EXIT_OK})
+        return status
     if args.T is None or args.v is None or args.c is None:
         raise InputError("field 'v'/'c'/'T': certify needs --T, --v and --c "
                          "(or --from FILE)")
@@ -491,15 +490,16 @@ def _run_certify(args, reporter) -> int:
     return EXIT_OK if record["pass"] else EXIT_CERT_FAILURE
 
 
-def _certify_from_file(args, reporter) -> int:
-    ok = True
-    checked = 0
-    for lineno, record in _json_lines(args.from_file, "from"):
+def _claim_jobs(path: str):
+    """(line number, certify job) per claim of each solve record of a
+    json-lines file, its solutions then its family sample; a record's
+    group, T and claim lists are checked here, its v and c by `_batch_job`."""
+    for lineno, record in _json_lines(path, "from"):
         if record.get("command") != "solve":
             continue
         try:
-            group = _group_or_fail(record.get("group", ""))
-            T = _parse_numbers(record.get("T"), "T")
+            _group_or_fail(record.get("group", ""))
+            _parse_numbers(record.get("T"), "T")
             claims = record.get("solutions", [])
             if not (isinstance(claims, list)
                     and all(isinstance(s, dict) for s in claims)):
@@ -512,18 +512,11 @@ def _certify_from_file(args, reporter) -> int:
                     raise InputError("field 'family': expected null or an "
                                      "object with a 'sample' object")
                 claims = claims + [family["sample"]]
-            certs = [_certify_job(group, T, _parse_numbers(s.get("v"), "v"),
-                                  _parse_number(s.get("c"), "c"))
-                     for s in claims]
         except InputError as exc:
             raise InputError(f"{exc} on line {lineno}") from None
-        for cert in certs:
-            checked += 1
-            ok = ok and cert["pass"]
-            reporter.emit(cert)
-    reporter.emit({"command": "certify-summary", "checked": checked,
-                   "all_passed": ok})
-    return EXIT_OK if ok else EXIT_CERT_FAILURE
+        for s in claims:
+            yield lineno, {"command": "certify", "group": record["group"],
+                           "T": record["T"], "v": s.get("v"), "c": s.get("c")}
 
 
 def _run_classify(args, reporter) -> int:
@@ -617,8 +610,14 @@ def _run_oracle_ricci(args, reporter) -> int:
 
 
 def _run_batch(args, reporter) -> int:
-    status = EXIT_OK
-    jobs = _json_lines(args.jobs, "jobs")
+    return _run_jobs(_json_lines(args.jobs, "jobs"), reporter)[0]
+
+
+def _run_jobs(jobs, reporter) -> tuple[int, int]:
+    """Answer (line number, job) pairs in chunks of `BATCH_CHUNK`, each
+    chunk's records appended to `reporter` as one string; return the exit
+    status and the number of records."""
+    status, count = EXIT_OK, 0
     while True:
         chunk, unread = [], None
         try:
@@ -627,6 +626,7 @@ def _run_batch(args, reporter) -> int:
         except InputError as exc:
             unread = exc  # the jobs above the unreadable line run first
         lines, ok = _chunk_lines(chunk, reporter)
+        count += len(lines)
         if lines:
             # one string per chunk: `flush` puts the same newline between
             reporter.lines.append("\n".join(lines))
@@ -635,7 +635,7 @@ def _run_batch(args, reporter) -> int:
         if unread is not None:
             raise unread
         if len(chunk) < BATCH_CHUNK:
-            return status
+            return status, count
 
 
 # ---------------------------------------------------------------------------

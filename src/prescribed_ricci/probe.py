@@ -166,10 +166,14 @@ def _h3_change(T, rng) -> np.ndarray:
         return h3_frame_change(0.0, a23, a32, 0.0)
     a22 = float(np.exp(rng.normal() * 0.4)) * _sign(rng)
     a33 = float(np.exp(rng.normal() * 0.4)) * _sign(rng)
-    # T-diagonality needs T2*a22*a23 + T3*a32*a33 = 0
+    # T-diagonality needs T2*a22*a23 + T3*a32*a33 = 0; dividing by the
+    # larger of |T2|, |T3| keeps the solved entry of order 1
     if T[2] != 0.0:
-        a23 = rng.normal() * 0.5
-        a32 = -T[1] * a22 * a23 / (T[2] * a33)
+        x = rng.normal() * 0.5
+        if abs(T[2]) < abs(T[1]):
+            a23, a32 = -T[2] * x * a33 / (T[1] * a22), x
+        else:
+            a23, a32 = x, -T[1] * a22 * x / (T[2] * a33)
     elif T[1] != 0.0:
         a23, a32 = 0.0, rng.normal() * 0.5
     else:

@@ -340,8 +340,10 @@ def test_batch_chunks_match_job_by_job(fmt, tmp_path, capsys, monkeypatch):
     code, out, _ = batch_output(path, fmt, capsys)
     assert grouped == [3, 3, 3, 3, 2]  # every chunk took the grouped path
 
-    def job_by_job(chunk, render):
-        raise ValueError("answer each job on its own")
+    def job_by_job(chunk, reporter):
+        records = [cli._job_record(lineno, job) for lineno, job in chunk]
+        return ([reporter.render(r) for r in records],
+                all([cli._passed(r) for r in records]))
 
     monkeypatch.setattr(cli, "_grouped_lines", job_by_job)
     expected = batch_output(path, fmt, capsys)[:2]
@@ -396,16 +398,10 @@ def test_template_slots_write_what_render_writes(fmt):
             record(list(T), [x, y], z))
 
 
-@pytest.mark.parametrize("threshold", [None, 5e-16])
-def test_grouped_lines_equal_job_records(threshold, monkeypatch):
-    """2,400 seeded jobs over the six groups and three commands, solvable
-    shapes and Gaussian ones, each T scaled log-uniform in 1e+-250: every
-    record `_grouped_lines` writes, filled into a template or rendered
-    whole, is the record `_job_record` builds for the job alone, rendered,
-    in both formats.  A pass threshold of 5e-16 fails some solutions of a
-    solve record and passes others, so `pass` patterns vary within shapes."""
-    if threshold is not None:
-        monkeypatch.setattr(verify, "PASS_THRESHOLD", threshold)
+def seeded_jobs() -> list:
+    """2,400 seeded (line number, job) pairs over the six groups and three
+    commands, solvable shapes and Gaussian ones, each T scaled log-uniform
+    in 1e+-250."""
     gen = np.random.default_rng(12)
     groups = ("so3", "sl2", "e2", "e11", "h3", "r3")
     commands = ("solve", "solve", "classify", "solve", "certify")
@@ -421,6 +417,19 @@ def test_grouped_lines_equal_job_records(threshold, monkeypatch):
             job["v"] = (10.0 ** gen.uniform(-100, 100, size=3)).tolist()
             job["c"] = float(10.0 ** gen.uniform(-100, 100))
         jobs.append((i + 1, job))
+    return jobs
+
+
+@pytest.mark.parametrize("threshold", [None, 5e-16])
+def test_grouped_lines_equal_job_records(threshold, monkeypatch):
+    """On the seeded jobs every record `_grouped_lines` writes, filled into
+    a template or rendered whole, is the record `_job_record` builds for
+    the job alone, rendered, in both formats.  A pass threshold of 5e-16
+    fails some solutions of a solve record and passes others, so `pass`
+    patterns vary within shapes."""
+    if threshold is not None:
+        monkeypatch.setattr(verify, "PASS_THRESHOLD", threshold)
+    jobs = seeded_jobs()
     reporters = [Reporter(fmt, None) for fmt in ("json-lines", "text")]
     seen = {"notes": 0, "|q| = inf": 0, "failed": 0, "solve failed": 0}
     for start in range(0, len(jobs), cli.BATCH_CHUNK):
@@ -536,3 +545,152 @@ def test_certify_overflowing_claim_warns_nothing(capsys):
     assert rec["pass"] is False
     assert rec["residual_closed_form"] is None
     assert rec["residual_oracle"] is None
+
+
+# ---------------------------------------------------------------------------
+# certify --from: the claims of solve records as batch certify jobs
+# ---------------------------------------------------------------------------
+
+def certify_each_claim(path, fmt, out_path):
+    """The parent form of `certify --from`: each claim of each solve record
+    certified on its own by the one-lane `certify`, then the summary."""
+    reporter = Reporter(fmt, str(out_path))
+    ok = True
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        if rec["command"] != "solve":
+            continue
+        group = cli.group_from_name(rec["group"])
+        T = tuple(map(float, rec["T"]))
+        claims = rec["solutions"] + ([rec["family"]["sample"]]
+                                     if rec["family"] else [])
+        for s in claims:
+            v, c = tuple(map(float, s["v"])), float(s["c"])
+            record = cli._certify_record(group, T, v, c,
+                                         cli.certify(group, v, c, T))
+            ok = ok and record["pass"]
+            reporter.emit(record)
+    reporter.emit({"command": "certify-summary",
+                   "checked": len(reporter.lines), "all_passed": ok})
+    reporter.flush()
+    return 0 if ok else 3
+
+
+@pytest.mark.parametrize("threshold", [None, 5e-16])
+def test_certify_from_equals_each_claim_certified(threshold, tmp_path,
+                                                  capsys, monkeypatch):
+    # the seeded jobs' batch output: notes, |q| = inf and, at 5e-16, failing
+    # claims; its classify and certify records are skipped
+    if threshold is not None:
+        monkeypatch.setattr(verify, "PASS_THRESHOLD", threshold)
+    jobs, solved = tmp_path / "jobs.jsonl", tmp_path / "solved.jsonl"
+    jobs.write_text("".join(json.dumps(job) + "\n"
+                            for _, job in seeded_jobs()))
+    assert main(["--format", "json-lines", "--out", str(solved), "batch",
+                 str(jobs)]) in (0, 3)
+    for fmt in ("json-lines", "text"):
+        ref = tmp_path / f"ref.{fmt}"
+        code = certify_each_claim(solved, fmt, ref)
+        assert (code == 0) == (threshold is None)
+        for chunk in (512, 3):
+            monkeypatch.setattr(cli, "BATCH_CHUNK", chunk)
+            got = tmp_path / f"got.{fmt}.{chunk}"
+            assert main(["--format", fmt, "--out", str(got), "certify",
+                         "--from", str(solved)]) == code
+            assert got.read_bytes() == ref.read_bytes()
+
+
+def claim_record(sols=(), group="so3", T=(1, 1, 1), family=None):
+    return json.dumps({"command": "solve", "group": group, "T": list(T),
+                       "solutions": [{"v": v, "c": c} for v, c in sols],
+                       "family": family})
+
+
+GOOD_RECORD = claim_record([([1, 1, 1], 2.0)])
+BAD_LAYOUT = ('{"command": "solve", "group": "so3", "T": [1, 1, 1], '
+              '"solutions": "x"}')
+NOT_POSITIVE = ("error: field 'v': metric components must be positive, got "
+                "(np.float64(1.0), np.float64({}), np.float64(1.0)) on line 2")
+
+PRECEDENCE = {
+    # a bad v on line 2 beats the layout error on line 3
+    "bad-v-before-layout": (
+        [GOOD_RECORD, claim_record([([1, -1, 1], 2.0)]), BAD_LAYOUT],
+        NOT_POSITIVE.format("-1.0")),
+    "non-numeric-v-before-layout": (
+        [GOOD_RECORD, claim_record([([1, "x", 1], 2.0)]), BAD_LAYOUT],
+        "error: field 'v': non-numeric entry 'x' on line 2"),
+    # the second claim of line 2 is bad
+    "second-claim": (
+        [GOOD_RECORD, claim_record([([1, 1, 1], 2.0), ([1, 0, 1], 2.0)]),
+         GOOD_RECORD], NOT_POSITIVE.format("0.0")),
+    "family-sample": (
+        [GOOD_RECORD, claim_record([([1, 1, 1], 2.0)], family={
+            "sample": {"v": [1, 1], "c": 2.0}}), GOOD_RECORD],
+        "error: field 'v': expected a list of 3 numbers, got [1, 1] on "
+        "line 2"),
+    # the solutions are claimed before the family sample
+    "solution-before-family-sample": (
+        [GOOD_RECORD, claim_record([([1, 0, 1], 2.0)], family={
+            "sample": {"v": [1, 1], "c": 2.0}})], NOT_POSITIVE.format("0.0")),
+    # a NoSolution record has no claims, yet its group is checked
+    "bad-group-no-solution": (
+        [GOOD_RECORD, claim_record(group="xx3", T=(0, 0, 1))],
+        "error: field 'group': unknown group 'xx3'; expected one of ['e11', "
+        "'e2', 'h3', 'r3', 'sl2', 'so3'] on line 2"),
+    # a bad claim beats a later line that is not JSON
+    "bad-claim-before-non-json": (
+        [GOOD_RECORD, claim_record([([1, -1, 1], 2.0)]), "{oops"],
+        NOT_POSITIVE.format("-1.0")),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2])
+@pytest.mark.parametrize("name", sorted(PRECEDENCE))
+def test_certify_from_first_failing_line_wins(name, chunk, tmp_path, capsys,
+                                              monkeypatch):
+    lines, expected = PRECEDENCE[name]
+    path = tmp_path / "solved.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    if chunk is not None:
+        monkeypatch.setattr(cli, "BATCH_CHUNK", chunk)
+    code = main(["--format", "json-lines", "certify", "--from", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [expected]
+
+
+@pytest.mark.parametrize("fmt, summary", [
+    ("json-lines",
+     '{"command":"certify-summary","checked":0,"all_passed":true}\n'),
+    ("text", "command: certify-summary\nchecked: 0\nall_passed: true\n")])
+@pytest.mark.parametrize("content", [
+    "", "# a comment\n\n",
+    '{"command": "classify", "group": "so3", "T": [1, 1, 1]}\n'
+    '{"command": "certify"}\n',
+    claim_record(group="r3", T=(0, 0, 1)) + "\n" + claim_record() + "\n"],
+    ids=["empty", "comments", "not-solve", "no-solution"])
+def test_certify_from_without_claims_writes_the_summary(content, fmt, summary,
+                                                        tmp_path, capsys):
+    path = tmp_path / "solved.jsonl"
+    path.write_text(content)
+    assert main(["--format", fmt, "certify", "--from", str(path)]) == 0
+    assert capsys.readouterr().out == summary
+
+
+def test_certify_from_does_not_certify_one_claim_at_a_time(tmp_path, capsys,
+                                                           monkeypatch):
+    jobs, solved = tmp_path / "jobs.jsonl", tmp_path / "solved.jsonl"
+    jobs.write_text("\n".join(BATCH_LINES) + "\n")
+    assert main(["--format", "json-lines", "--out", str(solved), "batch",
+                 str(jobs)]) == 3  # its so3 certify job fails
+
+    def scalar(*args):
+        raise AssertionError("scalar path used")
+
+    monkeypatch.setattr(cli, "certify", scalar)
+    code, out = run(capsys, "--format", "json-lines", "certify", "--from",
+                    str(solved))
+    assert code == 0
+    assert jsonl(out)[-1] == {"command": "certify-summary", "checked": 10,
+                              "all_passed": True}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from prescribed_ricci.cli import main
+from prescribed_ricci.cli import Reporter, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,3 +72,26 @@ def transcript(invocations, capsys) -> str:
 def test_cli_golden(name, capsys):
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert transcript(CASES[name], capsys).encode("utf-8") == expected
+
+
+def test_records_hold_only_plain_types(capsys, monkeypatch):
+    # the renderer writes dict, list, str, float, int, bool and None only:
+    # every record builder converts numpy values before a record is built
+    seen = set()
+    render = Reporter.render
+
+    def walk(value):
+        seen.add(type(value))
+        for item in (value.values() if isinstance(value, dict) else
+                     value if isinstance(value, list) else ()):
+            walk(item)
+
+    def checked(reporter, record):
+        walk(record)
+        return render(reporter, record)
+
+    monkeypatch.setattr(Reporter, "render", checked)
+    for invocations in CASES.values():
+        transcript(invocations, capsys)
+    assert {dict, list, str} <= seen <= {dict, list, str, float, int, bool,
+                                         type(None)}, seen

@@ -184,15 +184,19 @@ def _ref_planar(name, T, rng, ztol):
 
 
 def _ref_h3(T, rng):
-    # T3 != 0 only; test_h3_sampler_t3_zero checks the T3 = 0 draws
+    # T3 != 0 only; test_h3_sampler_small_t3 checks the T3 = 0 draws
     if rng.random() < 0.3:
         a23 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
         a32 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
         return h3_frame_change(0.0, a23, a32, 0.0)
     a22 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
     a33 = float(np.exp(rng.normal() * 0.4)) * float(rng.choice([-1.0, 1.0]))
-    a23 = rng.normal() * 0.5
-    a32 = -T[1] * a22 * a23 / (T[2] * a33)
+    if abs(T[2]) < abs(T[1]):
+        a32 = rng.normal() * 0.5
+        a23 = -T[2] * a32 * a33 / (T[1] * a22)
+    else:
+        a23 = rng.normal() * 0.5
+        a32 = -T[1] * a22 * a23 / (T[2] * a33)
     return h3_frame_change(a22, a23, a32, a33)
 
 
@@ -236,7 +240,7 @@ SAMPLER_ROWS = [
     (SL2, (3.0, -1.0, -1.0)), (SL2, (-2.0, 0.0, 0.0)),
     (SL2, (-1.0, -2.0, 3.0)), (E2, (0.0, 0.0, 0.0)), (E2, (2.0, -1.0, -1.0)),
     (E11, (0.0, 0.0, -2.0)), (E11, (-1.0, 2.0, -1.0)),
-    (H3, (1.0, -1.0, -2.0)), (R3, (0.0, 0.0, 0.0)),
+    (H3, (1.0, -1.0, -2.0)), (H3, (1.0, -2.0, -0.5)), (R3, (0.0, 0.0, 0.0)),
 ]
 
 
@@ -267,15 +271,20 @@ def test_sign_draw_is_choice():
 
 
 @pytest.mark.parametrize("T", [(1.0, -1.0, 0.0), (0.0, 0.0, 0.0),
-                               (-2.0, 0.0, 0.0)])
-def test_h3_sampler_t3_zero(T):
+                               (-2.0, 0.0, 0.0), (1.0, -1.0, -1e-9),
+                               (1.0, -1.0, -1e-12)])
+def test_h3_sampler_small_t3(T):
     # T3 = 0 used to divide by zero: T2 != 0 forces a23 = 0, and T2 = 0
-    # leaves a23 and a32 free
+    # leaves a23 and a32 free.  0 < |T3| < |T2| used to solve a32 by
+    # dividing by T3, so frames grew as T2/T3 (up to 1.4e9 at T3 = -1e-9)
+    # and at T3 = -1e-12 a candidate overflowed into a singular matrix;
+    # (1, -1, -1e-12) is NoSolution, only its frames are tested
     for seed in range(5):
         frames = sample_diagonal_preserving_changes(H3, T, 16, rng=seed)
         assert len(frames) == 16
         for M in frames:
             assert check_milnor_frame(H3, M)
+            assert np.max(np.abs(M)) < 10.0
             Tp = M.T @ np.diag(T) @ M
             off = Tp - np.diag(np.diag(Tp))
             assert np.max(np.abs(off)) <= 1e-10 * np.max(np.abs(Tp))
