@@ -29,9 +29,10 @@ POLISH_STEPS = 4
 # cubic, the denominators p +- T3 and v3 = +-(x1+x2)/2 with it
 _T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
 
-# a chunk's answers, a row per cubic lane: the root count n and, per root slot
-# (ascending in c, nan-padded; 0 in mult), c, v (caller's axis order), p, q,
-# mult for T / 8^k; and `error`, the ValueError of each row whose lane raises
+# a chunk's cubic answers, a row per lane: the root count n (0 on a lane
+# that is not cubic) and, per root slot (ascending in c, nan-padded; 0 in
+# mult), c, v (caller's axis order), p, q, mult for T / 8^k; and `error`,
+# the ValueError of each lane that raises, by lane
 Columns = namedtuple("Columns", "n c v p q mult error")
 
 
@@ -62,17 +63,17 @@ def _jacobian(group, v, x):
     return J
 
 
-def cubic_columns(group, T, lo, hi, take, order) -> Columns:
-    """The `Columns` of C cubic lanes, a row of T (C, 3) each: the roots of
-    a lane's cubic in its open interval (lo, hi) (or the one root an
-    interval lo == hi pins), the first `take` of them reconstructed and
-    polished, and each metric put in the caller's axes by `order` (C, 3),
-    the axis of each position of T."""
-    size = len(lo)
+def cubic_columns(group, size, lanes, T, lo, hi, take, order) -> Columns:
+    """The `Columns` of a chunk of `size` lanes whose cubic lanes are
+    `lanes`, C of them, a row of T (C, 3) each: the roots of a lane's cubic
+    in its open interval (lo, hi) (or the one root an interval lo == hi
+    pins), the first `take` of them reconstructed and polished, and each
+    metric put in the caller's axes by `order` (C, 3), the axis of each
+    position of T."""
     c, p, q = np.full((3, size, 2), np.nan)
     cols = Columns(np.zeros(size, int), c, np.full((size, 2, 3), np.nan), p,
                    q, np.zeros((size, 2), int), {})
-    if not size:
+    if not len(lanes):
         return cols
     T1, T2, T3 = T.T
     sgn = _T3_SIGN[group.name]
@@ -84,16 +85,18 @@ def cubic_columns(group, T, lo, hi, take, order) -> Columns:
     taken = (mults > 0) & (np.cumsum(mults > 0, axis=1) <= take[:, None])
     lane, slot = np.nonzero(taken)
     v, c, q, errors = _reconstruct_many(group, T[lane], roots[lane, slot])
+    row = lanes[lane]
     # a lane raises for its first inadmissible root, as roots are taken
     for r, error in errors.items():
-        cols.error.setdefault(int(lane[r]), error)
+        cols.error.setdefault(int(row[r]), error)
     # a lane's roots fill its slots in turn, back in the caller's axis order
     pos = np.cumsum(taken, axis=1)[lane, slot] - 1
-    cols.c[lane, pos], cols.p[lane, pos] = c, roots[lane, slot]
-    cols.q[lane, pos], cols.mult[lane, pos] = q, mults[lane, slot]
-    cols.v[lane[:, None], pos[:, None], order[lane]] = v
-    cols.n[:] = taken.sum(axis=1)
-    # each lane in ascending c; equal c keep their order, as a stable sort
+    cols.c[row, pos], cols.p[row, pos] = c, roots[lane, slot]
+    cols.q[row, pos], cols.mult[row, pos] = q, mults[lane, slot]
+    cols.v[row[:, None], pos[:, None], order[lane]] = v
+    cols.n[lanes] = taken.sum(axis=1)
+    # each lane in ascending c; equal c keep their order, as a stable sort,
+    # and a lane with fewer than two roots has a nan and never swaps
     swap = cols.c[:, 1] < cols.c[:, 0]
     for col in (cols.c, cols.v, cols.p, cols.q, cols.mult):
         col[swap] = col[swap][:, ::-1]

@@ -21,8 +21,9 @@ from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
 from .solver import (CHUNK, CubicSolveTrace, Family, Solution, SolveOutcome,
-                     classify_signature, solve, solve_columns, solve_many)
-from .verify import Certificate, certify, certify_many
+                     _columns, _outcomes, classify_signature, solve,
+                     solve_columns)
+from .verify import Certificate, Certificates, certify, certify_arrays
 
 __all__ = ["main"]
 
@@ -31,7 +32,7 @@ EXIT_BAD_INPUT = 2
 EXIT_CERT_FAILURE = 3
 
 # batch jobs read and answered together: the jobs of one group in a chunk
-# share one `solve_many` and one `certify_many` call, and the chunk bounds
+# share one `_columns` and one `certify_arrays` call, and the chunk bounds
 # the memory this takes
 BATCH_CHUNK = 512
 
@@ -302,39 +303,71 @@ def _passed(record: dict) -> bool:
     return all(r.get("pass", True) for r in checks)
 
 
-def _solve_line(reporter, group, T, outcome, certs) -> str:
-    """`reporter.render(_solve_record(group, T, outcome, certs))`: the
-    record's numbers filled into the template of its shape, or, for a
-    record with notes or a non-finite number, the record rendered whole."""
-    fam = outcome.family
-    # `solve` gives solutions and traces or a family, never both, so a
-    # family's c is the first number after T
-    numbers = [*T] if fam is None or fam.c is None else [*T, fam.c]
-    for sol, cert in zip(_claims(outcome), certs):
-        numbers += (*sol.metric.v, sol.c,
-                    max(cert.residual_closed_form, cert.residual_oracle))
-    for t in outcome.traces:
-        numbers += (t.p, t.q)
-    if outcome.notes or not all(map(math.isfinite, numbers)):
-        return reporter.render(_solve_record(group, T, outcome, certs))
-    key = ("solve", group.name, outcome.kind, outcome.case_label,
-           len(outcome.solutions),
-           None if fam is None else (fam.constraint, fam.c is None),
-           tuple([cert.passed for cert in certs]),
-           tuple([t.multiplicity for t in outcome.traces]))
-    tpl = reporter.templates.get(key)
-    if tpl is None:
-        sol = Solution(DiagonalMetric((_NUM,) * 3), _NUM)
-        shape = SolveOutcome(
-            outcome.kind, outcome.case_label, (sol,) * len(outcome.solutions),
-            fam and Family(fam.constraint,
-                          None if fam.c is None else _NUM, sol),
-            tuple([CubicSolveTrace(_NUM, _NUM, t.multiplicity)
-                   for t in outcome.traces]))
-        tpl = reporter.template(key, _solve_record(
-            group, (_NUM,) * 3, shape,
-            [Certificate(_NUM, _NUM, False, c.passed) for c in certs]))
-    return tpl % tuple(numbers)
+def _solve_template(reporter, key, group, kind: str, label: str, n: int,
+                    constraint, passes, mults) -> str:
+    """The template of the solve records of one shape, kept under key: the
+    kind and case label, n (v, c) slots, the family constraint, the `pass`
+    of each claim and the multiplicity of each trace."""
+    sol = Solution(DiagonalMetric((_NUM,) * 3), _NUM)
+    if kind.startswith("Family"):
+        shape = SolveOutcome(kind, label, family=Family(
+            constraint, None if kind == "FamilyAnyC" else _NUM, sol))
+    else:
+        shape = SolveOutcome(kind, label, (sol,) * n, traces=tuple(
+            [CubicSolveTrace(_NUM, _NUM, m) for m in mults]))
+    return reporter.template(key, _solve_record(
+        group, (_NUM,) * 3, shape,
+        [Certificate(_NUM, _NUM, False, ok) for ok in passes]))
+
+
+def _solve_lines(reporter, group, Ts, answers, certs) -> list:
+    """The rendered solve record of each tensor of Ts, the first lanes of
+    `answers`, whose claims (their (v, c) slots, lane by lane) `certs`
+    certifies: `reporter.render(_solve_record(...))`, as the lane's numbers
+    filled into the template of its shape, or, for a record with notes or
+    a non-finite number, the record rendered whole."""
+    size = len(Ts)
+    n, mult = answers.n[:size], answers.mult[:size]
+    live = np.arange(2) < n[:, None]
+    res, passed = np.full(live.shape, np.nan), np.zeros(live.shape, bool)
+    # max(closed form, oracle) as Python's max takes it, nan and all
+    res[live] = np.where(certs.residual_oracle > certs.residual_closed_form,
+                         certs.residual_oracle, certs.residual_closed_form)
+    passed[live] = certs.passed
+    # per lane, (v, c, residual) of each slot and (p, q) of each root
+    claims = np.concatenate([answers.v[:size], answers.c[:size, :, None],
+                             res[:, :, None]], axis=2)
+    traces = np.stack([answers.p[:size], answers.q[:size]], axis=2)
+    whole = ~((np.isfinite(claims).all(axis=2) | ~live).all(axis=1)
+              & (np.isfinite(traces).all(axis=2) | (mult == 0)).all(axis=1))
+    whole[[i for i in answers.notes if i < size]] = True
+    # the shape: the row and n (in `answers.shape`), the pass bits and the
+    # multiplicities
+    code = (((answers.shape[:size] * 4 + passed[:, 0] + 2 * passed[:, 1]) * 3
+             + mult[:, 0]) * 3 + mult[:, 1])
+    lines, templates, first = [], reporter.templates, 0
+    for i, (T, rendered, shape, k, ms, claim, trace) in enumerate(zip(
+            Ts, whole.tolist(), code.tolist(), n.tolist(), mult.tolist(),
+            claims.reshape(-1, 10).tolist(), traces.reshape(-1, 4).tolist())):
+        first += k
+        if rendered:
+            own = [Certificate(*lane) for lane in zip(
+                *[col[first - k:first].tolist() for col in certs])]
+            lines.append(reporter.render(_solve_record(
+                group, T, _outcomes(answers, np.array([i]))[0], own)))
+            continue
+        constraint = answers.constraint.get(i)
+        key = ("solve", group.name, shape, constraint)
+        kind = answers.kinds[i]
+        # a closed form's slot has no root, so no trace
+        traced = k if ms[0] else 0
+        tpl = templates.get(key) or _solve_template(
+            reporter, key, group, kind, answers.labels[i], k, constraint,
+            passed[i, :k].tolist(), ms[:traced])
+        # a FamilyFixedC record's c comes first after T, as `c_fixed`
+        head = (*T, claim[3]) if kind == "FamilyFixedC" else T
+        lines.append(tpl % (*head, *claim[:5 * k], *trace[:2 * traced]))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +443,12 @@ def _chunk_lines(chunk: list, reporter) -> tuple[list, bool]:
     renders them, in input order, and whether every certificate passed.
 
     The jobs of each group are answered together: its solve and classify
-    jobs by one `solve_many` call, then the claims of its solve jobs and its
-    certify jobs by one `certify_many` call.  When that raises, the jobs
-    are answered again one at a time, only so that the first failing line
-    raises its own error; if none raises, the grouped error is raised."""
+    jobs by one `_columns` call, then the claims of its solve jobs and its
+    certify jobs by one `certify_arrays` call; records are written from
+    those arrays, with no outcome built for a record filled into a
+    template (`_solve_lines`).  When that raises, the jobs are answered
+    again one at a time, only so that the first failing line raises its
+    own error; if none raises, the grouped error is raised."""
     try:
         return _grouped_lines(chunk, reporter)
     except (InputError, ValueError):
@@ -431,36 +466,39 @@ def _grouped_lines(chunk: list, reporter) -> tuple[list, bool]:
     ok = True
     for slots in by_group.values():
         group = jobs[slots[0]][1]
-        asked = [i for i in slots if jobs[i][3] is None]
-        outcomes = dict(zip(asked, solve_many(group,
-                                              [jobs[i][2] for i in asked])))
-        vs, cs, Ts = [], [], []
-        for i in slots:
-            command, _, T, claim = jobs[i]
-            if command == "solve":
-                claims = [(s.metric.v, s.c) for s in _claims(outcomes[i])]
-            else:
-                claims = [] if claim is None else [claim]
-            for v, c in claims:
-                vs.append(v)
-                cs.append(c)
-                Ts.append(T)
-        certs = iter(certify_many(group, vs, cs, Ts))
-        for i in slots:
-            command, _, T, claim = jobs[i]
-            if command == "solve":
-                outcome = outcomes[i]
-                own = [next(certs) for _ in _claims(outcome)]
-                ok = ok and all([cert.passed for cert in own])
-                lines[i] = _solve_line(reporter, group, T, outcome, own)
-            elif command == "classify":
-                key = ("classify", group.name, outcomes[i].case_label)
-                lines[i] = (reporter.templates.get(key) or reporter.template(
-                    key, _classify_record(group, (_NUM,) * 3, key[2]))) % T
-            else:
-                record = _certify_record(group, T, *claim, next(certs))
-                ok = ok and record["pass"]
-                lines[i] = reporter.render(record)
+        solving = [i for i in slots if jobs[i][0] == "solve"]
+        naming = [i for i in slots if jobs[i][0] == "classify"]
+        claimed = [i for i in slots if jobs[i][0] == "certify"]
+        # one columnar answer for the group's solve and classify jobs
+        answers = _columns(group, [jobs[i][2] for i in solving + naming])
+        if answers.errors:
+            raise answers.errors[min(answers.errors)]
+        for i, label in zip(naming, answers.labels[len(solving):]):
+            key = ("classify", group.name, label)
+            lines[i] = (reporter.templates.get(key) or reporter.template(
+                key, _classify_record(group, (_NUM,) * 3, label))) % jobs[i][2]
+        # the (v, c) slots of the solve jobs, then the certify jobs' claims,
+        # certified by one call
+        n = answers.n[:len(solving)]
+        live = np.arange(2) < n[:, None]
+        Ts = [jobs[i][2] for i in solving]
+        certs = certify_arrays(
+            group, np.concatenate([answers.v[:len(solving)][live], np.reshape(
+                [jobs[i][3][0] for i in claimed], (-1, 3))]),
+            np.concatenate([answers.c[:len(solving)][live],
+                            [jobs[i][3][1] for i in claimed]]),
+            np.concatenate([np.repeat(np.reshape(Ts, (-1, 3)), n, axis=0),
+                            np.reshape([jobs[i][2] for i in claimed],
+                                       (-1, 3))]))
+        ok = ok and bool(certs.passed.all())
+        m = int(live.sum())
+        for i, line in zip(solving, _solve_lines(
+                reporter, group, Ts, answers,
+                Certificates(*[col[:m] for col in certs]))):
+            lines[i] = line
+        for i, cert in zip(claimed, zip(*[col[m:].tolist() for col in certs])):
+            lines[i] = reporter.render(_certify_record(
+                group, jobs[i][2], *jobs[i][3], Certificate(*cert)))
     return lines, ok
 
 

@@ -26,8 +26,8 @@ from .groups import (as_group, check_milnor_frame, check_milnor_frame_many,
                      e2_frame_change, e11_frame_change, h3_frame_change,
                      random_rotation, sl2_frame_change)
 # solve is imported only for bench/spans.py, which wraps it here by name:
-# the base tensor is solved as lane 0 of the frames' solve_many call
-from .solver import _match, solve, solve_many  # noqa: F401
+# the base tensor is answered as lane 0 of the frames' `_columns`
+from .solver import _columns, _match, solve  # noqa: F401
 from .verify import oracle_residual, oracle_residual_many
 
 __all__ = ["ProbeReport", "sample_diagonal_preserving_changes", "probe"]
@@ -274,9 +274,10 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     outcomes the pulled-back family sample is instead certified against the
     original tensor through the curvature oracle.
 
-    T and the n transformed tensors are solved by one `solve_many` call,
-    and every pullback, oracle residual and proportionality test runs on
-    one stack; each lane has the bits of the frame-by-frame computation.
+    T and the n transformed tensors are answered by one `_columns` call,
+    read with no outcome built, and every pullback, oracle residual and
+    proportionality test runs on one stack; each lane has the bits of the
+    frame-by-frame computation.
 
     Raises ValueError when (group, T) has no solution: before sampling
     where the case table alone says so, after it where the reduction
@@ -290,56 +291,65 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
         raise nothing
     changes = sample_diagonal_preserving_changes(group, T, n, rng)
     Ms = np.array(changes)
-    base, *outs = solve_many(group, np.concatenate(
+    answers = _columns(group, np.concatenate(
         [[T], np.diagonal(_transformed(Ms, T), axis1=1, axis2=2)]))
-    if base.kind == "NoSolution":
+    if answers.errors:
+        raise answers.errors[min(answers.errors)]
+    kind = answers.kinds[0]
+    if kind == "NoSolution":
         raise nothing
 
-    # one lane per solution pulled back: (frame, solution, the base solution
-    # its metric must be proportional to or None for a family sample,
-    # relative deviation of c); a frame without a matching outcome fails
-    unique = base.kind in ("Unique", "TwoSolutions")
-    lanes = []
-    bad = [False] * len(changes)
-    for f, out in enumerate(outs):
-        if out.kind != base.kind or (unique and not out.solutions):
-            bad[f] = True
-        elif unique:
-            for b in base.solutions:
-                sol = min(out.solutions, key=lambda s: abs(s.c - b.c))
-                rel = abs(sol.c - b.c) / max(abs(b.c), 1e-300)
-                lanes.append((f, sol, b, rel))
-        else:
-            rel = (abs(out.family.c - base.family.c) / abs(base.family.c)
-                   if base.kind == "FamilyFixedC" else 0.0)
-            lanes.append((f, out.family.sample, None, rel))
+    # one lane per solution pulled back, frame by frame: its frame f, v and
+    # c, the base metric it must be proportional to (none for a family
+    # sample) and the relative deviation of c; a frame whose kind differs
+    # from the base's fails
+    bad = [k != kind for k in answers.kinds[1:]]
+    frames = np.flatnonzero(~np.array(bad, dtype=bool))
+    v, c = answers.v[frames + 1], answers.c[frames + 1]
+    if kind in ("Unique", "TwoSolutions"):
+        # each base solution against the frame's solution of nearest c
+        base = np.arange(answers.n[0])
+        live = np.arange(2) < answers.n[frames + 1, None, None]
+        dist = np.where(live, abs(c[:, None, :] - answers.c[0, base, None]),
+                        np.inf)
+        nearest = dist.argmin(axis=2)
+        c = np.take_along_axis(c, nearest, axis=1).ravel()
+        v = np.take_along_axis(v, nearest[:, :, None], axis=1).reshape(-1, 3)
+        b = np.tile(answers.c[0, base], len(frames))
+        rel = abs(c - b) / np.maximum(abs(b), 1e-300)
+        v_base = np.tile(answers.v[0, base], (len(frames), 1))
+        frames = np.repeat(frames, len(base))
+    else:
+        v, c = v[:, 0], c[:, 0]
+        rel = (abs(c - answers.c[0, 0]) / abs(answers.c[0, 0])
+               if kind == "FamilyFixedC" else np.zeros(len(frames)))
+        v_base = None
 
     c_spread = 0.0
     metric_match = True
-    checks = _lane_checks(group, T, Ms, lanes)
-    for (f, _, _, rel), res, prop in zip(lanes, *checks):
+    checks = _lane_checks(group, T, Ms, frames, v, c, v_base)
+    for f, rel, res, prop in zip(frames.tolist(), rel.tolist(), *checks):
         c_spread = max(c_spread, rel)
         metric_match = metric_match and prop
         bad[f] = bad[f] or not (prop and rel <= PROBE_TOL and res <= PROBE_TOL)
 
-    return ProbeReport(samples=len(changes), base_kind=base.kind,
+    return ProbeReport(samples=len(changes), base_kind=kind,
                        c_spread=c_spread, metric_match=metric_match,
-                       c_unconstrained=base.kind == "FamilyAnyC",
+                       c_unconstrained=kind == "FamilyAnyC",
                        violations=tuple(M for M, b in zip(changes, bad) if b))
 
 
-def _lane_checks(group, T, Ms: np.ndarray, lanes: list) -> tuple:
+def _lane_checks(group, T, Ms: np.ndarray, frames, v, c, v_base) -> tuple:
     """Oracle residuals and proportionality tests of `probe`'s lanes, as
-    two lists; every lane is pulled back and checked in one stack, and a
-    family sample, which claims no metric uniqueness, is never tested for
+    two lists: lane i is the metric v[i] and constant c[i] of frame
+    frames[i], and v_base[i] the base metric it must be proportional to.
+    Every lane is pulled back and checked in one stack; family samples
+    (v_base None) claim no metric uniqueness and are never tested for
     proportionality."""
-    if not lanes:
+    if not len(frames):
         return [], []
-    G = _pullbacks(np.linalg.inv(Ms)[[f for f, *_ in lanes]],
-                   np.array([sol.metric.v for _, sol, _, _ in lanes]))
-    res = oracle_residual_many(group, G, [sol.c for _, sol, _, _ in lanes],
-                               np.broadcast_to(T, (len(lanes), 3)))
-    if lanes[0][2] is None:
-        return res.tolist(), [True] * len(lanes)
-    prop = _proportional(G, np.array([b.metric.v for _, _, b, _ in lanes]))
-    return res.tolist(), prop.tolist()
+    G = _pullbacks(np.linalg.inv(Ms)[frames], v)
+    res = oracle_residual_many(group, G, c, np.broadcast_to(T, (len(c), 3)))
+    if v_base is None:
+        return res.tolist(), [True] * len(c)
+    return res.tolist(), _proportional(G, v_base).tolist()

@@ -35,11 +35,14 @@ and an answer: a closed form, or the reduction cubic on an interval whose
 ends are linear in T' (or the max or min of two such ends).  No sign vector
 matches two rows of a group, so the order of the rows decides nothing.
 
-`solve_many` answers a sequence of tensors, CHUNK at a time: the matcher
+A chunk of tensors has one columnar answer (`_columns`): the matcher
 (`_match`) finds each lane's row on arrays and answers nothing, the cubic
 kernel (`arrays.cubic_columns`) answers the cubic lanes together, each with
-the bits it gets alone, and a closed-form lane is answered where its
-outcome is made (`_closed`).  `solve` is the same on one lane.
+the bits it gets alone, each closed-form lane runs its row's answer once,
+and every number is mapped back to the caller's units on arrays.
+`solve_many` builds outcomes from it, CHUNK tensors at a time, and `solve`
+is the same on one lane; `solve_columns`, `classify_signature`, `probe`
+and the CLI's `batch` read it without building any.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .arrays import _T3_SIGN, Columns, _reconstruct_many, cubic_columns
+from .arrays import _T3_SIGN, _reconstruct_many, cubic_columns
 # roots_in_interval is imported only for bench/spans.py, which wraps it
 # here by name; the solver isolates roots through `cubic_columns`
 from .cubic import roots_in_interval  # noqa: F401
@@ -151,7 +154,7 @@ def solve(group, T) -> SolveOutcome:
 
     Ric(g) is unchanged by g -> lambda g, so only the ray of T matters: the
     case table runs on T / 8^k with |T / 8^k|_inf in [1, 8), where a
-    component counts as zero within ZERO_TOL * |T|_inf, and `_outcome` maps
+    component counts as zero within ZERO_TOL * |T|_inf, and `_columns` maps
     the answer back.  Raises ValueError for a non-finite or malformed T, and
     for a c that leaves the float range (only possible for |T|_inf outside
     [1e-300, 1e300]).  `solve` is `solve_many` on one lane: the case table
@@ -246,135 +249,140 @@ def _cubic_lanes(group, match) -> tuple:
     return lanes, T, lo, hi, table.take[rows], match.order[lanes]
 
 
-def _plan_chunk(group, Ts) -> tuple[_Match, np.ndarray, Columns]:
-    """The match of the list Ts, its cubic lanes and their `Columns`, in
-    order; the ValueError of a cubic lane joins the match's errors."""
-    match = _match(group, Ts)
-    lanes, *cubic = _cubic_lanes(group, match)
-    cols = cubic_columns(group, *cubic)
-    match.errors.update({int(lanes[j]): e for j, e in cols.error.items()})
-    return match, lanes, cols
+# a chunk's answers in the caller's units, a row per lane: the lists of
+# kinds and case labels; `shape`, 3 * (row + 1) + n (0 where no row
+# matches); n, the count of the lane's (v, c) slots (a family's one slot
+# is its sample, whose c is 8^-k when c is free); per slot (nan-padded; 0
+# in mult) c, v (caller's axis order) and the root's p, q and mult (a
+# closed form's slot has none); by lane, each closed-form lane's family
+# `constraint` (None if it has none) and the `_sl2_note` arguments of each
+# lane that has a note; and `errors`, what each lane that raises raises
+_Answers = namedtuple("_Answers", "kinds labels shape n c v p q mult "
+                                  "constraint notes errors")
 
 
-def _closed(group, match) -> dict:
-    """Each closed-form lane of a match and its row's answer on it, run when
-    called; T' and order become Python numbers once for all the lanes."""
+def _columns(group, Ts) -> _Answers:
+    """The `_Answers` of the list Ts.  The case table is matched on arrays
+    of lanes, the cubic lanes go through the cubic kernel together, and each
+    closed-form lane runs its row's answer once, in Python floats.  Every
+    answer, found for T / 8^k, is mapped back to T on arrays, each number
+    exactly: v * 2^k, c * 8^-k, p * 8^k and q * 16^k.  A lane with a slot
+    whose c leaves the float range (only for |T|_inf outside
+    [1e-300, 1e300]) or whose v is not positive and finite raises the
+    ValueError that `_outcomes` would raise building its records."""
     table = _TABLES[group.name]
+    match = _match(group, Ts)
+    n, c, v, p, q, mult, errors = cubic_columns(
+        group, len(match.k), *_cubic_lanes(group, match))
+    errors.update(match.errors)
     at = table.closed[match.row].nonzero()[0]
-    lanes = zip(at.tolist(), match.row[at].tolist(), match.T[at].tolist(),
-                match.order[at].tolist())
-    return {i: partial(table.rows[r][2], table.rows[r][0], tuple(t),
-                       tuple(o)) for i, r, t, o in lanes}
+    n[at] = 1
+    shape = 3 * match.row + 3 + n
+    kinds, labels = table.kinds[shape].tolist(), table.labels[shape].tolist()
+    constraint, notes, vs, cs = {}, {}, [], []
+    for i, r, t, o in zip(at.tolist(), match.row[at].tolist(),
+                          match.T[at].tolist(), match.order[at].tolist()):
+        kinds[i], sv, sc, constraint[i], *note = table.rows[r][2](tuple(t),
+                                                                 tuple(o))
+        vs.append(sv)
+        cs.append(sc)
+        if note:
+            notes[i] = (int(match.k[i]), *note[0])
+    if vs:
+        v[at, 0], c[at, 0] = vs, cs
+    # back to T; 16^k as two factors: from |T|_inf ~ 8^256 ~ 1.6e231 on,
+    # 16^k is no float and q * 16^k is inf
+    k = match.k[:, None]
+    p_up, q_up = np.ldexp(1.0, 3 * k), np.ldexp(1.0, 2 * k)
+    with np.errstate(over="ignore"):
+        v *= np.ldexp(1.0, k)[:, :, None]
+        c /= p_up
+        p *= p_up
+        q *= q_up
+        q *= q_up
+    # per slot (written out: numpy reduces a 2- or 3-long axis slowly)
+    pos = (v > 0.0) & (v < np.inf)
+    good = ((c > 0.0) & (c < np.inf) & pos[:, :, 0] & pos[:, :, 1]
+            & pos[:, :, 2])
+    for i in np.flatnonzero(((n > 0) & ~good[:, 0])
+                            | ((n > 1) & ~good[:, 1])).tolist():
+        try:
+            _check_slots(int(match.k[i]), c[i, :n[i]].tolist(),
+                         v[i, :n[i]].tolist())
+        except ValueError as exc:
+            errors.setdefault(i, exc)
+    return _Answers(kinds, labels, shape, n, c, v, p, q, mult, constraint,
+                    notes, errors)
+
+
+def _check_slots(k: int, cs, vs) -> None:
+    """Raise ValueError for a lane's first (v, c) slot, in the caller's
+    units, whose c leaves the float range or whose v is not positive and
+    finite; c is checked first."""
+    for c, v in zip(cs, vs):
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"c = {c} is outside the float range "
+                             f"(|T|_inf ~ 8^{k})")
+        DiagonalMetric(v)
 
 
 def _answers(group, Ts):
     """Yield the outcome of each T of the list Ts, raising its error at its
-    place; a closed-form lane is answered when it is reached."""
-    match, lanes, cols = _plan_chunk(group, Ts)
-    rows = _TABLES[group.name].rows
-    cubic = dict(zip(lanes.tolist(), zip(
-        match.row[lanes].tolist(), cols.n.tolist(),
-        _slots(cols.v, cols.c), _slots(cols.p, cols.q, cols.mult))))
-    closed = _closed(group, match)
-    for i, k in enumerate(match.k.tolist()):
-        if i in match.errors:
-            raise match.errors[i]
-        if i in cubic:
-            row, n, sols, traces = cubic[i]
-            yield _outcome(k, *_cubic_kind(rows[row][0], n), sols[:n],
-                           traces[:n])
-        else:
-            yield _outcome(k, *closed[i]()) if i in closed else _NO_SOLUTION
-
-
-def _slots(*cols) -> list:
-    """Per row of the columns, the tuple of its two root slots, each the
-    tuple of the columns' values there (zipped in C, not per row)."""
-    return list(zip(*[zip(*[col[:, s].tolist() for col in cols])
-                      for s in (0, 1)]))
+    place."""
+    answers = _columns(group, Ts)
+    first = min(answers.errors, default=len(answers.kinds))
+    yield from _outcomes(answers, np.arange(first))
+    if answers.errors:
+        raise answers.errors[first]
 
 
 def solve_columns(group, Ts):
     """Kinds, case labels and c values (ascending) of `solve(group, T)` for
-    each T of the list Ts, as three lists, solved as one chunk of
-    `solve_many`; a cubic lane's answer is read off the kernel's columns,
-    mapped back to T on arrays, with no outcome built.  Raises what `solve`
-    raises for the first T at which it raises."""
-    group = as_group(group)
-    table = _TABLES[group.name]
-    match, lanes, cols = _plan_chunk(group, Ts)
-    n, c = np.zeros(len(Ts), int), np.full((len(Ts), 2), np.nan)
-    n[lanes], c[lanes] = cols.n, cols.c
-    k = match.k.tolist()
-    with np.errstate(over="ignore"):
-        back = c / np.ldexp(1.0, 3 * match.k)[:, None]  # as `_c_back`
-    # a lane whose c leaves the float range: `_c_back` names it
-    for i in np.flatnonzero(((np.arange(2) < n[:, None]) & ~(
-            (back > 0.0) & (back < np.inf))).any(axis=1)).tolist():
-        try:
-            [_c_back(x, k[i]) for x in c[i, :n[i]].tolist()]
-        except ValueError as exc:
-            match.errors.setdefault(i, exc)
-    # a closed-form lane reads NoSolution here (n = 0) and is set below
-    kinds = table.kinds[3 * match.row + 3 + n].tolist()
-    labels = table.labels[3 * match.row + 3 + n].tolist()
-    cs = [lane[:j] for lane, j in zip(back.tolist(), n.tolist())]
-    for i, answer in _closed(group, match).items():
-        try:
-            out = _outcome(k[i], *answer())
-        except ValueError as exc:
-            match.errors[i] = exc
-            continue
-        kinds[i], labels[i], cs[i] = out.kind, out.case_label, out.c_values()
-    if match.errors:
-        raise match.errors[min(match.errors)]
-    return kinds, labels, cs
+    each T of the list Ts, as three lists, read off the chunk's `_columns`
+    with no outcome built.  Raises what `solve` raises for the first T at
+    which it raises."""
+    answers = _columns(as_group(group), Ts)
+    if answers.errors:
+        raise answers.errors[min(answers.errors)]
+    count = answers.n.copy()
+    for i in answers.constraint:
+        if answers.kinds[i] == "FamilyAnyC":
+            count[i] = 0  # the sample's c is no constant of the answer
+    return answers.kinds, answers.labels, [
+        lane[:j] for lane, j in zip(answers.c.tolist(), count.tolist())]
 
 
-# A closed-form row's answer is a function of its label, one lane's T' as
-# three floats (SO3: descending) and `order`, giving the raw outcome (kind,
-# label, solutions, traces, constraint, notes): solutions are (v, c) pairs (a
-# family's one pair is its sample, with c = 1 when c is free), traces are
-# (p, q, multiplicity) and notes are `_sl2_note` arguments.
 _NO_SOLUTION = SolveOutcome(kind="NoSolution", case_label="none")
 
 
-def _outcome(k: int, kind: str, label: str, sols=(), traces=(),
-             constraint=None, notes=()) -> SolveOutcome:
-    """Build the public records of a raw outcome for T / 8^k, mapped back
-    to T: v * 2^k, c * 8^-k, p * 8^k and q * 16^k, each exact."""
-    if not sols:
-        return _NO_SOLUTION  # records are frozen, so one instance serves
-    v_up, p_up = math.ldexp(1.0, k), math.ldexp(1.0, 3 * k)
-    solutions = []
-    for v, c in sols:
-        c = _c_back(c, k)
-        solutions.append(Solution(
-            DiagonalMetric((v[0] * v_up, v[1] * v_up, v[2] * v_up)), c))
-    if kind.startswith("Family"):
-        (sample,) = solutions
-        c = sample.c if kind == "FamilyFixedC" else None
-        return SolveOutcome(kind=kind, case_label=label,
-                            family=Family(constraint, c, sample),
-                            notes=tuple(_sl2_note(p_up, c, *n) for n in notes))
-    # 16^k as two factors: from |T|_inf ~ 8^256 ~ 1.6e231 on, 16^k is no
-    # float (ldexp would raise) and q * 16^k is inf
-    q_up = math.ldexp(1.0, 2 * k)
-    return SolveOutcome(
-        kind=kind, case_label=label, solutions=tuple(solutions),
-        traces=tuple(CubicSolveTrace(p * p_up, q * q_up * q_up, mult)
-                     for p, q, mult in traces))
-
-
-def _c_back(c: float, k: int) -> float:
-    """c * 8^-k, exact, the constant for T from the one for T / 8^k; raises
-    ValueError where c leaves the float range (only for |T|_inf outside
-    [1e-300, 1e300])."""
-    c = float(c) / math.ldexp(1.0, 3 * k)
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"c = {c} is outside the float range "
-                         f"(|T|_inf ~ 8^{k})")
-    return c
+def _outcomes(answers: _Answers, lanes: np.ndarray) -> list:
+    """The public records of the lanes `lanes` (an index array) of
+    `answers`, none of which may raise, each read as Python numbers."""
+    outs = []
+    for i, n, vs, cs, ps, qs, ms in zip(
+            lanes.tolist(), *[col[lanes].tolist() for col in (
+                answers.n, answers.v, answers.c, answers.p, answers.q,
+                answers.mult)]):
+        if not n:
+            outs.append(_NO_SOLUTION)  # records are frozen: one serves all
+            continue
+        kind, label = answers.kinds[i], answers.labels[i]
+        solutions = tuple([Solution(DiagonalMetric(v), c)
+                           for v, c in zip(vs[:n], cs[:n])])
+        if kind.startswith("Family"):
+            note = answers.notes.get(i)
+            outs.append(SolveOutcome(
+                kind=kind, case_label=label,
+                family=Family(answers.constraint[i],
+                              cs[0] if kind == "FamilyFixedC" else None,
+                              solutions[0]),
+                notes=() if note is None else (_sl2_note(cs[0], *note),)))
+        else:
+            outs.append(SolveOutcome(
+                kind=kind, case_label=label, solutions=solutions,
+                traces=tuple([CubicSolveTrace(*t) for t in zip(ps, qs, ms)
+                              if t[2]])))
+    return outs
 
 
 def _cubic_kind(label: str, n: int) -> tuple[str, str]:
@@ -386,52 +394,60 @@ def _cubic_kind(label: str, n: int) -> tuple[str, str]:
     return "Unique" if n == 1 else "TwoSolutions", label
 
 
-def _family(i: int, num: float, v, constraint, label, T, order=None):
+# A closed-form row's answer is a function of one lane's T' as three floats
+# (SO3: descending) and `order`, giving (kind, v, c, constraint) and, for a
+# lane with a note, the note's arguments: (v, c) is the one solution (a
+# family's sample, with c = 1 when c is free) in the caller's axes.
+
+def _family(i: int, num: float, v, constraint, T, order=None):
     """A FamilyFixedC row: c = num / T_i, and its sample is v normalized."""
     c = num / T[i]
-    return ("FamilyFixedC", label, ((_normalized(v, c), c),), (), constraint)
+    return "FamilyFixedC", _normalized(v, c), c, constraint
 
 
-def _any_c(constraint, label, T, order):
+def _any_c(constraint, T, order):
     """A FamilyAnyC row: every metric on the constraint, and c is free."""
-    return ("FamilyAnyC", label, (((1.0, 1.0, 1.0), 1.0),), (), constraint)
+    return "FamilyAnyC", (1.0, 1.0, 1.0), 1.0, constraint
 
 
-def _so3_axis_family(label, T, order):
+def _so3_axis_family(T, order):
     """SO3 (+,0,0): c = 8/T1, and the constraint names the axes in the
     caller's order, the positive component's on the left."""
     (a, j, k), v = order, [1.0, 1.0, 1.0]
     v[a] = 2.0
     j, k = sorted((j, k))
-    return _family(0, 8.0, v, f"v{a + 1}=v{j + 1}+v{k + 1}", label, T)
+    return _family(0, 8.0, v, f"v{a + 1}=v{j + 1}+v{k + 1}", T)
 
 
-def _sl2_zero_family(i, v, constraint, label, T, order):
+def _sl2_zero_family(i, v, constraint, T, order):
     """SL2 (vi)/(vii): T_i < 0 for i in {0, 1}, other components zero.
 
     The curvature equations force one x to vanish; the surviving equation
     reads -8 = c*T_i, so c = -8/T_i.  The sign convention matters: the other
-    orientation, c = -T_i/8, is checked live against the residual and flagged
-    (both residuals are taken on the normalized T, where neither overflows).
+    orientation, c = -T_i/8, is checked against the residual in the note
+    (`_sl2_note`), which gets the sample, c and T here.
     """
-    raw = _family(i, -8.0, v, constraint, label, T)
-    ((sample, c),), alt = raw[2], -T[i] / 8.0
+    raw = _family(i, -8.0, v, constraint, T)
+    return raw + ((i, -T[i] / 8.0, raw[1], raw[2], T),)
+
+
+def _sl2_note(c_back: float, k: int, i: int, alt: float, sample, c: float,
+              T) -> str:
+    """The (vi)/(vii) note in the caller's units (c_back is c there, and
+    alt ~ T_i scales as 8^k); both residuals are taken on the normalized
+    sample, c and T, where neither overflows."""
     ric, size = ricci_diagonal("SL2", sample).tolist(), max(map(abs, T))
-    return raw + (((i, alt, *[
+    res_c, res_alt = [
         max(abs(r - x * t) for r, t in zip(ric, T)) / (1.0 + abs(x) * size)
-        for x in (c, alt)]),),)
-
-
-def _sl2_note(p_up: float, c: float, i: int, alt: float, res_c: float,
-              res_alt: float) -> str:
-    """The (vi)/(vii) note in the caller's units: alt ~ T_i scales as p."""
+        for x in (c, alt)]
     return (f"family constant computed from the curvature equations: "
-            f"c = -8/T{i + 1} = {c:.12g} (sample residual {res_c:.3g}); "
-            f"the alternative reading -T{i + 1}/8 = {alt * p_up:.12g} is "
-            f"inconsistent (sample residual {res_alt:.3g})")
+            f"c = -8/T{i + 1} = {c_back:.12g} (sample residual {res_c:.3g}); "
+            f"the alternative reading -T{i + 1}/8 = "
+            f"{alt * math.ldexp(1.0, 3 * k):.12g} is inconsistent (sample "
+            f"residual {res_alt:.3g})")
 
 
-def _l3zero(lambdas, label, T, order):
+def _l3zero(lambdas, T, order):
     """E2 and E11 (+,-,-) and (-,+,-): the third bracket coefficient is zero,
     so the system collapses.  The ratio of the first two equations pins
     v1/v2 = -T1/T2; the third (independent of v3) pins c; the first
@@ -446,15 +462,14 @@ def _l3zero(lambdas, label, T, order):
     # sign of (v1 - 1)/T1 > 0 in both sign orders
     c = (2.0 * x[0] * x[1] / (v1 * v2)) / T3
     v3 = 2.0 * x[1] * x[2] / (v2 * c * T1)
-    return ("Unique", label, ((_normalized((v1, v2, v3), c), c),))
+    return "Unique", _normalized((v1, v2, v3), c), c, None
 
 
-def _h3(label, T, order):
+def _h3(T, order):
     """H3 (+,-,-): the one metric and c in closed form."""
     T1, T2, T3 = T
     c = 2.0 * T1 / (T2 * T3)
-    return ("Unique", label,
-            ((_normalized((1.0, -T2 / T1, -T3 / T1), c), c),))
+    return "Unique", _normalized((1.0, -T2 / T1, -T3 / T1), c), c, None
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +495,8 @@ _SIGNS = {"-": -1, "0": 0, "+": 1, ".": 2}
 def _table(*rows) -> _Table:
     """A group's table from its rows (label, signs, answer): signs holds
     '+', '-', '0' or '.' (any sign) for the forms in order, and the forms
-    past its end take any sign; the answer is a `_Cubic` or a closed form,
-    a function of the label, one lane's T' as three floats and `order`."""
+    past its end take any sign; the answer is a `_Cubic` or a closed form
+    (see `_family`)."""
     width = max(len(signs) for _, signs, _ in rows)
     patterns = np.array([[_SIGNS[c] for c in signs.ljust(width, ".")]
                          for _, signs, _ in rows]).T[:, :, None]
@@ -544,7 +559,10 @@ _TABLES = {
 def classify_signature(group, T) -> str:
     """Name the existence-condition row matched by (group, T), or "none".
 
-    This is `solve`'s case label, so the two never disagree; it raises
-    whatever `solve` raises.
+    This is `solve`'s case label, read off the same `_columns`, so the two
+    never disagree; it raises whatever `solve` raises.
     """
-    return solve(group, T).case_label
+    answers = _columns(as_group(group), [T])
+    if answers.errors:
+        raise answers.errors[0]
+    return answers.labels[0]

@@ -8,6 +8,7 @@ The residual denominator 1 + |c| * |T|_inf keeps family and flat cases
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 from .curvature import ricci_diagonal, ricci_koszul, tensor_components
 from .groups import as_group, structure_constants
 
-__all__ = ["Certificate", "residual", "certify", "certify_many"]
+__all__ = ["Certificate", "Certificates", "residual", "certify",
+           "certify_many", "certify_arrays"]
 
 PASS_THRESHOLD = 1e-9
 NORMALIZATION_TOL = 1e-9
@@ -31,6 +33,11 @@ class Certificate:
     residual_oracle: float
     normalized: bool
     passed: bool
+
+
+# `certify_arrays`' answer: the fields of N certificates, an array each
+Certificates = namedtuple("Certificates", "residual_closed_form "
+                                          "residual_oracle normalized passed")
 
 
 def _unwrap(m) -> np.ndarray:
@@ -50,8 +57,9 @@ def _check_metrics(v: np.ndarray) -> None:
         row = v[np.argmin(good)]
         if (row <= 0.0).any():
             raise ValueError(f"metric components must be positive, got "
-                             f"{tuple(row)}")
-        raise ValueError(f"metric components must be finite, got {tuple(row)}")
+                             f"{tuple(row.tolist())}")
+        raise ValueError(f"metric components must be finite, got "
+                         f"{tuple(row.tolist())}")
 
 
 def _normalized_residuals(ric, c, target, t) -> np.ndarray:
@@ -109,7 +117,14 @@ def oracle_residual_many(group, grams, cs, Ts) -> np.ndarray:
 def certify_many(group, vs, cs, Ts) -> list[Certificate]:
     """`certify` on N claims at once: metrics vs (N, 3), constants cs (N,)
     and tensors Ts (N, 3) give N certificates, each equal to the one
-    `certify` returns for that lane.
+    `certify` returns for that lane; the list view of `certify_arrays`."""
+    return [Certificate(*lane) for lane in zip(
+        *[col.tolist() for col in certify_arrays(group, vs, cs, Ts)])]
+
+
+def certify_arrays(group, vs, cs, Ts) -> Certificates:
+    """The N certificates of `certify_many` as the four arrays of
+    `Certificates`, lane i of each being a field of certificate i.
 
     Both routes run on the whole stack: the closed form on (N, 3) arrays,
     the Koszul oracle on the N diagonal Gram matrices.  Raises ValueError,
@@ -119,7 +134,7 @@ def certify_many(group, vs, cs, Ts) -> list[Certificate]:
     group = as_group(group)
     v = np.asarray(vs, dtype=float)
     if not v.size:
-        return []
+        return Certificates(*np.zeros((4, 0)))
     c = np.asarray(cs, dtype=float)
     t = np.asarray(Ts, dtype=float)
     if v.ndim != 2 or v.shape[1] != 3 or t.shape != v.shape \
@@ -145,9 +160,7 @@ def certify_many(group, vs, cs, Ts) -> list[Certificate]:
         normalized = (np.abs(v[:, 0] * v[:, 1] * v[:, 2] * c - 1.0)
                       <= NORMALIZATION_TOL)
     passed = (r_closed <= PASS_THRESHOLD) & (r_oracle <= PASS_THRESHOLD)
-    return [Certificate(*lane) for lane in zip(
-        r_closed.tolist(), r_oracle.tolist(), normalized.tolist(),
-        passed.tolist())]
+    return Certificates(r_closed, r_oracle, normalized, passed)
 
 
 def certify(group, m, c: float, T) -> Certificate:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prescribed_ricci import cli, verify
+from prescribed_ricci import SolveOutcome, cli, solver, verify
 from prescribed_ricci.cli import Reporter, main
 
 from conftest import random_solvable
@@ -206,6 +206,14 @@ def test_malformed_inputs_name_the_field(tmp_path, capsys):
     assert code == 2
 
 
+def test_certify_bad_metric_prints_plain_numbers(capsys):
+    assert main(["certify", "so3", "--T", "1,1,1", "--v", "1,-1,1",
+                 "--c", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: field 'v': metric components must be positive, got "
+        "(1.0, -1.0, 1.0)\n")
+
+
 def test_certify_c_is_parsed_like_T_and_v(capsys):
     code = main(["certify", "so3", "--T", "1,1,1", "--v", "1,1,1",
                  "--c", "abc"])
@@ -365,7 +373,17 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
 
     for name in ("solve", "classify_signature", "certify"):
         monkeypatch.setattr(cli, name, scalar)
+    # a record filled into a template builds no outcome: only the one with
+    # notes, SL2 (-2, 0, 0), is rendered whole from its outcome
+    built = []
+
+    def recorded(**fields):
+        built.append(fields["case_label"])
+        return SolveOutcome(**fields)
+
+    monkeypatch.setattr(solver, "SolveOutcome", recorded)
     assert batch_output(path, "json-lines", capsys)[0] == 3
+    assert built == ["SL2 case (vi)"]
 
 
 FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
@@ -610,7 +628,7 @@ GOOD_RECORD = claim_record([([1, 1, 1], 2.0)])
 BAD_LAYOUT = ('{"command": "solve", "group": "so3", "T": [1, 1, 1], '
               '"solutions": "x"}')
 NOT_POSITIVE = ("error: field 'v': metric components must be positive, got "
-                "(np.float64(1.0), np.float64({}), np.float64(1.0)) on line 2")
+                "(1.0, {}, 1.0) on line 2")
 
 PRECEDENCE = {
     # a bad v on line 2 beats the layout error on line 3
