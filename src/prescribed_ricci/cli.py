@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: solve, certify, classify, sweep, oracle-ricci, plus batch for a
-jobs file with one JSON job per line.  Output is either human-readable text
-records or json-lines; numbers are printed with 17 significant digits so that
-records round-trip exactly.  Exit codes: 0 success (NoSolution is a normal
-answer), 2 malformed input, 3 certification failure.
+jobs file with one JSON job per line.  Every solve, classify and certify job
+has one answer path, `_grouped_lines`, a chunk of parsed jobs at a time:
+batch and certify --from in chunks of BATCH_CHUNK lines, and the one-tensor
+solve, classify and certify commands as one-job chunks, whose errors lack
+the ` on line N`.  Output is either human-readable text records or
+json-lines; numbers are printed with 17 significant digits so that records
+round-trip exactly.  Exit codes: 0 success (NoSolution is a normal answer),
+2 malformed input, 3 certification failure.
 """
 from __future__ import annotations
 
@@ -21,9 +25,12 @@ from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
 from .solver import (CHUNK, CubicSolveTrace, Family, Solution, SolveOutcome,
-                     _columns, _outcomes, classify_signature, solve,
-                     solve_columns)
-from .verify import Certificate, Certificates, certify, certify_arrays
+                     _columns, _constants, _outcomes)
+from .verify import Certificate, Certificates, _check_metrics, certify_arrays
+# solve, classify_signature and certify are imported only for bench/spans.py,
+# which wraps them here by name; every command answers through `_columns`
+from .solver import classify_signature, solve  # noqa: F401
+from .verify import certify  # noqa: F401
 
 __all__ = ["main"]
 
@@ -141,8 +148,12 @@ class Reporter:
         """Write the lines joined by newlines and ended by one, a line at a
         time, so the output is never copied whole."""
         if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as fh:
-                self._write(fh)
+            try:
+                with open(self.out_path, "w", encoding="utf-8") as fh:
+                    self._write(fh)
+            except OSError as exc:
+                raise InputError(f"field 'out': cannot write "
+                                 f"{self.out_path!r}: {exc}")
         else:
             self._write(sys.stdout)
 
@@ -244,15 +255,6 @@ def _read(fh, path: str, fieldname: str):
 # Record builders
 # ---------------------------------------------------------------------------
 
-def _claims(outcome) -> list:
-    """The solutions of an outcome and its family sample: the claims its
-    record certifies, in that order."""
-    claims = list(outcome.solutions)
-    if outcome.family is not None:
-        claims.append(outcome.family.sample)
-    return claims
-
-
 def _solution_record(sol, cert) -> dict:
     return {"v": list(sol.metric.v), "c": sol.c,
             "residual": max(cert.residual_closed_form, cert.residual_oracle),
@@ -260,7 +262,8 @@ def _solution_record(sol, cert) -> dict:
 
 
 def _solve_record(group, T, outcome, certs) -> dict:
-    """The record of a solve outcome; `certs` certify its `_claims`."""
+    """The record of a solve outcome; `certs` certify its solutions, then
+    its family sample."""
     record = {"command": "solve", "group": group.name.lower(), "T": list(T),
               "kind": outcome.kind, "case_label": outcome.case_label}
     record["solutions"] = [_solution_record(s, cert)
@@ -292,15 +295,6 @@ def _certify_record(group, T, v, c, cert) -> dict:
             "residual_closed_form": cert.residual_closed_form,
             "residual_oracle": cert.residual_oracle,
             "normalized": cert.normalized, "pass": cert.passed}
-
-
-def _passed(record: dict) -> bool:
-    """Whether every certificate in a solve, classify or certify record
-    passed."""
-    checks = [record] + record.get("solutions", [])
-    if record.get("family") is not None:
-        checks.append(record["family"]["sample"])
-    return all(r.get("pass", True) for r in checks)
 
 
 def _solve_template(reporter, key, group, kind: str, label: str, n: int,
@@ -371,38 +365,20 @@ def _solve_lines(reporter, group, Ts, answers, certs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Jobs: one tensor at a time, or a batch chunk grouped by group
+# Jobs: parsed, then answered a chunk at a time, grouped by group
 # ---------------------------------------------------------------------------
 
-def _answer(ask, group, T, where: str = ""):
-    """solve or classify_signature on one tensor; its ValueError (for a c
-    outside the float range) is malformed input, located by `where`."""
+_BATCH_COMMANDS = ("solve", "classify", "certify")
+
+
+def _claim(v: tuple, c: float) -> tuple:
+    """A certify job's claim (v, c), once v passes `verify`'s check that a
+    metric is positive and finite."""
     try:
-        return ask(group, T)
-    except ValueError as exc:
-        raise InputError(f"field 'T': {where}{exc}")
-
-
-def _solve_job(group, T) -> dict:
-    outcome = _answer(solve, group, T)
-    return _solve_record(group, T, outcome,
-                         [certify(group, s.metric.v, s.c, T)
-                          for s in _claims(outcome)])
-
-
-def _classify_job(group, T) -> dict:
-    return _classify_record(group, T, _answer(classify_signature, group, T))
-
-
-def _certify_job(group, T, v, c) -> dict:
-    try:
-        cert = certify(group, v, c, T)
+        _check_metrics(np.array([v]))
     except ValueError as exc:
         raise InputError(f"field 'v': {exc}")
-    return _certify_record(group, T, v, c, cert)
-
-
-_BATCH_COMMANDS = ("solve", "classify", "certify")
+    return v, c
 
 
 def _batch_job(lineno: int, job: dict) -> tuple:
@@ -418,61 +394,48 @@ def _batch_job(lineno: int, job: dict) -> tuple:
         T = _parse_numbers(job.get("T"), "T")
         claim = None
         if command == "certify":
-            claim = (_parse_numbers(job.get("v"), "v"),
-                     _parse_number(job.get("c"), "c"))
+            claim = _claim(_parse_numbers(job.get("v"), "v"),
+                           _parse_number(job.get("c"), "c"))
     except InputError as exc:
         raise InputError(f"{exc} on line {lineno}") from None
     return command, group, T, claim
 
 
-def _job_record(lineno: int, job: dict) -> dict:
-    """One job line answered on its own."""
-    command, group, T, claim = _batch_job(lineno, job)
-    try:
-        if command == "solve":
-            return _solve_job(group, T)
-        if command == "classify":
-            return _classify_job(group, T)
-        return _certify_job(group, T, *claim)
-    except InputError as exc:
-        raise InputError(f"{exc} on line {lineno}") from None
-
-
-def _chunk_lines(chunk: list, reporter) -> tuple[list, bool]:
-    """The records of a chunk of (line number, job) pairs as `reporter`
+def _grouped_lines(jobs: list, reporter, linenos=None) -> tuple[list, bool]:
+    """The records of a chunk of parsed jobs (`_batch_job`) as `reporter`
     renders them, in input order, and whether every certificate passed.
 
     The jobs of each group are answered together: its solve and classify
     jobs by one `_columns` call, then the claims of its solve jobs and its
     certify jobs by one `certify_arrays` call; records are written from
     those arrays, with no outcome built for a record filled into a
-    template (`_solve_lines`).  When that raises, the jobs are answered
-    again one at a time, only so that the first failing line raises its
-    own error; if none raises, the grouped error is raised."""
-    try:
-        return _grouped_lines(chunk, reporter)
-    except (InputError, ValueError):
-        for lineno, job in chunk:
-            _job_record(lineno, job)
-        raise
-
-
-def _grouped_lines(chunk: list, reporter) -> tuple[list, bool]:
-    jobs = [_batch_job(lineno, job) for lineno, job in chunk]
+    template (`_solve_lines`).  A job whose answer raises is found from its
+    lane in `answers.errors`: the first such job of the chunk raises its
+    error as malformed input, ended by ` on line N` when `linenos` gives
+    the jobs' line numbers.  A certify job's v was checked when it was
+    parsed, so `certify_arrays` raises nothing here."""
     by_group: dict = {}
     for i, job in enumerate(jobs):
         by_group.setdefault(job[1].name, []).append(i)
-    lines = [""] * len(jobs)
-    ok = True
+    answered, failed = [], {}
     for slots in by_group.values():
         group = jobs[slots[0]][1]
         solving = [i for i in slots if jobs[i][0] == "solve"]
         naming = [i for i in slots if jobs[i][0] == "classify"]
         claimed = [i for i in slots if jobs[i][0] == "certify"]
         # one columnar answer for the group's solve and classify jobs
-        answers = _columns(group, [jobs[i][2] for i in solving + naming])
-        if answers.errors:
-            raise answers.errors[min(answers.errors)]
+        asked = solving + naming
+        answers = _columns(group, [jobs[i][2] for i in asked])
+        failed.update((asked[lane], exc)
+                      for lane, exc in answers.errors.items())
+        answered.append((group, solving, naming, claimed, answers))
+    if failed:
+        i = min(failed)
+        where = f" on line {linenos[i]}" if linenos else ""
+        raise InputError(f"field 'T': {failed[i]}{where}")
+    lines = [""] * len(jobs)
+    ok = True
+    for group, solving, naming, claimed, answers in answered:
         for i, label in zip(naming, answers.labels[len(solving):]):
             key = ("classify", group.name, label)
             lines[i] = (reporter.templates.get(key) or reporter.template(
@@ -506,14 +469,24 @@ def _grouped_lines(chunk: list, reporter) -> tuple[list, bool]:
 # Subcommand runners
 # ---------------------------------------------------------------------------
 
-def _run_solve(args, reporter) -> int:
-    record = _solve_job(_resolve_group(args), _flag_numbers(args.T, "T"))
-    reporter.emit(record)
-    return EXIT_OK if _passed(record) else EXIT_CERT_FAILURE
+def _run_job(job: tuple, reporter) -> int:
+    """A one-tensor command: its parsed job answered as a one-job chunk."""
+    (line,), ok = _grouped_lines([job], reporter)
+    reporter.lines.append(line)
+    return EXIT_OK if ok else EXIT_CERT_FAILURE
+
+
+def _run_tensor(args, reporter) -> int:
+    """solve or classify of the tensor --T."""
+    return _run_job((args.command, _resolve_group(args),
+                     _flag_numbers(args.T, "T"), None), reporter)
 
 
 def _run_certify(args, reporter) -> int:
     if args.from_file:
+        if (args.T, args.v, args.c) != (None, None, None):
+            raise InputError("field 'from': give either --from FILE or --T, "
+                             "--v and --c")
         status, checked = _run_jobs(_claim_jobs(args.from_file), reporter)
         reporter.emit({"command": "certify-summary", "checked": checked,
                        "all_passed": status == EXIT_OK})
@@ -521,11 +494,9 @@ def _run_certify(args, reporter) -> int:
     if args.T is None or args.v is None or args.c is None:
         raise InputError("field 'v'/'c'/'T': certify needs --T, --v and --c "
                          "(or --from FILE)")
-    record = _certify_job(_resolve_group(args), _flag_numbers(args.T, "T"),
-                          _flag_numbers(args.v, "v"),
-                          _parse_number(args.c, "c"))
-    reporter.emit(record)
-    return EXIT_OK if record["pass"] else EXIT_CERT_FAILURE
+    group, T = _resolve_group(args), _flag_numbers(args.T, "T")
+    return _run_job(("certify", group, T, _claim(
+        _flag_numbers(args.v, "v"), _parse_number(args.c, "c"))), reporter)
 
 
 def _claim_jobs(path: str):
@@ -555,12 +526,6 @@ def _claim_jobs(path: str):
         for s in claims:
             yield lineno, {"command": "certify", "group": record["group"],
                            "T": record["T"], "v": s.get("v"), "c": s.get("c")}
-
-
-def _run_classify(args, reporter) -> int:
-    reporter.emit(_classify_job(_resolve_group(args),
-                                _flag_numbers(args.T, "T")))
-    return EXIT_OK
 
 
 def _grid_axis(fixed, rng_text, steps, name):
@@ -593,14 +558,14 @@ def _run_sweep(args, reporter) -> int:
                                               for axis in axes]))
     points, templates = itertools.product(*axes), reporter.templates
     counts, kind_counts = Counter(), Counter()
-    # the grid in chunks of `solve_many`, each solved and rendered at once
+    # the grid in chunks of `solve_many`, each answered and rendered at once
     while chunk := list(itertools.islice(points, CHUNK)):
-        try:
-            kinds, labels, cs = solve_columns(group, chunk)
-        except ValueError:
-            for T in chunk:  # the first point at which solve raises
-                _answer(solve, group, T, f"grid point {T}: ")
-            raise
+        answers = _columns(group, chunk)
+        if answers.errors:
+            lane = min(answers.errors)
+            raise InputError(f"field 'T': grid point {chunk[lane]}: "
+                             f"{answers.errors[lane]}")
+        kinds, labels, cs = _constants(answers)
         counts.update(labels)
         kind_counts.update(kinds)
         lines = []
@@ -654,16 +619,19 @@ def _run_batch(args, reporter) -> int:
 def _run_jobs(jobs, reporter) -> tuple[int, int]:
     """Answer (line number, job) pairs in chunks of `BATCH_CHUNK`, each
     chunk's records appended to `reporter` as one string; return the exit
-    status and the number of records."""
+    status and the number of records.  A line that cannot be read or
+    parsed ends its chunk: the jobs above it are answered first, and its
+    error is raised only if none of theirs is."""
     status, count = EXIT_OK, 0
     while True:
-        chunk, unread = [], None
+        chunk, linenos, unread = [], [], None
         try:
-            for item in itertools.islice(jobs, BATCH_CHUNK):
-                chunk.append(item)
+            for lineno, job in itertools.islice(jobs, BATCH_CHUNK):
+                chunk.append(_batch_job(lineno, job))
+                linenos.append(lineno)
         except InputError as exc:
-            unread = exc  # the jobs above the unreadable line run first
-        lines, ok = _chunk_lines(chunk, reporter)
+            unread = exc
+        lines, ok = _grouped_lines(chunk, reporter, linenos)
         count += len(lines)
         if lines:
             # one string per chunk: `flush` puts the same newline between
@@ -731,9 +699,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _RUNNERS = {
-    "solve": _run_solve,
+    "solve": _run_tensor,
     "certify": _run_certify,
-    "classify": _run_classify,
+    "classify": _run_tensor,
     "sweep": _run_sweep,
     "oracle-ricci": _run_oracle_ricci,
     "batch": _run_batch,
@@ -773,10 +741,10 @@ def main(argv=None) -> int:
     reporter = Reporter(args.format, args.out)
     try:
         status = _RUNNERS[args.command](args, reporter)
+        reporter.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    reporter.flush()
     return status
 
 

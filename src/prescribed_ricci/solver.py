@@ -42,7 +42,7 @@ the bits it gets alone, each closed-form lane runs its row's answer once,
 and every number is mapped back to the caller's units on arrays.
 `solve_many` builds outcomes from it, CHUNK tensors at a time, and `solve`
 is the same on one lane; `solve_columns`, `classify_signature`, `probe`
-and the CLI's `batch` read it without building any.
+and every CLI command read it without building any.
 """
 from __future__ import annotations
 
@@ -344,6 +344,12 @@ def solve_columns(group, Ts):
     answers = _columns(as_group(group), Ts)
     if answers.errors:
         raise answers.errors[min(answers.errors)]
+    return _constants(answers)
+
+
+def _constants(answers: _Answers):
+    """`solve_columns`' three lists read off `answers`, none of whose lanes
+    may raise."""
     count = answers.n.copy()
     for i in answers.constraint:
         if answers.kinds[i] == "FamilyAnyC":

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from prescribed_ricci import SolveOutcome, cli, solver, verify
+from prescribed_ricci import (SolveOutcome, certify, classify_signature, cli,
+                              solve, solver, verify)
 from prescribed_ricci.cli import Reporter, main
 
 from conftest import random_solvable
@@ -206,6 +207,26 @@ def test_malformed_inputs_name_the_field(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_out_path_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    assert main(["--out", str(path), "solve", "so3", "--T", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err.startswith(
+        f"error: field 'out': cannot write {str(path)!r}: [Errno 2] No such "
+        "file or directory")
+
+
+@pytest.mark.parametrize("flags", [["--T", "1,2,3"], ["--v", "1,1,1"],
+                                   ["--c", "2"]])
+def test_certify_from_rejects_a_claim_on_the_command_line(flags, capsys):
+    assert main(["certify", "so3", "--from", "/dev/null"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: field 'from': give either --from FILE or "
+                            "--T, --v and --c\n")
+
+
 def test_certify_bad_metric_prints_plain_numbers(capsys):
     assert main(["certify", "so3", "--T", "1,1,1", "--v", "1,-1,1",
                  "--c", "2"]) == 2
@@ -332,6 +353,22 @@ def batch_output(path, fmt, capsys):
     return code, captured.out, captured.err
 
 
+def job_record(command, group, T, claim) -> tuple[dict, bool]:
+    """A parsed job (`cli._batch_job`) answered on its own by the public
+    one-tensor `solve`, `classify_signature` and `certify`, its record built
+    by `cli`'s record builders; and whether each certificate passed."""
+    if command == "classify":
+        return cli._classify_record(group, T, classify_signature(group, T)), True
+    if command == "certify":
+        cert = certify(group, *claim, T)
+        return cli._certify_record(group, T, *claim, cert), cert.passed
+    outcome = solve(group, T)
+    certs = [certify(group, s.metric.v, s.c, T) for s in outcome.solutions
+             + ((outcome.family.sample,) if outcome.family else ())]
+    return (cli._solve_record(group, T, outcome, certs),
+            all(cert.passed for cert in certs))
+
+
 @pytest.mark.parametrize("fmt", ["json-lines", "text"])
 def test_batch_chunks_match_job_by_job(fmt, tmp_path, capsys, monkeypatch):
     path = tmp_path / "jobs.jsonl"
@@ -340,18 +377,18 @@ def test_batch_chunks_match_job_by_job(fmt, tmp_path, capsys, monkeypatch):
     grouped = []
     answer = cli._grouped_lines
 
-    def counting(chunk, render):
-        grouped.append(len(chunk))
-        return answer(chunk, render)
+    def counting(jobs, reporter, linenos=None):
+        grouped.append(len(jobs))
+        return answer(jobs, reporter, linenos)
 
     monkeypatch.setattr(cli, "_grouped_lines", counting)
     code, out, _ = batch_output(path, fmt, capsys)
     assert grouped == [3, 3, 3, 3, 2]  # every chunk took the grouped path
 
-    def job_by_job(chunk, reporter):
-        records = [cli._job_record(lineno, job) for lineno, job in chunk]
-        return ([reporter.render(r) for r in records],
-                all([cli._passed(r) for r in records]))
+    def job_by_job(jobs, reporter, linenos=None):
+        records = [job_record(*job) for job in jobs]
+        return ([reporter.render(r) for r, _ in records],
+                all([ok for _, ok in records]))
 
     monkeypatch.setattr(cli, "_grouped_lines", job_by_job)
     expected = batch_output(path, fmt, capsys)[:2]
@@ -373,7 +410,7 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
 
     for name in ("solve", "classify_signature", "certify"):
         monkeypatch.setattr(cli, name, scalar)
-    # a record filled into a template builds no outcome: only the one with
+    # a record filled into a template builds no outcome: only one with
     # notes, SL2 (-2, 0, 0), is rendered whole from its outcome
     built = []
 
@@ -384,6 +421,53 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
     monkeypatch.setattr(solver, "SolveOutcome", recorded)
     assert batch_output(path, "json-lines", capsys)[0] == 3
     assert built == ["SL2 case (vi)"]
+    # the one-tensor commands are one-job chunks of the same path
+    for argv, code, whole in [
+            (["solve", "sl2", "--T=-2,0,0"], 0, ["SL2 case (vi)"]),
+            (["solve", "so3", "--T", "10,-1,-1"], 0, []),
+            (["classify", "sl2", "--T=-3,-2,1"], 0, []),
+            (["certify", "so3", "--T", "1,1,1", "--v", "1,1,1", "--c", "1"],
+             3, [])]:
+        built.clear()
+        assert main(["--format", "json-lines"] + argv) == code
+        assert len(jsonl(capsys.readouterr().out)) == 1
+        assert built == whole
+
+
+def test_failing_line_is_found_from_its_lane(tmp_path, capsys, monkeypatch):
+    # lines 4 and 7 raise in the SL2 group, whose lanes put the solve jobs
+    # (lines 2, 7) before the classify job (line 4), and line 5 in the SO3
+    # group: the lowest failing line, 4, names itself, from one `_columns`
+    # call per group and no job answered again
+    inadmissible = [1, -1.5, -0.99999999]
+    lines = [GOOD,
+             '{"command": "solve", "group": "sl2", "T": [-1, -1, 1]}',
+             '{"command": "certify", "group": "h3", "T": [1, -1, -1], '
+             '"v": [1, 1, 1], "c": 2}',
+             json.dumps({"command": "classify", "group": "sl2",
+                         "T": inadmissible}),
+             TINY_T,
+             '{"command": "solve", "group": "so3", "T": [1, 2, 3]}',
+             json.dumps({"command": "solve", "group": "sl2",
+                         "T": inadmissible})]
+
+    def scalar(*args):
+        raise AssertionError("scalar path used")
+
+    for name in ("solve", "classify_signature", "certify"):
+        monkeypatch.setattr(cli, name, scalar)
+    answered = []
+    columns = cli._columns
+
+    def counted(group, Ts):
+        answered.append(group.name)
+        return columns(group, Ts)
+
+    monkeypatch.setattr(cli, "_columns", counted)
+    err = batch_error(lines, tmp_path, capsys)
+    assert err.startswith("error: field 'T': root p=")
+    assert "is inadmissible" in err and err.endswith(" on line 4")
+    assert sorted(answered) == ["H3", "SL2", "SO3"]
 
 
 FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
@@ -441,7 +525,7 @@ def seeded_jobs() -> list:
 @pytest.mark.parametrize("threshold", [None, 5e-16])
 def test_grouped_lines_equal_job_records(threshold, monkeypatch):
     """On the seeded jobs every record `_grouped_lines` writes, filled into
-    a template or rendered whole, is the record `_job_record` builds for
+    a template or rendered whole, is the record `job_record` builds for
     the job alone, rendered, in both formats.  A pass threshold of 5e-16
     fails some solutions of a solve record and passes others, so `pass`
     patterns vary within shapes."""
@@ -451,17 +535,18 @@ def test_grouped_lines_equal_job_records(threshold, monkeypatch):
     reporters = [Reporter(fmt, None) for fmt in ("json-lines", "text")]
     seen = {"notes": 0, "|q| = inf": 0, "failed": 0, "solve failed": 0}
     for start in range(0, len(jobs), cli.BATCH_CHUNK):
-        chunk = jobs[start:start + cli.BATCH_CHUNK]
-        records = [cli._job_record(lineno, job) for lineno, job in chunk]
+        chunk = [cli._batch_job(lineno, job)
+                 for lineno, job in jobs[start:start + cli.BATCH_CHUNK]]
+        records = [job_record(*job) for job in chunk]
         for reporter in reporters:
             assert cli._grouped_lines(chunk, reporter) == (
-                [reporter.render(r) for r in records],
-                all([cli._passed(r) for r in records]))
-        for r in records:
+                [reporter.render(r) for r, _ in records],
+                all([ok for _, ok in records]))
+        for r, ok in records:
             seen["notes"] += "notes" in r
             seen["|q| = inf"] += any(abs(t["q"]) == np.inf
                                      for t in r.get("traces", ()))
-            seen["failed"] += not cli._passed(r)
+            seen["failed"] += not ok
             seen["solve failed"] += r["command"] == "solve" and any(
                 not s["pass"] for s in r["solutions"])
     assert seen["notes"] and seen["|q| = inf"] and seen["failed"], seen

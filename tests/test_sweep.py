@@ -114,6 +114,34 @@ def test_sweep_error_names_the_grid_point(tmp_path, capsys):
         "outside the float range (|T|_inf ~ 8^-344)\n")
 
 
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_sweep_error_is_found_from_its_lane(chunk, tmp_path, capsys,
+                                            monkeypatch):
+    # the second point of the grid raises: its chunk's one `_columns` call
+    # names it from the lane, and no point is solved on its own
+    def scalar(*args):
+        raise AssertionError("scalar path used")
+
+    monkeypatch.setattr(cli, "solve", scalar)
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    answered = []
+    columns = cli._columns
+
+    def counted(group, Ts):
+        answered.append(len(Ts))
+        return columns(group, Ts)
+
+    monkeypatch.setattr(cli, "_columns", counted)
+    code = cli.main(["sweep", "so3", "--T1-range=0..2e-310", "--T2=-1e-311",
+                     "--T3=-1e-311", "--steps", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_BAD_INPUT, "")
+    assert captured.err == (
+        "error: field 'T': grid point (1e-310, -1e-311, -1e-311): c = inf is "
+        "outside the float range (|T|_inf ~ 8^-344)\n")
+    assert answered == [1, 1] if chunk == 1 else [2]
+
+
 def test_wide_range_grid_stays_finite(tmp_path):
     # hi - lo overflows: the grid weighs the two ends instead of writing
     # lo + 0 * inf = nan
