@@ -566,6 +566,7 @@ def _run_sweep(args, reporter) -> int:
             raise InputError(f"field 'T': grid point {chunk[lane]}: "
                              f"{answers.errors[lane]}")
         kinds, labels, cs = _constants(answers)
+        del answers  # freed before the next chunk is answered
         counts.update(labels)
         kind_counts.update(kinds)
         lines = []
