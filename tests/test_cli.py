@@ -400,16 +400,22 @@ def test_batch_chunks_match_job_by_job(fmt, tmp_path, capsys, monkeypatch):
             if line and not line.startswith("#")]
 
 
-def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
-                                                   monkeypatch):
-    path = tmp_path / "jobs.jsonl"
-    path.write_text("\n".join(BATCH_LINES) + "\n")
-
+def forbid_one_tensor_calls(monkeypatch):
+    """Make `cli`'s names of the one-tensor solve, classify_signature and
+    certify raise when called."""
     def scalar(*args):
         raise AssertionError("scalar path used")
 
     for name in ("solve", "classify_signature", "certify"):
         monkeypatch.setattr(cli, name, scalar)
+
+
+def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
+                                                   monkeypatch):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(BATCH_LINES) + "\n")
+
+    forbid_one_tensor_calls(monkeypatch)
     # a record filled into a template builds no outcome: only one with
     # notes, SL2 (-2, 0, 0), is rendered whole from its outcome
     built = []
@@ -451,11 +457,7 @@ def test_failing_line_is_found_from_its_lane(tmp_path, capsys, monkeypatch):
              json.dumps({"command": "solve", "group": "sl2",
                          "T": inadmissible})]
 
-    def scalar(*args):
-        raise AssertionError("scalar path used")
-
-    for name in ("solve", "classify_signature", "certify"):
-        monkeypatch.setattr(cli, name, scalar)
+    forbid_one_tensor_calls(monkeypatch)
     answered = []
     columns = cli._columns
 
