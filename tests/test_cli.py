@@ -416,7 +416,7 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
     path.write_text("\n".join(BATCH_LINES) + "\n")
 
     forbid_one_tensor_calls(monkeypatch)
-    # a record filled into a template builds no outcome: only one with
+    # a record filled into a template builds no outcome: only the one with
     # notes, SL2 (-2, 0, 0), is rendered whole from its outcome
     built = []
 

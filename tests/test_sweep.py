@@ -139,7 +139,7 @@ def test_sweep_error_is_found_from_its_lane(chunk, tmp_path, capsys,
     assert captured.err == (
         "error: field 'T': grid point (1e-310, -1e-311, -1e-311): c = inf is "
         "outside the float range (|T|_inf ~ 8^-344)\n")
-    assert answered == [1, 1] if chunk == 1 else [2]
+    assert answered == ([1, 1] if chunk == 1 else [2])
 
 
 def test_wide_range_grid_stays_finite(tmp_path):
