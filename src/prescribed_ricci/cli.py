@@ -7,8 +7,12 @@ batch and certify --from in chunks of BATCH_CHUNK lines, and the one-tensor
 solve, classify and certify commands as one-job chunks, whose errors lack
 the ` on line N`.  Output is either human-readable text records or
 json-lines; numbers are printed with 17 significant digits so that records
-round-trip exactly.  Exit codes: 0 success (NoSolution is a normal answer),
-2 malformed input, 3 certification failure.
+round-trip exactly.  Each chunk's records are written before the next
+chunk is read.  A command that fails writes the records of every chunk
+before the failing one, then the error on stderr; failing before its
+first chunk, it leaves --out untouched and stdout empty.  Exit codes: 0
+success (NoSolution is a normal answer), 2 malformed input, 3
+certification failure.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
 from .solver import (CHUNK, CubicSolveTrace, Family, Solution, SolveOutcome,
-                     _columns, _constants, _outcomes)
+                     _columns, _constants, _outcomes, _sl2_note)
 from .verify import Certificate, Certificates, _check_metrics, certify_arrays
 # solve, classify_signature and certify are imported only for bench/spans.py,
 # which wraps them here by name; every command answers through `_columns`
@@ -60,11 +64,6 @@ def _fmt(x: float) -> str:
 _KEYS: dict = {}
 
 
-def _json_key(key) -> str:
-    encoded = _KEYS[key] = json.dumps(key) + ":"
-    return encoded
-
-
 def _to_json(value) -> str:
     # exact float and str first: they are nearly all a record holds
     kind = type(value)
@@ -75,8 +74,9 @@ def _to_json(value) -> str:
         return json.dumps(value)
     if isinstance(value, dict):
         keys = _KEYS
-        inner = ",".join([(keys.get(k) or _json_key(k)) + _to_json(v)
-                          for k, v in value.items()])
+        inner = ",".join([
+            (keys.get(k) or keys.setdefault(k, json.dumps(k) + ":"))
+            + _to_json(v) for k, v in value.items()])
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join([_to_json(v) for v in value]) + "]"
@@ -119,16 +119,20 @@ _NUM, _TEXT = 1.0000000000000002e300, 2.0000000000000004e300
 
 
 class Reporter:
+    """Writes each item (a record, or a chunk's records joined by newlines)
+    when given, one newline before every item but the first, to --out or
+    stdout, opened at the first write."""
+
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
         self.out_path = out_path
-        self.lines: list[str] = []
+        self.fh = self.last = None  # the output; the item written last
         # `%`-templates of record shapes, by a key naming the shape
         self.templates: dict = {}
 
     def render(self, record: dict) -> str:
         """A record's output: one json line, or its text lines each ended
-        by a newline, the blank line between records coming from `flush`."""
+        by a newline, the blank line between records coming from `write`."""
         if self.fmt == "json-lines":
             return _to_json(record)
         return "".join([line + "\n" for line in _flatten(record)])
@@ -142,27 +146,34 @@ class Reporter:
         return tpl
 
     def emit(self, record: dict):
-        self.lines.append(self.render(record))
+        self.write(self.render(record))
 
-    def flush(self):
-        """Write the lines joined by newlines and ended by one, a line at a
-        time, so the output is never copied whole."""
-        if self.out_path:
-            try:
-                with open(self.out_path, "w", encoding="utf-8") as fh:
-                    self._write(fh)
-            except OSError as exc:
-                raise InputError(f"field 'out': cannot write "
-                                 f"{self.out_path!r}: {exc}")
-        else:
-            self._write(sys.stdout)
+    def write(self, item: str):
+        try:
+            if self.fh is None:
+                self.fh = (open(self.out_path, "w", encoding="utf-8")
+                           if self.out_path else sys.stdout)
+            else:
+                self.fh.write("\n")
+            self.fh.write(item)
+            self.fh.flush()  # written whole; closing --out writes nothing
+        except OSError as exc:
+            if not self.out_path:
+                raise
+            raise InputError(f"field 'out': cannot write {self.out_path!r}: "
+                             f"{exc}") from None
+        self.last = item
 
-    def _write(self, fh):
-        last = len(self.lines) - 1
-        for i, line in enumerate(self.lines):
-            fh.write(line)
-            if i < last or (line and not line.endswith("\n")):
-                fh.write("\n")
+    def flush(self, complete: bool = True):
+        """End the output with a newline unless its last item is empty or
+        ends in one, and close --out.  A complete command that wrote
+        nothing opens its output all the same; an incomplete one leaves
+        it untouched."""
+        if (complete and self.fh is None
+                or self.last and not self.last.endswith("\n")):
+            self.write("")
+        if self.out_path and self.fh is not None:
+            self.fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +309,15 @@ def _certify_record(group, T, v, c, cert) -> dict:
 
 
 def _solve_template(reporter, key, group, kind: str, label: str, n: int,
-                    constraint, passes, mults) -> str:
+                    constraint, passes, mults, noted: bool) -> str:
     """The template of the solve records of one shape, kept under key: the
     kind and case label, n (v, c) slots, the family constraint, the `pass`
-    of each claim and the multiplicity of each trace."""
+    of each claim, the multiplicity of each trace and, if noted, a note."""
     sol = Solution(DiagonalMetric((_NUM,) * 3), _NUM)
-    if kind.startswith("Family"):
+    if kind.startswith("Family"):  # the only kind with notes
         shape = SolveOutcome(kind, label, family=Family(
-            constraint, None if kind == "FamilyAnyC" else _NUM, sol))
+            constraint, None if kind == "FamilyAnyC" else _NUM, sol),
+            notes=(_TEXT,) if noted else ())
     else:
         shape = SolveOutcome(kind, label, (sol,) * n, traces=tuple(
             [CubicSolveTrace(_NUM, _NUM, m) for m in mults]))
@@ -318,7 +330,7 @@ def _solve_lines(reporter, group, Ts, answers, certs) -> list:
     """The rendered solve record of each tensor of Ts, the first lanes of
     `answers`, whose claims (their (v, c) slots, lane by lane) `certs`
     certifies: `reporter.render(_solve_record(...))`, as the lane's numbers
-    filled into the template of its shape, or, for a record with notes or
+    and note filled into the template of its shape, or, for a record with
     a non-finite number, the record rendered whole."""
     size = len(Ts)
     n, mult = answers.n[:size], answers.mult[:size]
@@ -334,7 +346,6 @@ def _solve_lines(reporter, group, Ts, answers, certs) -> list:
     traces = np.stack([answers.p[:size], answers.q[:size]], axis=2)
     whole = ~((np.isfinite(claims).all(axis=2) | ~live).all(axis=1)
               & (np.isfinite(traces).all(axis=2) | (mult == 0)).all(axis=1))
-    whole[[i for i in answers.notes if i < size]] = True
     # the shape: the row and n (in `answers.shape`), the pass bits and the
     # multiplicities
     code = (((answers.shape[:size] * 4 + passed[:, 0] + 2 * passed[:, 1]) * 3
@@ -350,17 +361,21 @@ def _solve_lines(reporter, group, Ts, answers, certs) -> list:
             lines.append(reporter.render(_solve_record(
                 group, T, _outcomes(answers, np.array([i]))[0], own)))
             continue
-        constraint = answers.constraint.get(i)
-        key = ("solve", group.name, shape, constraint)
+        constraint, note = answers.constraint.get(i), answers.notes.get(i)
+        key = ("solve", group.name, shape, constraint, note is None)
         kind = answers.kinds[i]
         # a closed form's slot has no root, so no trace
         traced = k if ms[0] else 0
         tpl = templates.get(key) or _solve_template(
             reporter, key, group, kind, answers.labels[i], k, constraint,
-            passed[i, :k].tolist(), ms[:traced])
+            passed[i, :k].tolist(), ms[:traced], note is not None)
         # a FamilyFixedC record's c comes first after T, as `c_fixed`
         head = (*T, claim[3]) if kind == "FamilyFixedC" else T
-        lines.append(tpl % (*head, *claim[:5 * k], *trace[:2 * traced]))
+        fill = (*head, *claim[:5 * k], *trace[:2 * traced])
+        if note is not None:  # the SL2 (vi)/(vii) note, the last field
+            text = _sl2_note(claim[3], *note)
+            fill += (_to_json(text) if reporter.fmt == "json-lines" else text,)
+        lines.append(tpl % fill)
     return lines
 
 
@@ -472,7 +487,7 @@ def _grouped_lines(jobs: list, reporter, linenos=None) -> tuple[list, bool]:
 def _run_job(job: tuple, reporter) -> int:
     """A one-tensor command: its parsed job answered as a one-job chunk."""
     (line,), ok = _grouped_lines([job], reporter)
-    reporter.lines.append(line)
+    reporter.write(line)
     return EXIT_OK if ok else EXIT_CERT_FAILURE
 
 
@@ -487,6 +502,9 @@ def _run_certify(args, reporter) -> int:
         if (args.T, args.v, args.c) != (None, None, None):
             raise InputError("field 'from': give either --from FILE or --T, "
                              "--v and --c")
+        if args.group is not None:
+            raise InputError("field 'group': certify --from reads each "
+                             "claim's group from its record; give no group")
         status, checked = _run_jobs(_claim_jobs(args.from_file), reporter)
         reporter.emit({"command": "certify-summary", "checked": checked,
                        "all_passed": status == EXIT_OK})
@@ -547,11 +565,8 @@ def _run_sweep(args, reporter) -> int:
     steps = args.steps
     if steps < 1:
         raise InputError("field 'steps': must be a positive integer")
-    axes = [
-        _grid_axis(args.T1, args.T1_range, steps, "T1"),
-        _grid_axis(args.T2, args.T2_range, steps, "T2"),
-        _grid_axis(args.T3, args.T3_range, steps, "T3"),
-    ]
+    axes = [_grid_axis(getattr(args, name), getattr(args, f"{name}_range"),
+                       steps, name) for name in ("T1", "T2", "T3")]
     # every point written is finite (solve raises on the others), so its
     # numbers are `_fmt`'s in both formats; each axis value is formatted once
     texts = map(",".join, itertools.product(*[list(map(_fmt, axis))
@@ -578,9 +593,8 @@ def _run_sweep(args, reporter) -> int:
                                 "kind": kind, "case_label": label,
                                 **({"c": [_NUM] * len(c)} if c else {})})
             lines.append(tpl % (T, *c))
-        # one string per chunk, as in `batch`; records are written only
-        # once the command has succeeded
-        reporter.lines.append("\n".join(lines))
+        # one string per chunk, written before the next is answered
+        reporter.write("\n".join(lines))
     reporter.emit({"command": "sweep-summary", "group": group.name.lower(),
                    "points": len(axes[0]) * len(axes[1]) * len(axes[2]),
                    "by_case": dict(sorted(counts.items())),
@@ -619,9 +633,9 @@ def _run_batch(args, reporter) -> int:
 
 def _run_jobs(jobs, reporter) -> tuple[int, int]:
     """Answer (line number, job) pairs in chunks of `BATCH_CHUNK`, each
-    chunk's records appended to `reporter` as one string; return the exit
-    status and the number of records.  A line that cannot be read or
-    parsed ends its chunk: the jobs above it are answered first, and its
+    chunk's records written as one string unless the chunk raises; return
+    the exit status and the number of records.  A line that cannot be read
+    or parsed ends its chunk: the jobs above it are answered first, and its
     error is raised only if none of theirs is."""
     status, count = EXIT_OK, 0
     while True:
@@ -633,14 +647,14 @@ def _run_jobs(jobs, reporter) -> tuple[int, int]:
         except InputError as exc:
             unread = exc
         lines, ok = _grouped_lines(chunk, reporter, linenos)
-        count += len(lines)
-        if lines:
-            # one string per chunk: `flush` puts the same newline between
-            reporter.lines.append("\n".join(lines))
-        if not ok:
-            status = EXIT_CERT_FAILURE
         if unread is not None:
             raise unread
+        count += len(lines)
+        if lines:
+            # one string per chunk: `write` puts the same newline between
+            reporter.write("\n".join(lines))
+        if not ok:
+            status = EXIT_CERT_FAILURE
         if len(chunk) < BATCH_CHUNK:
             return status, count
 
@@ -717,16 +731,10 @@ _VALUE_FLAGS = {"--T", "--v", "--g", "--c", "--T1", "--T2", "--T3",
 def _fuse_values(argv: list[str]) -> list[str]:
     """Join value flags with their argument so values like -3,-2,1 survive
     argparse's leading-dash heuristics."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    out, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
@@ -741,7 +749,11 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     reporter = Reporter(args.format, args.out)
     try:
-        status = _RUNNERS[args.command](args, reporter)
+        try:
+            status = _RUNNERS[args.command](args, reporter)
+        except InputError:
+            reporter.flush(complete=False)  # the chunks written end whole
+            raise
         reporter.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

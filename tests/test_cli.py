@@ -227,6 +227,17 @@ def test_certify_from_rejects_a_claim_on_the_command_line(flags, capsys):
                             "--T, --v and --c\n")
 
 
+@pytest.mark.parametrize("group", ["so3", "xx3"])
+def test_certify_from_rejects_a_group_on_the_command_line(group, capsys):
+    # each claim's group comes from its record: a positional group is not
+    # ignored but malformed input, a valid one too
+    assert main(["certify", group, "--from", "/dev/null"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: field 'group': certify --from reads each "
+                            "claim's group from its record; give no group\n")
+
+
 def test_certify_bad_metric_prints_plain_numbers(capsys):
     assert main(["certify", "so3", "--T", "1,1,1", "--v", "1,-1,1",
                  "--c", "2"]) == 2
@@ -294,25 +305,31 @@ def test_malformed_file_input_is_exit_2(name, tmp_path, capsys):
     assert any(line.startswith("error: field") for line in err.splitlines()), err
 
 
+def joined(items) -> str:
+    """The items as `Reporter` writes them: joined by newlines, ended by
+    one unless the output is empty or already ends in one."""
+    text = "\n".join(items)
+    return text + "\n" if text and not text.endswith("\n") else text
+
+
 @pytest.mark.parametrize("lines", [[], [""], ["a"], ["a", ""], ["a", "b"],
                                    ["a\n"], ["", ""]])
 def test_flush_ends_the_joined_lines_with_one_newline(lines, tmp_path,
                                                       capsys):
-    expected = "\n".join(lines)
-    if expected and not expected.endswith("\n"):
-        expected += "\n"
-    reporter = Reporter("json-lines", None)
-    reporter.lines = list(lines)
-    reporter.flush()
-    assert capsys.readouterr().out == expected
+    expected = joined(lines)
     path = tmp_path / "out.txt"
-    reporter.out_path = str(path)
-    reporter.flush()
+    for out_path in (None, str(path)):
+        reporter = Reporter("json-lines", out_path)
+        for line in lines:
+            reporter.write(line)
+        reporter.flush()
+    assert capsys.readouterr().out == expected
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_input_error_writes_no_records(tmp_path, capsys):
-    # the first job succeeds, the second is malformed: nothing is printed
+def test_input_error_writes_no_records(tmp_path, capsys, monkeypatch):
+    # the first job succeeds, the second is malformed: in one chunk nothing
+    # is written, in chunks of one job the first job's record is
     jobs = tmp_path / "jobs.jsonl"
     jobs.write_text('{"command": "solve", "group": "so3", "T": [1, 1, 1]}\n'
                     '{"command": "solve", "group": "so3", "T": [1, 1]}\n')
@@ -321,6 +338,14 @@ def test_input_error_writes_no_records(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert main(["--out", str(out), "batch", str(jobs)]) == 2
     assert not out.exists()
+    record, _ = job_record("solve", cli.group_from_name("so3"),
+                           (1.0, 1.0, 1.0), None)
+    monkeypatch.setattr(cli, "BATCH_CHUNK", 1)
+    assert main(["--format", "json-lines", "batch", str(jobs)]) == 2
+    assert capsys.readouterr().out == joined(
+        [Reporter("json-lines", None).render(record)])
+    assert main(["--out", str(out), "batch", str(jobs)]) == 2
+    assert out.read_text() == joined([Reporter("text", None).render(record)])
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +441,8 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
     path.write_text("\n".join(BATCH_LINES) + "\n")
 
     forbid_one_tensor_calls(monkeypatch)
-    # a record filled into a template builds no outcome: only the one with
-    # notes, SL2 (-2, 0, 0), is rendered whole from its outcome
+    # a record filled into a template builds no outcome, the one with a
+    # note, SL2 (-2, 0, 0), too: none is rendered whole from its outcome
     built = []
 
     def recorded(**fields):
@@ -426,18 +451,17 @@ def test_batch_does_not_solve_one_tensor_at_a_time(tmp_path, capsys,
 
     monkeypatch.setattr(solver, "SolveOutcome", recorded)
     assert batch_output(path, "json-lines", capsys)[0] == 3
-    assert built == ["SL2 case (vi)"]
+    assert built == []
     # the one-tensor commands are one-job chunks of the same path
-    for argv, code, whole in [
-            (["solve", "sl2", "--T=-2,0,0"], 0, ["SL2 case (vi)"]),
-            (["solve", "so3", "--T", "10,-1,-1"], 0, []),
-            (["classify", "sl2", "--T=-3,-2,1"], 0, []),
+    for argv, code in [
+            (["solve", "sl2", "--T=-2,0,0"], 0),
+            (["solve", "so3", "--T", "10,-1,-1"], 0),
+            (["classify", "sl2", "--T=-3,-2,1"], 0),
             (["certify", "so3", "--T", "1,1,1", "--v", "1,1,1", "--c", "1"],
-             3, [])]:
-        built.clear()
+             3)]:
         assert main(["--format", "json-lines"] + argv) == code
         assert len(jsonl(capsys.readouterr().out)) == 1
-        assert built == whole
+        assert built == []
 
 
 def test_failing_line_is_found_from_its_lane(tmp_path, capsys, monkeypatch):
@@ -558,13 +582,24 @@ def test_grouped_lines_equal_job_records(threshold, monkeypatch):
         assert keys == {"solve", "classify"}
 
 
-def batch_error(lines, tmp_path, capsys, chunk=None, monkeypatch=None):
+def records_of(lines, fmt="json-lines") -> str:
+    """The output of the job lines, each answered on its own (`job_record`)."""
+    reporter = Reporter(fmt, None)
+    return joined([reporter.render(job_record(*cli._batch_job(
+        lineno, json.loads(line)))[0]) for lineno, line in enumerate(lines, 1)])
+
+
+def batch_error(lines, tmp_path, capsys, chunk=None, monkeypatch=None,
+                written=0):
+    """The one error line of `batch` on the job lines, after it wrote the
+    records of the first `written` lines (those of the chunks before the
+    failing one)."""
     path = tmp_path / "jobs.jsonl"
     path.write_text("\n".join(lines) + "\n")
     if chunk is not None:
         monkeypatch.setattr(cli, "BATCH_CHUNK", chunk)
     code, out, err = batch_output(path, "json-lines", capsys)
-    assert code == 2 and out == ""
+    assert code == 2 and out == records_of(lines[:written])
     (line,) = err.splitlines()
     return line
 
@@ -576,30 +611,36 @@ TINY_T = '{"command": "solve", "group": "so3", "T": [1e-310, 1e-310, 1e-310]}'
 @pytest.mark.parametrize("chunk", [None, 3, 4])
 def test_batch_error_in_a_later_chunk_names_its_line(chunk, tmp_path, capsys,
                                                      monkeypatch):
+    # line 8 fails: the chunks before its own are written
     lines = [GOOD] * 7 + [TINY_T] + [GOOD] * 2
-    err = batch_error(lines, tmp_path, capsys, chunk, monkeypatch)
+    err = batch_error(lines, tmp_path, capsys, chunk, monkeypatch,
+                      written={None: 0, 3: 6, 4: 4}[chunk])
     assert err.startswith("error: field 'T': c = inf is outside the float "
                           "range")
     assert err.endswith(" on line 8")
 
 
-@pytest.mark.parametrize("chunk", [None, 2])
+@pytest.mark.parametrize("chunk", [None, 1, 2])
 def test_batch_first_failing_line_wins(chunk, tmp_path, capsys, monkeypatch):
+    # line 2 fails each time: a chunk of one job writes line 1 first, and a
+    # longer chunk holding line 2 writes nothing, though a line that does
+    # not parse ends it early
+    written = 1 if chunk == 1 else 0
     # a malformed line above an out-of-range T: the malformed line's error
     malformed = '{"command": "classify", "group": "sl2", "T": [1, "x", 1]}'
     err = batch_error([GOOD, malformed, GOOD, TINY_T], tmp_path, capsys, chunk,
-                      monkeypatch)
+                      monkeypatch, written)
     assert err == ("error: field 'T': non-numeric entry 'x' on line 2")
     # an out-of-range T above a malformed line, a bad metric and a line that
     # is not JSON: the T's error
     bad_v = ('{"command": "certify", "group": "so3", "T": [1, 1, 1], '
              '"v": [1, -1, 1], "c": 1}')
     err = batch_error([GOOD, TINY_T, bad_v, malformed, "{oops"], tmp_path,
-                      capsys, chunk, monkeypatch)
+                      capsys, chunk, monkeypatch, written)
     assert err.startswith("error: field 'T': c = inf")
     assert err.endswith(" on line 2")
     err = batch_error([GOOD, bad_v, TINY_T], tmp_path, capsys, chunk,
-                      monkeypatch)
+                      monkeypatch, written)
     assert err.startswith("error: field 'v': metric components must be "
                           "positive")
     assert err.endswith(" on line 2")
@@ -618,11 +659,12 @@ def test_t_outside_the_float_range_is_exit_2(argv, capsys):
     assert "outside the float range" in captured.err
 
 
-def test_unreadable_job_files(tmp_path, capsys):
+def test_unreadable_job_files(tmp_path, capsys, monkeypatch):
     good = (GOOD + "\n").encode()
     path = tmp_path / "jobs.jsonl"
-    path.write_bytes(good * 300 + b'{"command": "solve", "T": [1, \xff1]}\n'
-                     + good)
+    undecodable = (good * 300 + b'{"command": "solve", "T": [1, \xff1]}\n'
+                   + good)
+    path.write_bytes(undecodable)
     code, out, err = batch_output(path, "json-lines", capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: field 'jobs': cannot read {str(path)!r}: "
@@ -635,6 +677,14 @@ def test_unreadable_job_files(tmp_path, capsys):
     code, out, err = batch_output(tmp_path / "missing.jsonl", "json-lines",
                                   capsys)
     assert code == 2 and err.startswith("error: field 'jobs': cannot read")
+    # the file is decoded 8 KiB at a time, so the read fails near line 154:
+    # in chunks of 100 lines the first chunk is written before it fails
+    path.write_bytes(undecodable)
+    monkeypatch.setattr(cli, "BATCH_CHUNK", 100)
+    code, out, err = batch_output(path, "json-lines", capsys)
+    assert code == 2 and out == records_of([GOOD] * 100)
+    assert err.startswith(f"error: field 'jobs': cannot read {str(path)!r}: "
+                          "'utf-8' codec can't decode byte 0xff")
 
 
 def test_certify_overflowing_claim_warns_nothing(capsys):
@@ -660,7 +710,7 @@ def certify_each_claim(path, fmt, out_path):
     """The parent form of `certify --from`: each claim of each solve record
     certified on its own by the one-lane `certify`, then the summary."""
     reporter = Reporter(fmt, str(out_path))
-    ok = True
+    ok, checked = True, 0
     for line in path.read_text().splitlines():
         rec = json.loads(line)
         if rec["command"] != "solve":
@@ -674,9 +724,10 @@ def certify_each_claim(path, fmt, out_path):
             record = cli._certify_record(group, T, v, c,
                                          cli.certify(group, v, c, T))
             ok = ok and record["pass"]
+            checked += 1
             reporter.emit(record)
     reporter.emit({"command": "certify-summary",
-                   "checked": len(reporter.lines), "all_passed": ok})
+                   "checked": checked, "all_passed": ok})
     reporter.flush()
     return 0 if ok else 3
 
@@ -717,36 +768,39 @@ BAD_LAYOUT = ('{"command": "solve", "group": "so3", "T": [1, 1, 1], '
 NOT_POSITIVE = ("error: field 'v': metric components must be positive, got "
                 "(1.0, {}, 1.0) on line 2")
 
+# each case: its lines, its error and how many claims parse above the
+# failing one, all of them the claim of GOOD_RECORD
 PRECEDENCE = {
     # a bad v on line 2 beats the layout error on line 3
     "bad-v-before-layout": (
         [GOOD_RECORD, claim_record([([1, -1, 1], 2.0)]), BAD_LAYOUT],
-        NOT_POSITIVE.format("-1.0")),
+        NOT_POSITIVE.format("-1.0"), 1),
     "non-numeric-v-before-layout": (
         [GOOD_RECORD, claim_record([([1, "x", 1], 2.0)]), BAD_LAYOUT],
-        "error: field 'v': non-numeric entry 'x' on line 2"),
+        "error: field 'v': non-numeric entry 'x' on line 2", 1),
     # the second claim of line 2 is bad
     "second-claim": (
         [GOOD_RECORD, claim_record([([1, 1, 1], 2.0), ([1, 0, 1], 2.0)]),
-         GOOD_RECORD], NOT_POSITIVE.format("0.0")),
+         GOOD_RECORD], NOT_POSITIVE.format("0.0"), 2),
     "family-sample": (
         [GOOD_RECORD, claim_record([([1, 1, 1], 2.0)], family={
             "sample": {"v": [1, 1], "c": 2.0}}), GOOD_RECORD],
         "error: field 'v': expected a list of 3 numbers, got [1, 1] on "
-        "line 2"),
+        "line 2", 2),
     # the solutions are claimed before the family sample
     "solution-before-family-sample": (
         [GOOD_RECORD, claim_record([([1, 0, 1], 2.0)], family={
-            "sample": {"v": [1, 1], "c": 2.0}})], NOT_POSITIVE.format("0.0")),
+            "sample": {"v": [1, 1], "c": 2.0}})], NOT_POSITIVE.format("0.0"),
+        1),
     # a NoSolution record has no claims, yet its group is checked
     "bad-group-no-solution": (
         [GOOD_RECORD, claim_record(group="xx3", T=(0, 0, 1))],
         "error: field 'group': unknown group 'xx3'; expected one of ['e11', "
-        "'e2', 'h3', 'r3', 'sl2', 'so3'] on line 2"),
+        "'e2', 'h3', 'r3', 'sl2', 'so3'] on line 2", 1),
     # a bad claim beats a later line that is not JSON
     "bad-claim-before-non-json": (
         [GOOD_RECORD, claim_record([([1, -1, 1], 2.0)]), "{oops"],
-        NOT_POSITIVE.format("-1.0")),
+        NOT_POSITIVE.format("-1.0"), 1),
 }
 
 
@@ -754,14 +808,20 @@ PRECEDENCE = {
 @pytest.mark.parametrize("name", sorted(PRECEDENCE))
 def test_certify_from_first_failing_line_wins(name, chunk, tmp_path, capsys,
                                               monkeypatch):
-    lines, expected = PRECEDENCE[name]
+    # the whole chunks of claims above the failing one are written, each
+    # the claim of GOOD_RECORD certified on its own
+    lines, expected, parsed = PRECEDENCE[name]
     path = tmp_path / "solved.jsonl"
     path.write_text("\n".join(lines) + "\n")
     if chunk is not None:
         monkeypatch.setattr(cli, "BATCH_CHUNK", chunk)
     code = main(["--format", "json-lines", "certify", "--from", str(path)])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
+    group, one = cli.group_from_name("so3"), (1.0, 1.0, 1.0)
+    record = Reporter("json-lines", None).render(cli._certify_record(
+        group, one, one, 2.0, certify(group, one, 2.0, one)))
+    written = parsed // cli.BATCH_CHUNK * cli.BATCH_CHUNK
+    assert (code, captured.out) == (2, joined([record] * written))
     assert captured.err.splitlines() == [expected]
 
 

@@ -25,17 +25,22 @@ def reference(fmt, group, axes, path):
     for T, out in zip(points, solve_many(group, points)):
         counts[out.case_label] = counts.get(out.case_label, 0) + 1
         kinds[out.kind] = kinds.get(out.kind, 0) + 1
-        record = {"command": "sweep-point", "T": list(T), "kind": out.kind,
-                  "case_label": out.case_label}
-        if out.c_values():
-            record["c"] = list(out.c_values())
-        reporter.emit(record)
+        reporter.emit(point_record(T, out))
     reporter.emit({"command": "sweep-summary", "group": group,
                    "points": len(axes[0]) * len(axes[1]) * len(axes[2]),
                    "by_case": dict(sorted(counts.items())),
                    "by_kind": dict(sorted(kinds.items()))})
     reporter.flush()
     return path.read_bytes()
+
+
+def point_record(T, out) -> dict:
+    """The sweep record of the point T, built from its `solve` outcome."""
+    record = {"command": "sweep-point", "T": list(T), "kind": out.kind,
+              "case_label": out.case_label}
+    if out.c_values():
+        record["c"] = list(out.c_values())
+    return record
 
 
 def swept(fmt, group, flags, path):
@@ -118,7 +123,12 @@ def test_sweep_error_names_the_grid_point(tmp_path, capsys):
 def test_sweep_error_is_found_from_its_lane(chunk, tmp_path, capsys,
                                             monkeypatch):
     # the second point of the grid raises: its chunk's one `_columns` call
-    # names it from the lane, and no point is solved on its own
+    # names it from the lane, and no point is solved on its own; in chunks
+    # of one point the first point's record is written first
+    first = (0.0, -1e-311, -1e-311)
+    (out,) = solve_many("so3", [first])
+    written = cli.Reporter("text", None).render(point_record(first, out))
+
     def scalar(*args):
         raise AssertionError("scalar path used")
 
@@ -135,7 +145,8 @@ def test_sweep_error_is_found_from_its_lane(chunk, tmp_path, capsys,
     code = cli.main(["sweep", "so3", "--T1-range=0..2e-310", "--T2=-1e-311",
                      "--T3=-1e-311", "--steps", "2"])
     captured = capsys.readouterr()
-    assert (code, captured.out) == (cli.EXIT_BAD_INPUT, "")
+    assert (code, captured.out) == (cli.EXIT_BAD_INPUT,
+                                    written if chunk == 1 else "")
     assert captured.err == (
         "error: field 'T': grid point (1e-310, -1e-311, -1e-311): c = inf is "
         "outside the float range (|T|_inf ~ 8^-344)\n")
