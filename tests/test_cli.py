@@ -582,11 +582,13 @@ def test_grouped_lines_equal_job_records(threshold, monkeypatch):
         assert keys == {"solve", "classify"}
 
 
-def records_of(lines, fmt="json-lines") -> str:
-    """The output of the job lines, each answered on its own (`job_record`)."""
-    reporter = Reporter(fmt, None)
+def records_of(lines) -> str:
+    """The json-lines output of the job lines, each answered on its own
+    (`job_record`)."""
+    reporter = Reporter("json-lines", None)
     return joined([reporter.render(job_record(*cli._batch_job(
-        lineno, json.loads(line)))[0]) for lineno, line in enumerate(lines, 1)])
+        lineno, json.loads(line)))[0])
+        for lineno, line in enumerate(lines, 1)])
 
 
 def batch_error(lines, tmp_path, capsys, chunk=None, monkeypatch=None,
