@@ -20,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -150,9 +151,10 @@ class Reporter:
 
     def write(self, item: str):
         try:
-            if self.fh is None:
-                self.fh = (open(self.out_path, "w", encoding="utf-8")
-                           if self.out_path else sys.stdout)
+            if self.fh is None:  # --out is cut to length in flush
+                self.fh = sys.stdout if not self.out_path else open(
+                    os.open(self.out_path, os.O_WRONLY | os.O_CREAT, 0o666),
+                    "w", encoding="utf-8")
             else:
                 self.fh.write("\n")
             self.fh.write(item)
@@ -166,13 +168,16 @@ class Reporter:
 
     def flush(self, complete: bool = True):
         """End the output with a newline unless its last item is empty or
-        ends in one, and close --out.  A complete command that wrote
-        nothing opens its output all the same; an incomplete one leaves
-        it untouched."""
+        ends in one; close --out, cut to what was written (truncating it on
+        opening would wait for the writeback of a previous output).  A
+        complete command that wrote nothing opens its output all the same;
+        an incomplete one leaves it untouched."""
         if (complete and self.fh is None
                 or self.last and not self.last.endswith("\n")):
             self.write("")
         if self.out_path and self.fh is not None:
+            if os.path.isfile(self.out_path):
+                self.fh.truncate()
             self.fh.close()
 
 
@@ -713,14 +718,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "solve": _run_tensor,
-    "certify": _run_certify,
-    "classify": _run_tensor,
-    "sweep": _run_sweep,
-    "oracle-ricci": _run_oracle_ricci,
-    "batch": _run_batch,
-}
+_RUNNERS = {"solve": _run_tensor, "certify": _run_certify,
+            "classify": _run_tensor, "sweep": _run_sweep,
+            "oracle-ricci": _run_oracle_ricci, "batch": _run_batch}
 
 
 _VALUE_FLAGS = {"--T", "--v", "--g", "--c", "--T1", "--T2", "--T3",

@@ -79,3 +79,29 @@ def test_unwritable_out_fails_at_the_first_chunk(tmp_path, capsys,
         f"error: field 'out': cannot write {str(path)!r}: [Errno 2] No such "
         "file or directory")
     assert answered == [cli.CHUNK]
+
+
+def test_out_is_cut_to_what_was_written(tmp_path, capsys, monkeypatch):
+    # --out is opened without truncation (which would wait for the
+    # writeback of the file's previous contents) and cut at the close
+    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+    assert cli.main(sweep_argv(fresh, 64)) == cli.EXIT_OK
+    reused.write_text("x" * (3 * fresh.stat().st_size), encoding="utf-8")
+    assert cli.main(sweep_argv(reused, 64)) == cli.EXIT_OK
+    assert reused.read_bytes() == fresh.read_bytes()
+    # a command that fails after its first chunk: the chunks written, whole
+    jobs = tmp_path / "jobs.jsonl"
+    write_jobs(jobs, 3)
+    with open(jobs, "a", encoding="utf-8") as fh:
+        fh.write("{oops\n")
+    monkeypatch.setattr(cli, "BATCH_CHUNK", 2)
+    argv = ["--format", "json-lines", "--out"]
+    assert cli.main(argv + [str(fresh), "batch", str(jobs)]) == 2
+    assert cli.main(argv + [str(reused), "batch", str(jobs)]) == 2
+    assert capsys.readouterr().err.count("line 4 is not valid JSON") == 2
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert len(fresh.read_text().splitlines()) == 2
+
+
+def test_out_that_is_not_a_regular_file_is_written():
+    assert cli.main(sweep_argv("/dev/null", 4)) == cli.EXIT_OK
