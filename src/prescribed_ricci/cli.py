@@ -26,11 +26,10 @@ from collections import Counter
 
 import numpy as np
 
-from .curvature import DiagonalMetric, ricci_diagonal, ricci_koszul
+from .curvature import ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
-from .solver import (CHUNK, CubicSolveTrace, Family, Solution, SolveOutcome,
-                     _columns, _constants, _outcomes, _sl2_note)
+from .solver import CHUNK, _columns, _constants, _sl2_note
 from .verify import Certificate, Certificates, _check_metrics, certify_arrays
 # solve, classify_signature and certify are imported only for bench/spans.py,
 # which wraps them here by name; every command answers through `_columns`
@@ -271,32 +270,25 @@ def _read(fh, path: str, fieldname: str):
 # Record builders
 # ---------------------------------------------------------------------------
 
-def _solution_record(sol, cert) -> dict:
-    return {"v": list(sol.metric.v), "c": sol.c,
-            "residual": max(cert.residual_closed_form, cert.residual_oracle),
-            "pass": cert.passed}
-
-
-def _solve_record(group, T, outcome, certs) -> dict:
-    """The record of a solve outcome; `certs` certify its solutions, then
-    its family sample."""
+def _solve_record(group, T, kind: str, label: str, claims, constraint,
+                  traces, note) -> dict:
+    """A solve record from plain values: `claims`, (v, c, residual, pass)
+    of each solution or of the family sample, and `traces`, (p, q,
+    multiplicity) of each root; a family's constraint and a note, or None."""
+    claims = [{"v": list(v), "c": c, "residual": res, "pass": ok}
+              for v, c, res, ok in claims]
+    family = None
+    if kind.startswith("Family"):  # its one claim is the sample
+        sample = claims.pop()
+        family = {"constraint": constraint or "none",
+                  "c_fixed": sample["c"] if kind == "FamilyFixedC" else None,
+                  "sample": sample}
     record = {"command": "solve", "group": group.name.lower(), "T": list(T),
-              "kind": outcome.kind, "case_label": outcome.case_label}
-    record["solutions"] = [_solution_record(s, cert)
-                           for s, cert in zip(outcome.solutions, certs)]
-    if outcome.family is not None:
-        fam = outcome.family
-        record["family"] = {
-            "constraint": fam.constraint if fam.constraint else "none",
-            "c_fixed": fam.c,
-            "sample": _solution_record(fam.sample, certs[-1]),
-        }
-    else:
-        record["family"] = None
-    record["traces"] = [{"p": t.p, "q": t.q, "multiplicity": t.multiplicity}
-                        for t in outcome.traces]
-    if outcome.notes:
-        record["notes"] = list(outcome.notes)
+              "kind": kind, "case_label": label, "solutions": claims,
+              "family": family, "traces": [
+                  {"p": p, "q": q, "multiplicity": m} for p, q, m in traces]}
+    if note is not None:
+        record["notes"] = [note]
     return record
 
 
@@ -311,24 +303,6 @@ def _certify_record(group, T, v, c, cert) -> dict:
             "residual_closed_form": cert.residual_closed_form,
             "residual_oracle": cert.residual_oracle,
             "normalized": cert.normalized, "pass": cert.passed}
-
-
-def _solve_template(reporter, key, group, kind: str, label: str, n: int,
-                    constraint, passes, mults, noted: bool) -> str:
-    """The template of the solve records of one shape, kept under key: the
-    kind and case label, n (v, c) slots, the family constraint, the `pass`
-    of each claim, the multiplicity of each trace and, if noted, a note."""
-    sol = Solution(DiagonalMetric((_NUM,) * 3), _NUM)
-    if kind.startswith("Family"):  # the only kind with notes
-        shape = SolveOutcome(kind, label, family=Family(
-            constraint, None if kind == "FamilyAnyC" else _NUM, sol),
-            notes=(_TEXT,) if noted else ())
-    else:
-        shape = SolveOutcome(kind, label, (sol,) * n, traces=tuple(
-            [CubicSolveTrace(_NUM, _NUM, m) for m in mults]))
-    return reporter.template(key, _solve_record(
-        group, (_NUM,) * 3, shape,
-        [Certificate(_NUM, _NUM, False, ok) for ok in passes]))
 
 
 def _solve_lines(reporter, group, Ts, answers, certs) -> list:
@@ -355,32 +329,38 @@ def _solve_lines(reporter, group, Ts, answers, certs) -> list:
     # multiplicities
     code = (((answers.shape[:size] * 4 + passed[:, 0] + 2 * passed[:, 1]) * 3
              + mult[:, 0]) * 3 + mult[:, 1])
-    lines, templates, first = [], reporter.templates, 0
+    lines, templates, marks = [], reporter.templates, (_NUM,) * 10
     for i, (T, rendered, shape, k, ms, claim, trace) in enumerate(zip(
             Ts, whole.tolist(), code.tolist(), n.tolist(), mult.tolist(),
             claims.reshape(-1, 10).tolist(), traces.reshape(-1, 4).tolist())):
-        first += k
-        if rendered:
-            own = [Certificate(*lane) for lane in zip(
-                *[col[first - k:first].tolist() for col in certs])]
-            lines.append(reporter.render(_solve_record(
-                group, T, _outcomes(answers, np.array([i]))[0], own)))
-            continue
         constraint, note = answers.constraint.get(i), answers.notes.get(i)
         key = ("solve", group.name, shape, constraint, note is None)
         kind = answers.kinds[i]
         # a closed form's slot has no root, so no trace
         traced = k if ms[0] else 0
-        tpl = templates.get(key) or _solve_template(
-            reporter, key, group, kind, answers.labels[i], k, constraint,
-            passed[i, :k].tolist(), ms[:traced], note is not None)
+        if note is not None:  # the SL2 (vi)/(vii) note, the last field
+            note = _sl2_note(claim[3], *note)
+        if rendered or key not in templates:
+            # the record from the lane's numbers, or from markers for the
+            # template of its shape
+            t, cl, tr, nt = (T, claim, trace, note) if rendered else (
+                marks[:3], marks, marks, note and _TEXT)
+            record = _solve_record(
+                group, t, kind, answers.labels[i],
+                [(cl[j:j + 3], cl[j + 3], cl[j + 4], ok)
+                 for j, ok in zip((0, 5), passed[i, :k].tolist())],
+                constraint, [(tr[j], tr[j + 1], m)
+                             for j, m in zip((0, 2), ms[:traced])], nt)
+            if rendered:
+                lines.append(reporter.render(record))
+                continue
+            reporter.template(key, record)
         # a FamilyFixedC record's c comes first after T, as `c_fixed`
         head = (*T, claim[3]) if kind == "FamilyFixedC" else T
         fill = (*head, *claim[:5 * k], *trace[:2 * traced])
-        if note is not None:  # the SL2 (vi)/(vii) note, the last field
-            text = _sl2_note(claim[3], *note)
-            fill += (_to_json(text) if reporter.fmt == "json-lines" else text,)
-        lines.append(tpl % fill)
+        if note is not None:
+            fill += (_to_json(note) if reporter.fmt == "json-lines" else note,)
+        lines.append(templates[key] % fill)
     return lines
 
 
@@ -391,14 +371,14 @@ def _solve_lines(reporter, group, Ts, answers, certs) -> list:
 _BATCH_COMMANDS = ("solve", "classify", "certify")
 
 
-def _claim(v: tuple, c: float) -> tuple:
-    """A certify job's claim (v, c), once v passes `verify`'s check that a
-    metric is positive and finite."""
+def _metric(v: tuple) -> tuple:
+    """The metric v of a certify claim or of oracle-ricci --v, once it
+    passes `verify`'s check that a metric is positive and finite."""
     try:
         _check_metrics(np.array([v]))
     except ValueError as exc:
         raise InputError(f"field 'v': {exc}")
-    return v, c
+    return v
 
 
 def _batch_job(lineno: int, job: dict) -> tuple:
@@ -414,8 +394,8 @@ def _batch_job(lineno: int, job: dict) -> tuple:
         T = _parse_numbers(job.get("T"), "T")
         claim = None
         if command == "certify":
-            claim = _claim(_parse_numbers(job.get("v"), "v"),
-                           _parse_number(job.get("c"), "c"))
+            claim = (_metric(_parse_numbers(job.get("v"), "v")),
+                     _parse_number(job.get("c"), "c"))
     except InputError as exc:
         raise InputError(f"{exc} on line {lineno}") from None
     return command, group, T, claim
@@ -518,8 +498,8 @@ def _run_certify(args, reporter) -> int:
         raise InputError("field 'v'/'c'/'T': certify needs --T, --v and --c "
                          "(or --from FILE)")
     group, T = _resolve_group(args), _flag_numbers(args.T, "T")
-    return _run_job(("certify", group, T, _claim(
-        _flag_numbers(args.v, "v"), _parse_number(args.c, "c"))), reporter)
+    return _run_job(("certify", group, T, (_metric(_flag_numbers(
+        args.v, "v")), _parse_number(args.c, "c"))), reporter)
 
 
 def _claim_jobs(path: str):
@@ -614,9 +594,7 @@ def _run_oracle_ricci(args, reporter) -> int:
                          "--v v1,v2,v3 or --g six upper-triangle entries")
     record = {"command": "oracle-ricci", "group": group.name.lower()}
     if args.v is not None:
-        v = _flag_numbers(args.v, "v")
-        if min(v) <= 0:
-            raise InputError("field 'v': metric components must be positive")
+        v = _metric(_flag_numbers(args.v, "v"))
         record["v"] = list(v)
         record["ricci_closed_form"] = ricci_diagonal(group, v).tolist()
         gram = np.diag(v)

@@ -41,8 +41,8 @@ kernel (`arrays.cubic_columns`) answers the cubic lanes together, each with
 the bits it gets alone, each closed-form lane runs its row's answer once,
 and every number is mapped back to the caller's units on arrays.
 `solve_many` builds outcomes from it, CHUNK tensors at a time, and `solve`
-is the same on one lane; `solve_columns`, `classify_signature`, `probe`
-and every CLI command read it without building any.
+is the same on one lane; `classify_signature`, `probe` and every CLI
+command read it without building any.
 """
 from __future__ import annotations
 
@@ -64,8 +64,7 @@ from .groups import GROUPS, as_group
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
-    "solve", "solve_many", "solve_columns", "reconstruct_from_p",
-    "classify_signature",
+    "solve", "solve_many", "reconstruct_from_p", "classify_signature",
 ]
 
 # a component of T counts as zero, and two as equal, within ZERO_TOL * |T|_inf
@@ -336,20 +335,10 @@ def _answers(group, Ts):
         raise answers.errors[first]
 
 
-def solve_columns(group, Ts):
-    """Kinds, case labels and c values (ascending) of `solve(group, T)` for
-    each T of the list Ts, as three lists, read off the chunk's `_columns`
-    with no outcome built.  Raises what `solve` raises for the first T at
-    which it raises."""
-    answers = _columns(as_group(group), Ts)
-    if answers.errors:
-        raise answers.errors[min(answers.errors)]
-    return _constants(answers)
-
-
 def _constants(answers: _Answers):
-    """`solve_columns`' three lists read off `answers`, none of whose lanes
-    may raise."""
+    """Kinds, case labels and c values (ascending) of each lane of
+    `answers`, none of which may raise, as three lists, with no outcome
+    built."""
     count = answers.n.copy()
     for i in answers.constraint:
         if answers.kinds[i] == "FamilyAnyC":

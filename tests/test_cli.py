@@ -1,5 +1,7 @@
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,27 @@ def test_certify_bad_metric_prints_plain_numbers(capsys):
         "(1.0, -1.0, 1.0)\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["sweep", "so3", "--T1", "10", "--T2-range=-2..0", "--T3-range=-2..0",
+      "--steps", "0"], "field 'steps': must be a positive integer"),
+    (["sweep", "so3", "--T1", "10", "--T1-range=1..2", "--T2", "1", "--T3",
+      "1"], "field 'T1': give either a fixed value or a range"),
+    (["sweep", "so3", "--T1", "10", "--T3", "1"],
+     "field 'T2': sweep needs --T2 or --T2-range"),
+    (["sweep", "so3", "--T1", "10", "--T2-range=-2", "--T3", "1"],
+     "field 'T2': expected lo..hi, got '-2'"),
+    (["oracle-ricci", "so3", "--g", "1,2,0,1,0,1"],
+     "field 'g': metric Gram matrix must be positive-definite"),
+    # the same check and message as a certify claim's v
+    (["oracle-ricci", "so3", "--v", "1,-1,1"],
+     "field 'v': metric components must be positive, got (1.0, -1.0, 1.0)"),
+])
+def test_sweep_and_oracle_errors_name_the_field(argv, error, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
 def test_certify_c_is_parsed_like_T_and_v(capsys):
     code = main(["certify", "so3", "--T", "1,1,1", "--v", "1,1,1",
                  "--c", "abc"])
@@ -291,18 +314,30 @@ MALFORMED = {
         "batch", '{"command": "solve", "group": "so3", "T": "1,1,1"}\n'),
     "batch-command-not-a-string": (
         "batch", '{"command": ["solve"], "group": "so3", "T": [1, 1, 1]}\n'),
+    # the rows below give their exact error line too
+    "batch-not-an-object": (
+        "batch", '[1, 2]\n',
+        "error: field 'jobs': line 1 is not a JSON object"),
+    "batch-non-finite-T": (
+        "batch", '{"command": "solve", "group": "so3", "T": [1, NaN, 1]}\n',
+        "error: field 'T': non-finite entry nan on line 1"),
+    "batch-certify-without-c": (
+        "batch", '{"command": "certify", "group": "so3", "T": [1, 1, 1], '
+                 '"v": [1, 1, 1]}\n',
+        "error: field 'c': missing on line 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_file_input_is_exit_2(name, tmp_path, capsys):
-    command, content = MALFORMED[name]
+    command, content, *error = MALFORMED[name]
     path = tmp_path / "input.jsonl"
     path.write_text(content)
     code = main(command.split() + [str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert any(line.startswith("error: field") for line in err.splitlines()), err
+    assert not error or err.splitlines() == error
 
 
 def joined(items) -> str:
@@ -388,10 +423,33 @@ def job_record(command, group, T, claim) -> tuple[dict, bool]:
         cert = certify(group, *claim, T)
         return cli._certify_record(group, T, *claim, cert), cert.passed
     outcome = solve(group, T)
-    certs = [certify(group, s.metric.v, s.c, T) for s in outcome.solutions
-             + ((outcome.family.sample,) if outcome.family else ())]
-    return (cli._solve_record(group, T, outcome, certs),
+    claimed = outcome.solutions + ((outcome.family.sample,)
+                                   if outcome.family else ())
+    certs = [certify(group, s.metric.v, s.c, T) for s in claimed]
+    claims = [(s.metric.v, s.c, max(cert.residual_closed_form,
+                                    cert.residual_oracle), cert.passed)
+              for s, cert in zip(claimed, certs)]
+    return (cli._solve_record(
+        group, T, outcome.kind, outcome.case_label, claims,
+        outcome.family and outcome.family.constraint,
+        [(t.p, t.q, t.multiplicity) for t in outcome.traces],
+        outcome.notes[0] if outcome.notes else None),
             all(cert.passed for cert in certs))
+
+
+def test_cli_builds_no_solver_outcome():
+    # solve records are built from plain numbers: `cli` names none of the
+    # solver's outcome classes, nor the builder of outcomes
+    names = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name, node.asname))
+    assert not names & {"SolveOutcome", "Family", "Solution",
+                        "CubicSolveTrace", "DiagonalMetric", "_outcomes"}
 
 
 @pytest.mark.parametrize("fmt", ["json-lines", "text"])

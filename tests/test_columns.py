@@ -121,8 +121,8 @@ def test_notes_are_computed_only_where_shown(monkeypatch, tmp_path):
     monkeypatch.setattr(solver, "ricci_diagonal",
                         lambda *args: calls.append(args) or ricci(*args))
     zeros = [(-2.0, 0.0, 0.0), (0.0, -2.0, 0.0)]
-    assert solver.solve_columns(SL2, zeros)[1] == ["SL2 case (vi)",
-                                                   "SL2 case (vii)"]
+    assert solver._constants(solver._columns(SL2, zeros))[1] == [
+        "SL2 case (vi)", "SL2 case (vii)"]
     assert classify_signature(SL2, zeros[0]) == "SL2 case (vi)"
     assert probe(SL2, zeros[1], n=4).base_kind == "FamilyFixedC"
     out = tmp_path / "out"

@@ -325,6 +325,11 @@ def test_probe_requires_solvable_input():
         with pytest.raises(ValueError, match="nothing to probe") as info:
             probe(g, (1, 0, 0), n=4)
         assert str(info.value).endswith(f"{g.name}, T=(1.0, 0.0, 0.0)")
+    # the row matches, but the cubic has no root in (-1, 0): the only
+    # `nothing to probe` raised after sampling
+    with pytest.raises(ValueError, match="nothing to probe") as info:
+        probe(SO3, (1, -1, -1), n=4)
+    assert str(info.value).endswith("SO3, T=(1.0, -1.0, -1.0)")
 
 
 @pytest.mark.parametrize("T", INVALID_TENSORS.values(),

@@ -88,6 +88,9 @@ def test_two_residual_routes_agree(rng):
 def test_certify_rejects_bad_metric():
     with pytest.raises(ValueError):
         certify(SO3, (1.0, -1.0, 1.0), 1.0, (1, 1, 1))
+    with pytest.raises(ValueError, match=r"expected a diagonal metric "
+                       r"triple, got shape \(2,\)"):
+        certify("so3", (1, 1), 1.0, (1, 1, 1))
 
 
 @pytest.mark.parametrize("T", INVALID_TENSORS.values(),
