@@ -11,13 +11,11 @@ bits.  A lane that would raise carries its ValueError in the columns.
 """
 from __future__ import annotations
 
-from collections import namedtuple
-
 import numpy as np
 
 from .cubic import roots_in_interval_many
 
-__all__ = ["Columns", "cubic_columns"]
+__all__ = ["cubic_columns"]
 
 # the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
 # in the last place
@@ -28,13 +26,6 @@ POLISH_STEPS = 4
 # the one sign that tells the SO3 and SL2 reductions apart: T3 enters the
 # cubic, the denominators p +- T3 and v3 = +-(x1+x2)/2 with it
 _T3_SIGN = {"SO3": 1.0, "SL2": -1.0}
-
-# a chunk's cubic answers, a row per lane: the root count n (0 on a lane
-# that is not cubic) and, per root slot (ascending in c, nan-padded; 0 in
-# mult), c, v (caller's axis order), p, q, mult for T / 8^k; and `error`,
-# the ValueError of each lane that raises, by lane
-Columns = namedtuple("Columns", "n c v p q mult error")
-
 
 # the two other indices j = i+1 and k = i+2 (mod 3) of each row i
 _J, _K = [1, 2, 0], [2, 0, 1]
@@ -63,18 +54,23 @@ def _jacobian(group, v, x):
     return J
 
 
-def cubic_columns(group, size, lanes, T, lo, hi, take, order) -> Columns:
-    """The `Columns` of a chunk of `size` lanes whose cubic lanes are
+def cubic_columns(group, size, lanes, T, lo, hi, take, order) -> tuple:
+    """The cubic answers of a chunk of `size` lanes whose cubic lanes are
     `lanes`, C of them, a row of T (C, 3) each: the roots of a lane's cubic
     in its open interval (lo, hi) (or the one root an interval lo == hi
     pins), the first `take` of them reconstructed and polished, and each
     metric put in the caller's axes by `order` (C, 3), the axis of each
-    position of T."""
+    position of T.
+
+    The answers are seven columns, a row per lane: the root count n (0 on
+    a lane that is not cubic) and, per root slot (ascending in c,
+    nan-padded; 0 in mult), c, v (caller's axis order), p, q, mult for
+    T / 8^k; and the ValueError of each lane that raises, by lane."""
     c, p, q = np.full((3, size, 2), np.nan)
-    cols = Columns(np.zeros(size, int), c, np.full((size, 2, 3), np.nan), p,
-                   q, np.zeros((size, 2), int), {})
+    n, v, mult, error = (np.zeros(size, int), np.full((size, 2, 3), np.nan),
+                         np.zeros((size, 2), int), {})
     if not len(lanes):
-        return cols
+        return n, c, v, p, q, mult, error
     T1, T2, T3 = T.T
     sgn = _T3_SIGN[group.name]
     # the reduction cubic 2 p^3 + (T1 + T2 +- T3) p^2 -+ T1 T2 T3
@@ -84,23 +80,23 @@ def cubic_columns(group, size, lanes, T, lo, hi, take, order) -> Columns:
     roots[pinned, 0], mults[pinned, 0] = lo[pinned], 1
     taken = (mults > 0) & (np.cumsum(mults > 0, axis=1) <= take[:, None])
     lane, slot = np.nonzero(taken)
-    v, c, q, errors = _reconstruct_many(group, T[lane], roots[lane, slot])
+    vs, cs, qs, errors = _reconstruct_many(group, T[lane], roots[lane, slot])
     row = lanes[lane]
     # a lane raises for its first inadmissible root, as roots are taken
-    for r, error in errors.items():
-        cols.error.setdefault(int(row[r]), error)
+    for r, exc in errors.items():
+        error.setdefault(int(row[r]), exc)
     # a lane's roots fill its slots in turn, back in the caller's axis order
     pos = np.cumsum(taken, axis=1)[lane, slot] - 1
-    cols.c[row, pos], cols.p[row, pos] = c, roots[lane, slot]
-    cols.q[row, pos], cols.mult[row, pos] = q, mults[lane, slot]
-    cols.v[row[:, None], pos[:, None], order[lane]] = v
-    cols.n[lanes] = taken.sum(axis=1)
+    c[row, pos], p[row, pos] = cs, roots[lane, slot]
+    q[row, pos], mult[row, pos] = qs, mults[lane, slot]
+    v[row[:, None], pos[:, None], order[lane]] = vs
+    n[lanes] = taken.sum(axis=1)
     # each lane in ascending c; equal c keep their order, as a stable sort,
     # and a lane with fewer than two roots has a nan and never swaps
-    swap = cols.c[:, 1] < cols.c[:, 0]
-    for col in (cols.c, cols.v, cols.p, cols.q, cols.mult):
+    swap = c[:, 1] < c[:, 0]
+    for col in (c, v, p, q, mult):
         col[swap] = col[swap][:, ::-1]
-    return cols
+    return n, c, v, p, q, mult, error
 
 
 def _reconstruct_many(group, T, p):

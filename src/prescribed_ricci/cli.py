@@ -26,11 +26,11 @@ from collections import Counter
 
 import numpy as np
 
-from .curvature import ricci_diagonal, ricci_koszul
+from .curvature import _check_metrics, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
 from .solver import CHUNK, _columns, _constants, _sl2_note
-from .verify import Certificate, Certificates, _check_metrics, certify_arrays
+from .verify import Certificate, certify_arrays
 # solve, classify_signature and certify are imported only for bench/spans.py,
 # which wraps them here by name; every command answers through `_columns`
 from .solver import classify_signature, solve  # noqa: F401
@@ -236,32 +236,29 @@ def _resolve_group(args):
     return _group_or_fail(args.group)
 
 
-def _json_lines(path: str, fieldname: str):
-    """(line number, object) for each job line of a json-lines file, read
-    a line at a time; blank lines and lines starting with # are skipped."""
+def _json_lines(path: str, fieldname: str, out):
+    """(line number, object) for each job line of a json-lines file other
+    than --out, `out`, read a line at a time; blank lines and lines
+    starting with # are skipped."""
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"field {fieldname!r}: cannot read {path!r}: {exc}")
-    with fh:
-        for lineno, line in enumerate(_read(fh, path, fieldname), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise InputError(f"field {fieldname!r}: line {lineno} is not "
-                                 f"valid JSON: {exc}")
-            if not isinstance(obj, dict):
-                raise InputError(f"field {fieldname!r}: line {lineno} is not "
-                                 f"a JSON object")
-            yield lineno, obj
-
-
-def _read(fh, path: str, fieldname: str):
-    try:
-        yield from fh
+        with open(path, "r", encoding="utf-8") as fh:
+            if out and os.path.exists(out) and os.path.samestat(
+                    os.fstat(fh.fileno()), os.stat(out)):
+                raise InputError(f"field 'out': {out!r} is the input file "
+                                 f"{path!r}")
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise InputError(f"field {fieldname!r}: line {lineno} is "
+                                     f"not valid JSON: {exc}")
+                if not isinstance(obj, dict):
+                    raise InputError(f"field {fieldname!r}: line {lineno} is "
+                                     f"not a JSON object")
+                yield lineno, obj
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"field {fieldname!r}: cannot read {path!r}: {exc}")
 
@@ -305,20 +302,16 @@ def _certify_record(group, T, v, c, cert) -> dict:
             "normalized": cert.normalized, "pass": cert.passed}
 
 
-def _solve_lines(reporter, group, Ts, answers, certs) -> list:
+def _solve_lines(reporter, group, Ts, answers, live, worst, passes) -> list:
     """The rendered solve record of each tensor of Ts, the first lanes of
-    `answers`, whose claims (their (v, c) slots, lane by lane) `certs`
-    certifies: `reporter.render(_solve_record(...))`, as the lane's numbers
-    and note filled into the template of its shape, or, for a record with
-    a non-finite number, the record rendered whole."""
+    `answers`, whose (v, c) slots `live` marks, each with its residual and
+    pass bit in turn in `worst` and `passes`: `reporter.render(_solve_record(
+    ...))`, as the lane's numbers and note filled into the template of its
+    shape, or, for a record with a non-finite number, the record whole."""
     size = len(Ts)
     n, mult = answers.n[:size], answers.mult[:size]
-    live = np.arange(2) < n[:, None]
     res, passed = np.full(live.shape, np.nan), np.zeros(live.shape, bool)
-    # max(closed form, oracle) as Python's max takes it, nan and all
-    res[live] = np.where(certs.residual_oracle > certs.residual_closed_form,
-                         certs.residual_oracle, certs.residual_closed_form)
-    passed[live] = certs.passed
+    res[live], passed[live] = worst, passes
     # per lane, (v, c, residual) of each slot and (p, q) of each root
     claims = np.concatenate([answers.v[:size], answers.c[:size, :, None],
                              res[:, :, None]], axis=2)
@@ -373,7 +366,7 @@ _BATCH_COMMANDS = ("solve", "classify", "certify")
 
 def _metric(v: tuple) -> tuple:
     """The metric v of a certify claim or of oracle-ricci --v, once it
-    passes `verify`'s check that a metric is positive and finite."""
+    passes `curvature`'s one check that a metric is positive and finite."""
     try:
         _check_metrics(np.array([v]))
     except ValueError as exc:
@@ -455,9 +448,13 @@ def _grouped_lines(jobs: list, reporter, linenos=None) -> tuple[list, bool]:
                                        (-1, 3))]))
         ok = ok and bool(certs.passed.all())
         m = int(live.sum())
+        # a slot's residual: max(closed form, oracle) as Python's max takes
+        # it, nan and all
+        worst = np.where(certs.residual_oracle > certs.residual_closed_form,
+                         certs.residual_oracle, certs.residual_closed_form)
         for i, line in zip(solving, _solve_lines(
-                reporter, group, Ts, answers,
-                Certificates(*[col[:m] for col in certs]))):
+                reporter, group, Ts, answers, live, worst[:m],
+                certs.passed[:m])):
             lines[i] = line
         for i, cert in zip(claimed, zip(*[col[m:].tolist() for col in certs])):
             lines[i] = reporter.render(_certify_record(
@@ -490,7 +487,8 @@ def _run_certify(args, reporter) -> int:
         if args.group is not None:
             raise InputError("field 'group': certify --from reads each "
                              "claim's group from its record; give no group")
-        status, checked = _run_jobs(_claim_jobs(args.from_file), reporter)
+        status, checked = _run_jobs(_claim_jobs(args.from_file, args.out),
+                                   reporter)
         reporter.emit({"command": "certify-summary", "checked": checked,
                        "all_passed": status == EXIT_OK})
         return status
@@ -502,11 +500,11 @@ def _run_certify(args, reporter) -> int:
         args.v, "v")), _parse_number(args.c, "c"))), reporter)
 
 
-def _claim_jobs(path: str):
+def _claim_jobs(path: str, out):
     """(line number, certify job) per claim of each solve record of a
     json-lines file, its solutions then its family sample; a record's
     group, T and claim lists are checked here, its v and c by `_batch_job`."""
-    for lineno, record in _json_lines(path, "from"):
+    for lineno, record in _json_lines(path, "from", out):
         if record.get("command") != "solve":
             continue
         try:
@@ -611,7 +609,7 @@ def _run_oracle_ricci(args, reporter) -> int:
 
 
 def _run_batch(args, reporter) -> int:
-    return _run_jobs(_json_lines(args.jobs, "jobs"), reporter)[0]
+    return _run_jobs(_json_lines(args.jobs, "jobs", args.out), reporter)[0]
 
 
 def _run_jobs(jobs, reporter) -> tuple[int, int]:

@@ -58,6 +58,19 @@ def tensor_components(T) -> tuple[float, float, float]:
     return T
 
 
+def _check_metrics(v: np.ndarray) -> None:
+    """Raise ValueError for the first row of v, (N, 3), that is not
+    positive and finite.  Every layer that takes a metric checks it here."""
+    good = ((v > 0.0) & (v < np.inf)).all(axis=1)
+    if not good.all():
+        row = v[np.argmin(good)]
+        if (row <= 0.0).any():
+            raise ValueError(f"metric components must be positive, got "
+                             f"{tuple(row.tolist())}")
+        raise ValueError(f"metric components must be finite, got "
+                         f"{tuple(row.tolist())}")
+
+
 @dataclass(frozen=True)
 class DiagonalMetric:
     """Metric components (v1, v2, v3) in a Milnor frame; all strictly positive."""
@@ -69,10 +82,7 @@ class DiagonalMetric:
         object.__setattr__(self, "v", v)
         if len(v) != 3:
             raise ValueError("diagonal metric needs exactly three components")
-        if not all(map(math.isfinite, v)):
-            raise ValueError(f"non-finite metric components {v}")
-        if min(v) <= 0.0:
-            raise ValueError(f"metric components must be positive, got {v}")
+        _check_metrics(np.array([v]))
 
 
 def _components(m) -> np.ndarray:

@@ -49,18 +49,6 @@ class ProbeReport:
     violations: tuple = ()
 
 
-def _equal_blocks(values) -> list[list[int]]:
-    """Partition indices into runs of equal values (relative tolerance)."""
-    scale = float(np.max(np.abs(values)))
-    blocks: list[list[int]] = []
-    for i, t in enumerate(values):
-        if blocks and abs(t - values[blocks[-1][-1]]) <= EQUAL_TOL * scale:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return blocks
-
-
 def _sign(rng) -> float:
     """-1.0 or 1.0 with equal odds: the value and generator state of
     `rng.choice([-1.0, 1.0])`, which draws `rng.integers(0, 2)` as its
@@ -69,10 +57,16 @@ def _sign(rng) -> float:
 
 
 def _so3_blocks(T) -> list[list[int]]:
-    """The axes of T's equal-value blocks, blocks in descending T."""
-    order = sorted(range(3), key=lambda i: -T[i])
-    return [[order[i] for i in block]
-            for block in _equal_blocks([T[i] for i in order])]
+    """The axes of T's blocks of equal values (relative tolerance), blocks
+    in descending T."""
+    scale = float(np.max(np.abs(T)))
+    blocks: list[list[int]] = []
+    for i in sorted(range(3), key=lambda i: -T[i]):
+        if blocks and abs(T[i] - T[blocks[-1][-1]]) <= EQUAL_TOL * scale:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return blocks
 
 
 def _so3_block_change(blocks, rng) -> np.ndarray:
@@ -97,9 +91,7 @@ def _so3_block_change(blocks, rng) -> np.ndarray:
             reflect = rng.random() < 0.5
             c, s = np.cos(th), np.sin(th)
             B = np.array([[c, -s], [s, c]]) if not reflect else np.array([[c, s], [s, -c]])
-            for a, ra in enumerate(axes):
-                for b, rb in enumerate(axes):
-                    M[ra, rb] = B[a, b]
+            M[np.ix_(axes, axes)] = B
             dets.append(-1.0 if reflect else 1.0)
         else:
             M[:, :] = random_rotation(rng)
@@ -327,8 +319,17 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
 
     c_spread = 0.0
     metric_match = True
-    checks = _lane_checks(group, T, Ms, frames, v, c, v_base)
-    for f, rel, res, prop in zip(frames.tolist(), rel.tolist(), *checks):
+    residuals, props = [], []
+    if len(frames):
+        # every lane is pulled back and checked in one stack; a family
+        # sample claims no metric uniqueness, so it has no proportionality test
+        G = _pullbacks(np.linalg.inv(Ms)[frames], v)
+        residuals = oracle_residual_many(
+            group, G, c, np.broadcast_to(T, (len(c), 3))).tolist()
+        props = ([True] * len(c) if v_base is None
+                 else _proportional(G, v_base).tolist())
+    for f, rel, res, prop in zip(frames.tolist(), rel.tolist(), residuals,
+                                 props):
         c_spread = max(c_spread, rel)
         metric_match = metric_match and prop
         bad[f] = bad[f] or not (prop and rel <= PROBE_TOL and res <= PROBE_TOL)
@@ -337,19 +338,3 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
                        c_spread=c_spread, metric_match=metric_match,
                        c_unconstrained=kind == "FamilyAnyC",
                        violations=tuple(M for M, b in zip(changes, bad) if b))
-
-
-def _lane_checks(group, T, Ms: np.ndarray, frames, v, c, v_base) -> tuple:
-    """Oracle residuals and proportionality tests of `probe`'s lanes, as
-    two lists: lane i is the metric v[i] and constant c[i] of frame
-    frames[i], and v_base[i] the base metric it must be proportional to.
-    Every lane is pulled back and checked in one stack; family samples
-    (v_base None) claim no metric uniqueness and are never tested for
-    proportionality."""
-    if not len(frames):
-        return [], []
-    G = _pullbacks(np.linalg.inv(Ms)[frames], v)
-    res = oracle_residual_many(group, G, c, np.broadcast_to(T, (len(c), 3)))
-    if v_base is None:
-        return res.tolist(), [True] * len(c)
-    return res.tolist(), _proportional(G, v_base).tolist()

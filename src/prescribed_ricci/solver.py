@@ -58,8 +58,8 @@ from .arrays import _T3_SIGN, _reconstruct_many, cubic_columns
 # roots_in_interval is imported only for bench/spans.py, which wraps it
 # here by name; the solver isolates roots through `cubic_columns`
 from .cubic import roots_in_interval  # noqa: F401
-from .curvature import (DiagonalMetric, DiagonalTensor, ricci_diagonal,
-                        tensor_components)
+from .curvature import (DiagonalMetric, DiagonalTensor, _check_metrics,
+                        ricci_diagonal, tensor_components)
 from .groups import GROUPS, as_group
 
 __all__ = [
@@ -322,7 +322,7 @@ def _check_slots(k: int, cs, vs) -> None:
         if not 0.0 < c < math.inf:
             raise ValueError(f"c = {c} is outside the float range "
                              f"(|T|_inf ~ 8^{k})")
-        DiagonalMetric(v)
+        _check_metrics(np.array([v]))
 
 
 def _answers(group, Ts):

@@ -7,13 +7,13 @@ The residual denominator 1 + |c| * |T|_inf keeps family and flat cases
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ricci_diagonal, ricci_koszul, tensor_components
+from .curvature import (_check_metrics, ricci_diagonal, ricci_koszul,
+                        tensor_components)
 from .groups import as_group, structure_constants
 
 __all__ = ["Certificate", "Certificates", "residual", "certify",
@@ -44,22 +44,8 @@ def _unwrap(m) -> np.ndarray:
     v = np.asarray(getattr(m, "v", m), dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a diagonal metric triple, got shape {v.shape}")
-    if not (v.min() > 0.0 and v.max() < math.inf):  # nan fails both
-        _check_metrics(v[None])
+    _check_metrics(v[None])
     return v
-
-
-def _check_metrics(v: np.ndarray) -> None:
-    """Raise ValueError for the first row of v, (N, 3), that is not
-    positive and finite."""
-    good = ((v > 0.0) & (v < np.inf)).all(axis=1)
-    if not good.all():
-        row = v[np.argmin(good)]
-        if (row <= 0.0).any():
-            raise ValueError(f"metric components must be positive, got "
-                             f"{tuple(row.tolist())}")
-        raise ValueError(f"metric components must be finite, got "
-                         f"{tuple(row.tolist())}")
 
 
 def _normalized_residuals(ric, c, target, t) -> np.ndarray:

@@ -105,3 +105,33 @@ def test_out_is_cut_to_what_was_written(tmp_path, capsys, monkeypatch):
 
 def test_out_that_is_not_a_regular_file_is_written():
     assert cli.main(sweep_argv("/dev/null", 4)) == cli.EXIT_OK
+
+
+def test_out_that_is_the_input_file_is_refused(tmp_path, capsys,
+                                                monkeypatch):
+    # records written to the file being read would overwrite the lines
+    # not read yet: the command exits 2 before it answers a job
+    answered, columns = [], cli._columns
+    monkeypatch.setattr(cli, "_columns", lambda group, Ts: answered.append(
+        len(Ts)) or columns(group, Ts))
+    monkeypatch.setattr(cli, "BATCH_CHUNK", 2)
+    jobs, records = tmp_path / "jobs.jsonl", tmp_path / "records.jsonl"
+    write_jobs(jobs, 8)
+    records.write_text("\n".join(json.dumps(
+        {"command": "solve", "group": "so3", "T": [1.0, 1.0, 1.0],
+         "solutions": [{"v": [1.0, 1.0, 1.0], "c": 2.0}]})
+        for _ in range(8)) + "\n", encoding="utf-8")
+    for path, command in ((jobs, ["batch", str(jobs)]),
+                          (records, ["certify", "--from", str(records)])):
+        link = tmp_path / f"link-{path.name}"
+        link.hardlink_to(path)
+        before = path.read_bytes()
+        for out in (path, link):
+            argv = ["--format", "json-lines", "--out", str(out)] + command
+            assert cli.main(argv) == cli.EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: field 'out': {str(out)!r} is "
+                                    f"the input file {str(path)!r}\n")
+            assert path.read_bytes() == before
+    assert answered == []
