@@ -13,7 +13,7 @@ from .cubic import CubicPoly, RootReport, roots_in_interval
 from .solver import (CubicSolveTrace, DiagonalTensor, Family, SolveOutcome,
                      Solution, classify_signature, reconstruct_from_p, solve,
                      solve_many)
-from .verify import Certificate, certify, certify_many, residual
+from .verify import Certificate, certify, residual
 from .probe import ProbeReport, probe, sample_diagonal_preserving_changes
 from .diagonalize import (DiagonalizationResult, diagonalize_so3,
                           symmetric_from_upper)
@@ -28,7 +28,7 @@ __all__ = [
     "CubicPoly", "RootReport", "roots_in_interval",
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
     "solve", "solve_many", "reconstruct_from_p", "classify_signature",
-    "Certificate", "residual", "certify", "certify_many",
+    "Certificate", "residual", "certify",
     "ProbeReport", "probe", "sample_diagonal_preserving_changes",
     "DiagonalizationResult", "diagonalize_so3", "symmetric_from_upper",
     "__version__",

@@ -26,11 +26,11 @@ from collections import Counter
 
 import numpy as np
 
-from .curvature import _check_metrics, ricci_diagonal, ricci_koszul
+from .curvature import metric_components, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
 from .solver import CHUNK, _columns, _constants, _sl2_note
-from .verify import Certificate, certify_arrays
+from .verify import certify_arrays
 # solve, classify_signature and certify are imported only for bench/spans.py,
 # which wraps them here by name; every command answers through `_columns`
 from .solver import classify_signature, solve  # noqa: F401
@@ -294,12 +294,11 @@ def _classify_record(group, T, label: str) -> dict:
             "case_label": label}
 
 
-def _certify_record(group, T, v, c, cert) -> dict:
-    return {"command": "certify", "group": group.name.lower(),
-            "T": list(T), "v": list(v), "c": c,
-            "residual_closed_form": cert.residual_closed_form,
-            "residual_oracle": cert.residual_oracle,
-            "normalized": cert.normalized, "pass": cert.passed}
+def _certify_record(group, T, v, c, row) -> dict:
+    return {"command": "certify", "group": group.name.lower(), "T": list(T),
+            "v": list(v), "c": c, **dict(zip((
+                "residual_closed_form", "residual_oracle", "normalized",
+                "pass"), row))}
 
 
 def _solve_lines(reporter, group, Ts, answers, live, worst, passes) -> list:
@@ -365,13 +364,17 @@ _BATCH_COMMANDS = ("solve", "classify", "certify")
 
 
 def _metric(v: tuple) -> tuple:
-    """The metric v of a certify claim or of oracle-ricci --v, once it
-    passes `curvature`'s one check that a metric is positive and finite."""
+    """The `metric_components` of a certify claim's v or oracle-ricci --v."""
     try:
-        _check_metrics(np.array([v]))
+        return metric_components(v)
     except ValueError as exc:
         raise InputError(f"field 'v': {exc}")
-    return v
+
+
+def _claim(obj: dict) -> tuple:
+    """(v, c) of a certify job, or of a claim of a solve record."""
+    return (_metric(_parse_numbers(obj.get("v"), "v")),
+            _parse_number(obj.get("c"), "c"))
 
 
 def _batch_job(lineno: int, job: dict) -> tuple:
@@ -385,10 +388,7 @@ def _batch_job(lineno: int, job: dict) -> tuple:
     try:
         group = _group_or_fail(job.get("group", ""))
         T = _parse_numbers(job.get("T"), "T")
-        claim = None
-        if command == "certify":
-            claim = (_metric(_parse_numbers(job.get("v"), "v")),
-                     _parse_number(job.get("c"), "c"))
+        claim = _claim(job) if command == "certify" else None
     except InputError as exc:
         raise InputError(f"{exc} on line {lineno}") from None
     return command, group, T, claim
@@ -456,9 +456,9 @@ def _grouped_lines(jobs: list, reporter, linenos=None) -> tuple[list, bool]:
                 reporter, group, Ts, answers, live, worst[:m],
                 certs.passed[:m])):
             lines[i] = line
-        for i, cert in zip(claimed, zip(*[col[m:].tolist() for col in certs])):
+        for i, row in zip(claimed, zip(*[col[m:].tolist() for col in certs])):
             lines[i] = reporter.render(_certify_record(
-                group, jobs[i][2], *jobs[i][3], Certificate(*cert)))
+                group, jobs[i][2], *jobs[i][3], row))
     return lines, ok
 
 
@@ -501,15 +501,15 @@ def _run_certify(args, reporter) -> int:
 
 
 def _claim_jobs(path: str, out):
-    """(line number, certify job) per claim of each solve record of a
-    json-lines file, its solutions then its family sample; a record's
-    group, T and claim lists are checked here, its v and c by `_batch_job`."""
+    """(line number, parsed certify job) per claim of each solve record of
+    a json-lines file, its solutions then its family sample: a record's
+    group, T and claim lists parsed once, then each claim as it is drawn."""
     for lineno, record in _json_lines(path, "from", out):
         if record.get("command") != "solve":
             continue
         try:
-            _group_or_fail(record.get("group", ""))
-            _parse_numbers(record.get("T"), "T")
+            group = _group_or_fail(record.get("group", ""))
+            T = _parse_numbers(record.get("T"), "T")
             claims = record.get("solutions", [])
             if not (isinstance(claims, list)
                     and all(isinstance(s, dict) for s in claims)):
@@ -522,11 +522,10 @@ def _claim_jobs(path: str, out):
                     raise InputError("field 'family': expected null or an "
                                      "object with a 'sample' object")
                 claims = claims + [family["sample"]]
+            for s in claims:
+                yield lineno, ("certify", group, T, _claim(s))
         except InputError as exc:
             raise InputError(f"{exc} on line {lineno}") from None
-        for s in claims:
-            yield lineno, {"command": "certify", "group": record["group"],
-                           "T": record["T"], "v": s.get("v"), "c": s.get("c")}
 
 
 def _grid_axis(fixed, rng_text, steps, name):
@@ -609,21 +608,22 @@ def _run_oracle_ricci(args, reporter) -> int:
 
 
 def _run_batch(args, reporter) -> int:
-    return _run_jobs(_json_lines(args.jobs, "jobs", args.out), reporter)[0]
+    return _run_jobs(((lineno, _batch_job(lineno, job)) for lineno, job
+                      in _json_lines(args.jobs, "jobs", args.out)), reporter)[0]
 
 
 def _run_jobs(jobs, reporter) -> tuple[int, int]:
-    """Answer (line number, job) pairs in chunks of `BATCH_CHUNK`, each
-    chunk's records written as one string unless the chunk raises; return
-    the exit status and the number of records.  A line that cannot be read
-    or parsed ends its chunk: the jobs above it are answered first, and its
-    error is raised only if none of theirs is."""
+    """Answer (line number, parsed job) pairs in chunks of `BATCH_CHUNK`,
+    each chunk's records written as one string unless the chunk raises;
+    return the exit status and the number of records.  A line that cannot
+    be read or parsed as it is drawn ends its chunk: the jobs above it are
+    answered first, and its error is raised only if none of theirs is."""
     status, count = EXIT_OK, 0
     while True:
         chunk, linenos, unread = [], [], None
         try:
             for lineno, job in itertools.islice(jobs, BATCH_CHUNK):
-                chunk.append(_batch_job(lineno, job))
+                chunk.append(job)
                 linenos.append(lineno)
         except InputError as exc:
             unread = exc

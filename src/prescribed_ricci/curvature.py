@@ -14,6 +14,9 @@ Levi-Civita connection from the Koszul identity
 forms the curvature R(e_i, e_j) e_k = D_i D_j e_k - D_j D_i e_k - D_[e_i,e_j] e_k
 and traces it.  The two routes share no code path, so agreement is a real
 cross-check.
+
+Every layer reads a tensor through `tensor_components` and a claimed metric
+through `metric_components`, whose values `_check_metrics` decides.
 """
 from __future__ import annotations
 
@@ -37,22 +40,29 @@ class DiagonalTensor:
         object.__setattr__(self, "T", tensor_components(self.T))
 
 
+def _three(x, kind: str, overflow: str) -> tuple:
+    """x's entries as three floats, alike for a tensor and a metric: a str,
+    bytes, non-number, out-of-range int or wrong length raises ValueError."""
+    try:
+        if isinstance(x, (str, bytes)):
+            raise TypeError
+        y = tuple(map(float, x))
+    except TypeError:
+        raise ValueError(f"{kind} components must be numbers, got {x!r}"
+                         ) from None
+    except OverflowError:
+        raise ValueError(f"{overflow} {x!r}") from None
+    if len(y) != 3:
+        raise ValueError(f"diagonal {kind} needs exactly three components")
+    return y
+
+
 def tensor_components(T) -> tuple[float, float, float]:
     """T (or a DiagonalTensor's T) as three finite floats; raises ValueError
     for anything else.  Every layer that takes a tensor reads it here."""
     if isinstance(T, DiagonalTensor):
         return T.T
-    try:
-        if isinstance(T, (str, bytes)):
-            raise TypeError
-        T = tuple(map(float, T))
-    except TypeError:
-        raise ValueError(f"tensor components must be numbers, got {T!r}"
-                         ) from None
-    except OverflowError:
-        raise ValueError(f"non-finite tensor components {T!r}") from None
-    if len(T) != 3:
-        raise ValueError("diagonal tensor needs exactly three components")
+    T = _three(T, "tensor", "non-finite tensor components")
     if not all(map(math.isfinite, T)):
         raise ValueError(f"non-finite tensor components {T}")
     return T
@@ -64,11 +74,19 @@ def _check_metrics(v: np.ndarray) -> None:
     good = ((v > 0.0) & (v < np.inf)).all(axis=1)
     if not good.all():
         row = v[np.argmin(good)]
-        if (row <= 0.0).any():
-            raise ValueError(f"metric components must be positive, got "
-                             f"{tuple(row.tolist())}")
-        raise ValueError(f"metric components must be finite, got "
+        need = "positive" if (row <= 0.0).any() else "finite"
+        raise ValueError(f"metric components must be {need}, got "
                          f"{tuple(row.tolist())}")
+
+
+def metric_components(m) -> tuple[float, float, float]:
+    """m (or a DiagonalMetric's v) as three floats `_check_metrics` passes;
+    raises ValueError for anything else.  Every claimed metric is read here."""
+    if isinstance(m, DiagonalMetric):
+        return m.v
+    v = _three(m, "metric", "metric components must be finite, got")
+    _check_metrics(np.array([v]))
+    return v
 
 
 @dataclass(frozen=True)
@@ -78,16 +96,12 @@ class DiagonalMetric:
     v: tuple[float, float, float]
 
     def __post_init__(self):
-        v = tuple(map(float, self.v))
-        object.__setattr__(self, "v", v)
-        if len(v) != 3:
-            raise ValueError("diagonal metric needs exactly three components")
-        _check_metrics(np.array([v]))
+        object.__setattr__(self, "v", metric_components(self.v))
 
 
 def _components(m) -> np.ndarray:
     v = np.asarray(getattr(m, "v", m), dtype=float)
-    if v.shape[-1] != 3:
+    if v.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components along the last axis, got {v.shape}")
     return v
 

@@ -3,31 +3,31 @@
 A claimed (metric, c) for a prescribed T is checked against both curvature
 routes: the closed-form diagonal expressions and the Koszul-formula oracle.
 The residual denominator 1 + |c| * |T|_inf keeps family and flat cases
-(c*T = 0) well scaled.
+(c*T = 0) well scaled.  A claim passes only with c > 0, the paper's
+constant, and `certify` and `certify_arrays` answer with one `Certificate`.
 """
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import (_check_metrics, ricci_diagonal, ricci_koszul,
-                        tensor_components)
+from .curvature import (_check_metrics, metric_components, ricci_diagonal,
+                        ricci_koszul, tensor_components)
 from .groups import as_group, structure_constants
 
-__all__ = ["Certificate", "Certificates", "residual", "certify",
-           "certify_many", "certify_arrays"]
+__all__ = ["Certificate", "residual", "certify", "certify_arrays"]
 
 PASS_THRESHOLD = 1e-9
 NORMALIZATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of checking one claimed solution.  `passed` iff both residuals
-    are at or below the threshold; `normalized` records whether
-    v1*v2*v3*c = 1 held within tolerance (informational)."""
+    are at or below the threshold and c > 0; `normalized` records whether
+    v1*v2*v3*c = 1 held within tolerance (informational).  From
+    `certify_arrays`, each field is an array with a lane per claim."""
 
     residual_closed_form: float
     residual_oracle: float
@@ -35,17 +35,14 @@ class Certificate:
     passed: bool
 
 
-# `certify_arrays`' answer: the fields of N certificates, an array each
-Certificates = namedtuple("Certificates", "residual_closed_form "
-                                          "residual_oracle normalized passed")
-
-
-def _unwrap(m) -> np.ndarray:
-    v = np.asarray(getattr(m, "v", m), dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a diagonal metric triple, got shape {v.shape}")
-    _check_metrics(v[None])
-    return v
+def _constant(c) -> float:
+    """The claimed c as a finite float; raises ValueError for anything else."""
+    try:
+        if math.isfinite(x := float(c)):
+            return x
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"constant c must be a finite number, got {c!r}")
 
 
 def _normalized_residuals(ric, c, target, t) -> np.ndarray:
@@ -72,21 +69,20 @@ def _normalized_residuals(ric, c, target, t) -> np.ndarray:
 
 def residual(group, m, c: float, T) -> float:
     """max_i |Ric_i(v) - c*T_i| / (1 + |c| * |T|_inf) via the closed form."""
-    v = _unwrap(m)
+    v, c = metric_components(m), _constant(c)
     t = np.array([tensor_components(T)])
-    # as in `certify_many`: a metric that overflows has residual inf or nan
+    # as in `certify_arrays`: a metric that overflows has residual inf or nan
     with np.errstate(all="ignore"):
-        (res,) = _normalized_residuals(ricci_diagonal(group, v)[None],
-                                       np.array([float(c)]), t, t)
-    return float(res)
+        return float(_normalized_residuals(ricci_diagonal(group, v)[None],
+                                           np.array([c]), t, t)[0])
 
 
 def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
     """Same normalized residual, but from the Koszul oracle on a full Gram
     matrix; usable for non-diagonal pullbacks of diagonal solutions.
     `oracle_residual_many` on one lane."""
-    (res,) = oracle_residual_many(group, [gram], [c], [tensor_components(T)])
-    return float(res)
+    return float(oracle_residual_many(group, [gram], [c],
+                                      [tensor_components(T)])[0])
 
 
 def oracle_residual_many(group, grams, cs, Ts) -> np.ndarray:
@@ -100,44 +96,32 @@ def oracle_residual_many(group, grams, cs, Ts) -> np.ndarray:
     return _normalized_residuals(ric, np.asarray(cs, dtype=float), target, t)
 
 
-def certify_many(group, vs, cs, Ts) -> list[Certificate]:
+def certify_arrays(group, vs, cs, Ts) -> Certificate:
     """`certify` on N claims at once: metrics vs (N, 3), constants cs (N,)
-    and tensors Ts (N, 3) give N certificates, each equal to the one
-    `certify` returns for that lane; the list view of `certify_arrays`."""
-    return [Certificate(*lane) for lane in zip(
-        *[col.tolist() for col in certify_arrays(group, vs, cs, Ts)])]
-
-
-def certify_arrays(group, vs, cs, Ts) -> Certificates:
-    """The N certificates of `certify_many` as the four arrays of
-    `Certificates`, lane i of each being a field of certificate i.
-
-    Both routes run on the whole stack: the closed form on (N, 3) arrays,
-    the Koszul oracle on the N diagonal Gram matrices.  Raises ValueError,
-    as `certify` does, for the first lane whose metric is not positive and
-    finite or whose tensor is not finite.
-    """
+    and tensors Ts (N, 3) give one `Certificate` of four arrays, lane i of
+    each being the field `certify` gives claim i.  Both routes run on the
+    whole stack: the closed form on (N, 3) arrays, the Koszul oracle on the
+    N diagonal Gram matrices.  Unless all are plain good numbers, each claim
+    is read as `certify` reads it: the first it refuses raises."""
     group = as_group(group)
-    v = np.asarray(vs, dtype=float)
-    if not v.size:
-        return Certificates(*np.zeros((4, 0)))
-    c = np.asarray(cs, dtype=float)
-    t = np.asarray(Ts, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3 or t.shape != v.shape \
-            or c.shape != v.shape[:1]:
-        raise ValueError(f"expected N metric triples, N constants and N "
-                         f"tensors, got shapes {v.shape}, {c.shape}, "
-                         f"{t.shape}")
-    finite = np.isfinite(t).all(axis=1)
-    if not finite.all():
-        # the first failing lane raises what `certify` raises for it
-        first = int(np.argmin(finite))
-        _check_metrics(v[:first + 1])
-        tensor_components(t[first])
-    _check_metrics(v)
-    diag = np.arange(3)
-    gram = np.zeros(v.shape + (3,))
-    gram[:, diag, diag] = v
+    if not len(vs):
+        return Certificate(*np.zeros((4, 0)))
+    try:
+        v, c, t = (np.asarray(x, dtype=float) for x in (vs, cs, Ts))
+        plain = (v.ndim == 2 and v.shape == t.shape == c.shape + (3,)
+                 and np.isfinite(c).all() and np.isfinite(t).all())
+        if plain:
+            _check_metrics(v)
+    except (TypeError, ValueError, OverflowError):
+        plain = False
+    if not plain:
+        if not len(vs) == len(cs) == len(Ts):
+            raise ValueError(f"expected N metrics, constants and tensors, "
+                             f"got {len(vs)}, {len(cs)} and {len(Ts)}")
+        v, c, t = (np.array(col) for col in zip(*[
+            (metric_components(m), _constant(k), tensor_components(T))
+            for m, k, T in zip(vs, cs, Ts)]))
+    gram = v[:, :, None] * np.eye(3)
     # a claimed metric far from any solution can overflow or underflow
     # either route: its residual is then inf or nan, and the claim fails
     with np.errstate(all="ignore"):
@@ -145,12 +129,13 @@ def certify_arrays(group, vs, cs, Ts) -> Certificates:
         r_oracle = oracle_residual_many(group, gram, c, t)
         normalized = (np.abs(v[:, 0] * v[:, 1] * v[:, 2] * c - 1.0)
                       <= NORMALIZATION_TOL)
-    passed = (r_closed <= PASS_THRESHOLD) & (r_oracle <= PASS_THRESHOLD)
-    return Certificates(r_closed, r_oracle, normalized, passed)
+    passed = ((r_closed <= PASS_THRESHOLD) & (r_oracle <= PASS_THRESHOLD)
+              & (c > 0.0))
+    return Certificate(r_closed, r_oracle, normalized, passed)
 
 
 def certify(group, m, c: float, T) -> Certificate:
     """Certify a claimed solution against both curvature implementations:
-    `certify_many` on one lane."""
-    (cert,) = certify_many(group, [_unwrap(m)], [c], [tensor_components(T)])
-    return cert
+    `certify_arrays` on one lane, its fields as Python scalars."""
+    return Certificate(*[col.tolist()[0] for col in certify_arrays(
+        group, [m], [c], [T])])

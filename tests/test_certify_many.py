@@ -1,13 +1,14 @@
-"""`certify_many` is `certify` over N claims: the same certificates, compared
-with `==`, so every residual bit for bit, and the same errors."""
+"""`certify_arrays` is `certify` over N claims: lane by lane the same
+certificates, compared with `==` and `repr`, so every residual bit for bit,
+and the same errors."""
 import warnings
 
 import numpy as np
 import pytest
 
-from prescribed_ricci import (SO3, certify, certify_many, ricci_koszul, solve,
+from prescribed_ricci import (SO3, Certificate, certify, ricci_koszul, solve,
                               structure_constants)
-from prescribed_ricci.verify import oracle_residual, residual
+from prescribed_ricci.verify import certify_arrays, oracle_residual, residual
 
 from conftest import ALL_GROUPS, random_solvable
 
@@ -35,13 +36,22 @@ def mixed_claims(group, gen, n=150):
     return vs, cs, Ts
 
 
+def lanes(certs):
+    """The certificate of each lane of `certify_arrays`' arrays, its fields
+    as Python scalars, as `certify` gives them."""
+    return [Certificate(*lane) for lane in zip(*[col.tolist() for col in certs])]
+
+
 @pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
 def test_equals_certify(group):
     vs, cs, Ts = mixed_claims(group, np.random.default_rng(233))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        many = certify_many(group, vs, cs, Ts)
+        certs = certify_arrays(group, vs, cs, Ts)
+    assert type(certs) is Certificate
+    many = lanes(certs)
     scalar = [certify(group, v, c, T) for v, c, T in zip(vs, cs, Ts)]
+    assert all(type(c) is Certificate for c in scalar)
     assert many == scalar
     # == on floats hides the sign of zero; repr does not
     assert [repr(c) for c in many] == [repr(c) for c in scalar]
@@ -53,15 +63,19 @@ def test_routes_equal_the_residual_functions(group):
     # the certificate's residuals are `residual` and `oracle_residual` on
     # the diagonal Gram matrix, exactly
     vs, cs, Ts = mixed_claims(group, np.random.default_rng(1607), n=40)
-    for v, c, T, cert in zip(vs, cs, Ts, certify_many(group, vs, cs, Ts)):
+    for v, c, T, cert in zip(vs, cs, Ts,
+                             lanes(certify_arrays(group, vs, cs, Ts))):
         assert cert.residual_closed_form == residual(group, v, c, T)
         assert cert.residual_oracle == oracle_residual(group, np.diag(v), c, T)
 
 
 def test_no_claims():
-    assert certify_many(SO3, [], [], []) == []
-    assert certify_many(SO3, np.empty((0, 3)), np.empty(0),
-                        np.empty((0, 3))) == []
+    for certs in (certify_arrays(SO3, [], [], []),
+                  certify_arrays(SO3, np.empty((0, 3)), np.empty(0),
+                                 np.empty((0, 3)))):
+        assert type(certs) is Certificate
+        assert [len(col) for col in certs] == [0] * 4
+        assert lanes(certs) == []
 
 
 def test_overflowing_lane_stays_finite():
@@ -69,8 +83,9 @@ def test_overflowing_lane_stays_finite():
     # residual is 1; the lane next to it is an exact solution
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        over, exact = certify_many(SO3, [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)],
-                                   [1e300, 2.0], [(1e300,) * 3, (1.0,) * 3])
+        over, exact = lanes(certify_arrays(
+            SO3, [(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)], [1e300, 2.0],
+            [(1e300,) * 3, (1.0,) * 3]))
     assert over == certify(SO3, (1.0, 1.0, 1.0), 1e300, (1e300,) * 3)
     assert over.residual_closed_form == pytest.approx(1.0, rel=1e-12)
     assert over.residual_oracle == pytest.approx(1.0, rel=1e-12)
@@ -86,8 +101,8 @@ def test_bad_metric_raises_as_certify_does(bad):
     with pytest.raises(ValueError) as scalar:
         certify(SO3, bad, 1.0, (1.0, 1.0, 1.0))
     with pytest.raises(ValueError) as many:
-        certify_many(SO3, [(1.0, 1.0, 1.0), bad, (1.0, -1.0, 1.0)],
-                     [1.0] * 3, [(1.0, 1.0, 1.0)] * 3)
+        certify_arrays(SO3, [(1.0, 1.0, 1.0), bad, (1.0, -1.0, 1.0)],
+                       [1.0] * 3, [(1.0, 1.0, 1.0)] * 3)
     assert str(many.value) == str(scalar.value)
 
 
@@ -109,15 +124,15 @@ def test_non_finite_tensor_raises_as_certify_does(bad):
         with pytest.raises(ValueError) as scalar:
             certify(SO3, first[0], 2.0, first[1])
         with pytest.raises(ValueError) as many:
-            certify_many(SO3, vs, [2.0] * 3, Ts)
+            certify_arrays(SO3, vs, [2.0] * 3, Ts)
         assert str(many.value) == str(scalar.value)
 
 
 def test_mismatched_shapes_raise():
     with pytest.raises(ValueError):
-        certify_many(SO3, [(1.0, 1.0, 1.0)], [1.0, 2.0], [(1.0, 1.0, 1.0)])
+        certify_arrays(SO3, [(1.0, 1.0, 1.0)], [1.0, 2.0], [(1.0, 1.0, 1.0)])
     with pytest.raises(ValueError):
-        certify_many(SO3, [(1.0, 1.0)], [1.0], [(1.0, 1.0, 1.0)])
+        certify_arrays(SO3, [(1.0, 1.0)], [1.0], [(1.0, 1.0, 1.0)])
 
 
 def gram_stack(gen, n):
@@ -129,7 +144,7 @@ def gram_stack(gen, n):
 def test_stacked_koszul(group):
     sc = structure_constants(group)
     gen = np.random.default_rng(7)
-    # diagonal Gram matrices, as certify_many stacks them: bit for bit
+    # diagonal Gram matrices, as certify_arrays stacks them: bit for bit
     diag = np.zeros((200, 3, 3))
     diag[:, [0, 1, 2], [0, 1, 2]] = 10.0 ** gen.uniform(-6, 6, size=(200, 3))
     stacked = ricci_koszul(sc, diag)

@@ -1,5 +1,6 @@
-"""Every layer that takes a metric rejects it through the one check,
-`curvature._check_metrics`, with one message; and the argument checks of
+"""Every layer that takes a claimed metric reads it through the one reader,
+`curvature.metric_components`, whose values `curvature._check_metrics`
+checks, and names a bad claim with one message; and the argument checks of
 the library's smaller entry points raise what they document."""
 import ast
 import pathlib
@@ -10,61 +11,100 @@ import pytest
 
 from prescribed_ricci import SO3, DiagonalMetric, certify, cli, residual
 from prescribed_ricci.cubic import CubicPoly
-from prescribed_ricci.curvature import ricci_diagonal
+from prescribed_ricci.curvature import ricci_diagonal, x_coefficients
 from prescribed_ricci.groups import UnimodularGroup, check_milnor_frame
 from prescribed_ricci.solver import _check_slots, classify_signature, solve
-from prescribed_ricci.verify import certify_arrays, certify_many
+from prescribed_ricci.verify import certify_arrays
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "prescribed_ricci"
 
 INF, NAN = float("inf"), float("nan")
+HUGE = 10 ** 400  # an int beyond the float range
 
-BAD_METRICS = [
-    ((INF, 1.0, 1.0), "metric components must be finite, got (inf, 1.0, 1.0)"),
+BAD_METRICS = {
+    "inf": ((INF, 1.0, 1.0),
+            "metric components must be finite, got (inf, 1.0, 1.0)"),
     # a metric both non-finite and not positive is named for its sign
-    ((NAN, -1.0, 1.0),
-     "metric components must be positive, got (nan, -1.0, 1.0)"),
-    ((1.0, -1.0, 1.0),
-     "metric components must be positive, got (1.0, -1.0, 1.0)"),
-]
+    "nan-negative": ((NAN, -1.0, 1.0),
+                     "metric components must be positive, got (nan, -1.0, 1.0)"),
+    "negative": ((1.0, -1.0, 1.0),
+                 "metric components must be positive, got (1.0, -1.0, 1.0)"),
+    "int-overflow": ((HUGE, 1, 1),
+                     f"metric components must be finite, got ({HUGE}, 1, 1)"),
+    "str": ("123", "metric components must be numbers, got '123'"),
+    "bytes": (b"123", "metric components must be numbers, got b'123'"),
+    "none": ((1, None, 1),
+             "metric components must be numbers, got (1, None, 1)"),
+    "length": ((1.0, 2.0), "diagonal metric needs exactly three components"),
+}
+
+BAD_CONSTANTS = {
+    "int-overflow": (HUGE, f"constant c must be a finite number, got {HUGE}"),
+    "nan": (NAN, "constant c must be a finite number, got nan"),
+}
 
 
-@pytest.mark.parametrize("v, message", BAD_METRICS,
-                         ids=["inf", "nan-negative", "negative"])
+@pytest.mark.parametrize("v, message", BAD_METRICS.values(),
+                         ids=list(BAD_METRICS))
 def test_every_layer_names_a_bad_metric_alike(v, message):
     T = (1.0, 1.0, 1.0)
-    for check in (lambda: DiagonalMetric(v),
-                  lambda: certify("so3", v, 1.0, T),
-                  lambda: residual(SO3, v, 1.0, T),
-                  lambda: certify_many(SO3, [v], [1.0], [T]),
-                  lambda: certify_arrays(SO3, [v], [1.0], [T]),
-                  # the solver's own output check: c first, then v
-                  lambda: _check_slots(0, [1.0], [v])):
+    checks = [lambda: DiagonalMetric(v),
+              lambda: certify("so3", v, 1.0, T),
+              lambda: residual(SO3, v, 1.0, T),
+              lambda: certify_arrays(SO3, [v], [1.0], [T])]
+    if isinstance(v, tuple) and [type(x) for x in v] == [float] * 3:
+        # the solver's own output check, on three floats: c first, then v
+        checks.append(lambda: _check_slots(0, [1.0], [v]))
+    for check in checks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check()
 
 
+@pytest.mark.parametrize("c, message", BAD_CONSTANTS.values(),
+                         ids=list(BAD_CONSTANTS))
+def test_every_layer_names_a_bad_constant_alike(c, message):
+    v = T = (1.0, 1.0, 1.0)
+    for check in (lambda: certify("so3", v, c, T),
+                  lambda: residual(SO3, v, c, T),
+                  lambda: certify_arrays(SO3, [v], [c], [T])):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
+
+
+# the text after `field 'v': ` for each bad metric a --v flag can spell:
+# the library's message where the flag's numbers reach the metric reader,
+# else the message of the field parse, which reads every entry as a finite
+# float first
+CLI_METRICS = {
+    "negative": ("1.0,-1.0,1.0", BAD_METRICS["negative"][1]),
+    "zero": ("1,0,1",
+             "metric components must be positive, got (1.0, 0.0, 1.0)"),
+    "inf": ("inf,1,1", "non-finite entry 'inf'"),
+    "nan-negative": ("nan,-1,1", "non-finite entry 'nan'"),
+    "int-overflow": (f"{HUGE},1,1", f"non-finite entry '{HUGE}'"),
+    "str": ("123", "expected 3 comma-separated numbers, got '123'"),
+    "length": ("1.0,2.0", "expected 3 comma-separated numbers, got '1.0,2.0'"),
+}
+
+
 def test_cli_metric_message_is_the_library_message(capsys):
-    # the one message behind `field 'v'`; a non-finite entry never reaches
-    # the metric check, since every number a flag or job holds is finite
-    for v, message in BAD_METRICS[2:]:
-        flag = ",".join(map(str, v))
-        assert cli.main(["oracle-ricci", "so3", "--v", flag]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: field 'v': {message}\n"
-    for flag in ("inf,1,1", "nan,-1,1"):
-        assert cli.main(["oracle-ricci", "so3", "--v", flag]) == 2
-        assert capsys.readouterr().err == (
-            f"error: field 'v': non-finite entry '{flag.split(',')[0]}'\n")
+    for flag, message in CLI_METRICS.values():
+        for argv in (["oracle-ricci", "so3", "--v", flag],
+                     ["certify", "so3", "--T", "1,1,1", "--v", flag,
+                      "--c", "1"]):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: field 'v': {message}\n"
 
 
 def test_the_metric_check_is_defined_once():
-    defined = [path.name for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.FunctionDef)
-               and node.name == "_check_metrics"]
-    assert defined == ["curvature.py"]
+    # the check and the reader that calls it
+    for name in ("_check_metrics", "metric_components"):
+        defined = [path.name for path in sorted(SRC.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert defined == ["curvature.py"]
 
 
 TINY = (1e-310, 1e-310, 1e-310)
@@ -80,6 +120,11 @@ INVALID_CALLS = {
                       "diagonal metric needs exactly three components"),
     "ricci-length": (lambda: ricci_diagonal("so3", (1.0, 2.0)),
                      "expected 3 components along the last axis, got (2,)"),
+    # a 0-d input has no last axis
+    "ricci-0d": (lambda: ricci_diagonal("so3", "123"),
+                 "expected 3 components along the last axis, got ()"),
+    "x-0d": (lambda: x_coefficients("so3", "123"),
+             "expected 3 components along the last axis, got ()"),
     "group-name": (lambda: UnimodularGroup("XX", (0.0, 0.0, 0.0)),
                    "unknown group name 'XX'; expected one of ['E11', 'E2', "
                    "'H3', 'R3', 'SL2', 'SO3']"),

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from prescribed_ricci import (SL2, SO3, H3, DiagonalTensor, certify, residual,
-                              solve)
-from prescribed_ricci.verify import oracle_residual
+from prescribed_ricci import (SL2, SO3, H3, DiagonalMetric, DiagonalTensor,
+                              certify, cli, residual, solve)
+from prescribed_ricci.verify import certify_arrays, oracle_residual
 
 from conftest import ALL_GROUPS, INVALID_TENSORS, random_solvable
 
@@ -88,9 +88,25 @@ def test_two_residual_routes_agree(rng):
 def test_certify_rejects_bad_metric():
     with pytest.raises(ValueError):
         certify(SO3, (1.0, -1.0, 1.0), 1.0, (1, 1, 1))
-    with pytest.raises(ValueError, match=r"expected a diagonal metric "
-                       r"triple, got shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"^diagonal metric needs exactly "
+                       r"three components$"):
         certify("so3", (1, 1), 1.0, (1, 1, 1))
+
+
+@pytest.mark.parametrize("group, T, v, c", [
+    ("so3", (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), -2.0),
+    ("r3", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), -5.0),
+    ("r3", (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)], ids=["so3", "r3", "r3-zero"])
+def test_claim_with_non_positive_c_fails(group, T, v, c, capsys):
+    # Ric = c T holds exactly here, but the paper's constant is positive
+    cert = certify(group, v, c, T)
+    assert (cert.residual_closed_form, cert.residual_oracle) == (0.0, 0.0)
+    assert not cert.passed
+    assert not certify_arrays(group, [v], [c], [T]).passed[0]
+    T_flag, v_flag = (",".join(map(str, x)) for x in (T, v))
+    assert cli.main(["certify", group, "--T", T_flag, "--v", v_flag,
+                     "--c", str(c)]) == 3
+    assert "pass: false\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("T", INVALID_TENSORS.values(),
@@ -110,3 +126,19 @@ def test_tensor_read_as_given():
     for given in (T, DiagonalTensor(T), tuple(T)):
         assert residual(SO3, (1, 1, 1), 2.0, given) <= 1e-15
         assert certify(SO3, (1, 1, 1), 2.0, given).passed
+
+
+
+def test_metric_read_as_given():
+    # a DiagonalMetric, an array and ints give the certificate of their
+    # components, in `certify_arrays` too, which reads such claims one at a
+    # time as `certify` reads one
+    T = (1, 1, 1)
+    expected = certify(SO3, (1.0, 1.0, 1.0), 2.0, T)
+    assert expected.passed
+    for given in (np.ones(3), DiagonalMetric((1, 1, 1)), [1, 1, 1]):
+        assert certify(SO3, given, 2.0, T) == expected
+        assert residual(SO3, given, 2.0, T) == expected.residual_closed_form
+        certs = certify_arrays(SO3, [given, given], [2.0, 2.0],
+                               [T, DiagonalTensor(T)])
+        assert certs.passed.tolist() == [True, True]
