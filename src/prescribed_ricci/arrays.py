@@ -149,31 +149,30 @@ def _polish_many(group, v, T, live):
     octant.
     """
     done = POLISH_TOL * abs(T).max(axis=1)
-
-    def res(w, T):
-        return abs(_scaled_system(group, w, T)[0]).max(axis=1)
-
+    # F and x of each lane's iterate, evaluated once per iterate
     v = v.copy()
-    best, best_res = v.copy(), res(v, T)
+    F, x = _scaled_system(group, v, T)
+    best, best_res = v.copy(), abs(F).max(axis=1)
     live = live.copy()
     for _ in range(POLISH_STEPS):
         live &= ~(best_res <= done)
         idx = np.flatnonzero(live)
         if not idx.size:
             break
-        w, Tw = v[idx], T[idx]
-        F, x = _scaled_system(group, w, Tw)
+        w = v[idx]
         # solve for the relative step u = dv/v: the components of v can span
         # many decades and column scaling keeps the solve meaningful
-        u = np.clip(_steps(_jacobian(group, w, x) * w[:, None, :], F),
-                    -0.5, 0.5)
+        u = np.clip(_steps(_jacobian(group, w, x[idx]) * w[:, None, :],
+                           F[idx]), -0.5, 0.5)
         vn = w * (1.0 - u)
-        rn = res(vn, Tw)
+        Fn, xn = _scaled_system(group, vn, T[idx])
+        rn = abs(Fn).max(axis=1)
         step = vn.min(axis=1) > 0.0  # false where u is nan
         better = step & (rn < best_res[idx])
         best[idx[better]] = vn[better]
         best_res[idx[better]] = rn[better]
-        v[idx[step]] = vn[step]
+        moved = idx[step]
+        v[moved], F[moved], x[moved] = vn[step], Fn[step], xn[step]
         live[idx[~step]] = False
     return best
 

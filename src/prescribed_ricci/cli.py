@@ -29,7 +29,7 @@ import numpy as np
 from .curvature import metric_components, ricci_diagonal, ricci_koszul
 from .diagonalize import symmetric_from_upper
 from .groups import group_from_name, structure_constants
-from .solver import CHUNK, _columns, _constants, _sl2_note
+from .solver import CHUNK, _columns, _constants
 from .verify import certify_arrays
 # solve, classify_signature and certify are imported only for bench/spans.py,
 # which wraps them here by name; every command answers through `_columns`
@@ -43,8 +43,9 @@ EXIT_BAD_INPUT = 2
 EXIT_CERT_FAILURE = 3
 
 # batch jobs read and answered together: the jobs of one group in a chunk
-# share one `_columns` and one `certify_arrays` call, and the chunk bounds
-# the memory this takes
+# share one `_columns` call, one `certify_arrays` call for their solve
+# slots and one for their certify claims, and the chunk bounds the memory
+# this takes
 BATCH_CHUNK = 512
 
 
@@ -190,8 +191,10 @@ def _parse_number(value, fieldname: str) -> float:
         raise InputError(f"field {fieldname!r}: missing")
     try:
         x = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise InputError(f"field {fieldname!r}: non-numeric entry {value!r}")
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise InputError(f"field {fieldname!r}: non-finite entry {value!r}")
     return x
@@ -301,16 +304,21 @@ def _certify_record(group, T, v, c, row) -> dict:
                 "pass"), row))}
 
 
-def _solve_lines(reporter, group, Ts, answers, live, worst, passes) -> list:
+def _solve_lines(reporter, group, Ts, answers, certs) -> list:
     """The rendered solve record of each tensor of Ts, the first lanes of
-    `answers`, whose (v, c) slots `live` marks, each with its residual and
-    pass bit in turn in `worst` and `passes`: `reporter.render(_solve_record(
-    ...))`, as the lane's numbers and note filled into the template of its
-    shape, or, for a record with a non-finite number, the record whole."""
+    `answers`, whose (v, c) slots `certs` certifies in turn: `reporter.
+    render(_solve_record(...))`, as the lane's numbers and note filled into
+    the template of its shape, or, for a record with a non-finite number,
+    the record whole."""
     size = len(Ts)
     n, mult = answers.n[:size], answers.mult[:size]
+    live = np.arange(2) < n[:, None]
     res, passed = np.full(live.shape, np.nan), np.zeros(live.shape, bool)
-    res[live], passed[live] = worst, passes
+    # a slot's residual: max(closed form, oracle) as Python's max takes it,
+    # nan and all
+    res[live] = np.where(certs.residual_oracle > certs.residual_closed_form,
+                         certs.residual_oracle, certs.residual_closed_form)
+    passed[live] = certs.passed
     # per lane, (v, c, residual) of each slot and (p, q) of each root
     claims = np.concatenate([answers.v[:size], answers.c[:size, :, None],
                              res[:, :, None]], axis=2)
@@ -331,7 +339,7 @@ def _solve_lines(reporter, group, Ts, answers, live, worst, passes) -> list:
         # a closed form's slot has no root, so no trace
         traced = k if ms[0] else 0
         if note is not None:  # the SL2 (vi)/(vii) note, the last field
-            note = _sl2_note(claim[3], *note)
+            note = note()
         if rendered or key not in templates:
             # the record from the lane's numbers, or from markers for the
             # template of its shape
@@ -398,19 +406,21 @@ def _grouped_lines(jobs: list, reporter, linenos=None) -> tuple[list, bool]:
     """The records of a chunk of parsed jobs (`_batch_job`) as `reporter`
     renders them, in input order, and whether every certificate passed.
 
-    The jobs of each group are answered together: its solve and classify
-    jobs by one `_columns` call, then the claims of its solve jobs and its
-    certify jobs by one `certify_arrays` call; records are written from
-    those arrays, with no outcome built for a record filled into a
-    template (`_solve_lines`).  A job whose answer raises is found from its
-    lane in `answers.errors`: the first such job of the chunk raises its
-    error as malformed input, ended by ` on line N` when `linenos` gives
-    the jobs' line numbers.  A certify job's v was checked when it was
-    parsed, so `certify_arrays` raises nothing here."""
+    One pass per group: its solve and classify jobs are answered by one
+    `_columns` call, the (v, c) slots of its solve jobs certified by one
+    `certify_arrays` call and its certify jobs' claims by another, and its
+    records are written from those arrays, with no outcome built for a
+    record filled into a template (`_solve_lines`).  A job whose answer
+    raises is found from its lane in `answers.errors`; once one has, the
+    later groups are only answered, and the chunk's first failing job
+    raises its error as malformed input, ended by ` on line N` when
+    `linenos` gives the jobs' line numbers.  Certifying the groups before
+    it raises nothing: a certify job's claim was checked when it was
+    parsed, and `_columns` checks every slot (`_check_slots`)."""
     by_group: dict = {}
     for i, job in enumerate(jobs):
         by_group.setdefault(job[1].name, []).append(i)
-    answered, failed = [], {}
+    lines, ok, failed = [""] * len(jobs), True, {}
     for slots in by_group.values():
         group = jobs[slots[0]][1]
         solving = [i for i in slots if jobs[i][0] == "solve"]
@@ -421,44 +431,32 @@ def _grouped_lines(jobs: list, reporter, linenos=None) -> tuple[list, bool]:
         answers = _columns(group, [jobs[i][2] for i in asked])
         failed.update((asked[lane], exc)
                       for lane, exc in answers.errors.items())
-        answered.append((group, solving, naming, claimed, answers))
-    if failed:
-        i = min(failed)
-        where = f" on line {linenos[i]}" if linenos else ""
-        raise InputError(f"field 'T': {failed[i]}{where}")
-    lines = [""] * len(jobs)
-    ok = True
-    for group, solving, naming, claimed, answers in answered:
+        if failed:
+            continue
         for i, label in zip(naming, answers.labels[len(solving):]):
             key = ("classify", group.name, label)
             lines[i] = (reporter.templates.get(key) or reporter.template(
                 key, _classify_record(group, (_NUM,) * 3, label))) % jobs[i][2]
-        # the (v, c) slots of the solve jobs, then the certify jobs' claims,
-        # certified by one call
-        n = answers.n[:len(solving)]
+        # the solve jobs' (v, c) slots, each with its job's T
+        Ts, n = [jobs[i][2] for i in solving], answers.n[:len(solving)]
         live = np.arange(2) < n[:, None]
-        Ts = [jobs[i][2] for i in solving]
-        certs = certify_arrays(
-            group, np.concatenate([answers.v[:len(solving)][live], np.reshape(
-                [jobs[i][3][0] for i in claimed], (-1, 3))]),
-            np.concatenate([answers.c[:len(solving)][live],
-                            [jobs[i][3][1] for i in claimed]]),
-            np.concatenate([np.repeat(np.reshape(Ts, (-1, 3)), n, axis=0),
-                            np.reshape([jobs[i][2] for i in claimed],
-                                       (-1, 3))]))
-        ok = ok and bool(certs.passed.all())
-        m = int(live.sum())
-        # a slot's residual: max(closed form, oracle) as Python's max takes
-        # it, nan and all
-        worst = np.where(certs.residual_oracle > certs.residual_closed_form,
-                         certs.residual_oracle, certs.residual_closed_form)
-        for i, line in zip(solving, _solve_lines(
-                reporter, group, Ts, answers, live, worst[:m],
-                certs.passed[:m])):
+        certs = certify_arrays(group, answers.v[:len(n)][live],
+                               answers.c[:len(n)][live],
+                               np.repeat(np.reshape(Ts, (-1, 3)), n, axis=0))
+        for i, line in zip(solving, _solve_lines(reporter, group, Ts, answers,
+                                                 certs)):
             lines[i] = line
-        for i, row in zip(claimed, zip(*[col[m:].tolist() for col in certs])):
+        claims = certify_arrays(group, [jobs[i][3][0] for i in claimed],
+                                [jobs[i][3][1] for i in claimed],
+                                [jobs[i][2] for i in claimed])
+        for i, row in zip(claimed, zip(*[col.tolist() for col in claims])):
             lines[i] = reporter.render(_certify_record(
                 group, jobs[i][2], *jobs[i][3], row))
+        ok = ok and bool(certs.passed.all() and claims.passed.all())
+    if failed:
+        i = min(failed)
+        where = f" on line {linenos[i]}" if linenos else ""
+        raise InputError(f"field 'T': {failed[i]}{where}")
     return lines, ok
 
 

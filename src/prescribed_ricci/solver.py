@@ -159,7 +159,7 @@ def solve(group, T) -> SolveOutcome:
     [1e-300, 1e300]).  `solve` is `solve_many` on one lane: the case table
     and the cubic kernel run on arrays of one tensor.
     """
-    return next(_answers(as_group(group), [T]))
+    return next(solve_many(group, [T]))
 
 
 def solve_many(group, Ts):
@@ -173,7 +173,11 @@ def solve_many(group, Ts):
     group = as_group(group)
     Ts = iter(Ts)
     while chunk := list(itertools.islice(Ts, CHUNK)):
-        yield from _answers(group, chunk)
+        answers = _columns(group, chunk)
+        first = min(answers.errors, default=len(chunk))
+        yield from _outcomes(answers, np.arange(first))
+        if answers.errors:
+            raise answers.errors[first]
 
 
 _Match = namedtuple("_Match", "k row errors T order signs")
@@ -254,8 +258,9 @@ def _cubic_lanes(group, match) -> tuple:
 # is its sample, whose c is 8^-k when c is free); per slot (nan-padded; 0
 # in mult) c, v (caller's axis order) and the root's p, q and mult (a
 # closed form's slot has none); by lane, each closed-form lane's family
-# `constraint` (None if it has none) and the `_sl2_note` arguments of each
-# lane that has a note; and `errors`, what each lane that raises raises
+# `constraint` (None if it has none) and the note of each lane that has
+# one, `_sl2_note` bound to its numbers and called where the note is
+# shown; and `errors`, what each lane that raises raises
 _Answers = namedtuple("_Answers", "kinds labels shape n c v p q mult "
                                   "constraint notes errors")
 
@@ -286,7 +291,7 @@ def _columns(group, Ts) -> _Answers:
         vs.append(sv)
         cs.append(sc)
         if note:
-            notes[i] = (int(match.k[i]), *note[0])
+            notes[i] = note[0]
     if vs:
         v[at, 0], c[at, 0] = vs, cs
     # back to T; 16^k as two factors: from |T|_inf ~ 8^256 ~ 1.6e231 on,
@@ -299,6 +304,9 @@ def _columns(group, Ts) -> _Answers:
         p *= p_up
         q *= q_up
         q *= q_up
+    # each note bound to its c in the caller's units, computed when shown
+    notes = {i: partial(_sl2_note, c[i, 0].item(), int(match.k[i]), *args)
+             for i, args in notes.items()}
     # per slot (written out: numpy reduces a 2- or 3-long axis slowly)
     pos = (v > 0.0) & (v < np.inf)
     good = ((c > 0.0) & (c < np.inf) & pos[:, :, 0] & pos[:, :, 1]
@@ -323,16 +331,6 @@ def _check_slots(k: int, cs, vs) -> None:
             raise ValueError(f"c = {c} is outside the float range "
                              f"(|T|_inf ~ 8^{k})")
         _check_metrics(np.array([v]))
-
-
-def _answers(group, Ts):
-    """Yield the outcome of each T of the list Ts, raising its error at its
-    place."""
-    answers = _columns(group, Ts)
-    first = min(answers.errors, default=len(answers.kinds))
-    yield from _outcomes(answers, np.arange(first))
-    if answers.errors:
-        raise answers.errors[first]
 
 
 def _constants(answers: _Answers):
@@ -371,7 +369,7 @@ def _outcomes(answers: _Answers, lanes: np.ndarray) -> list:
                 family=Family(answers.constraint[i],
                               cs[0] if kind == "FamilyFixedC" else None,
                               solutions[0]),
-                notes=() if note is None else (_sl2_note(cs[0], *note),)))
+                notes=() if note is None else (note(),)))
         else:
             outs.append(SolveOutcome(
                 kind=kind, case_label=label, solutions=solutions,

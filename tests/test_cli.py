@@ -275,10 +275,17 @@ def test_certify_c_is_parsed_like_T_and_v(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.strip() == "error: field 'c': non-numeric entry 'abc'"
+    assert main(["certify", "so3", "--T", "1,1,1", "--v", "1,1,1",
+                 "--c", str(HUGE_INT)]) == 2
+    assert capsys.readouterr().err == (f"error: field 'c': non-finite entry "
+                                       f"'{HUGE_INT}'\n")
 
 
 def test_unknown_flag_is_exit_2(capsys):
     assert main(["solve", "so3", "--T", "1,1,1", "--bogus", "1"]) == 2
+
+
+HUGE_INT = 10 ** 400
 
 
 MALFORMED = {
@@ -307,9 +314,6 @@ MALFORMED = {
         "certify --from", '{"command": "solve", "group": "so3", '
                           '"T": [1, 1, 1], "solutions": [], '
                           '"family": {"c_fixed": 2}}\n'),
-    "batch-certify-huge-integer-c": (
-        "batch", '{"command": "certify", "group": "so3", "T": [1, 1, 1], '
-                 '"v": [1, 1, 1], "c": 1' + "0" * 400 + '}\n'),
     "batch-solve-T-as-text": (
         "batch", '{"command": "solve", "group": "so3", "T": "1,1,1"}\n'),
     "batch-command-not-a-string": (
@@ -325,6 +329,21 @@ MALFORMED = {
         "batch", '{"command": "certify", "group": "so3", "T": [1, 1, 1], '
                  '"v": [1, 1, 1]}\n',
         "error: field 'c': missing on line 1"),
+    # a JSON integer beyond the float range is read as the same digits on
+    # the command line are: `float` overflows
+    "batch-certify-huge-integer-c": (
+        "batch", '{"command": "certify", "group": "so3", "T": [1, 1, 1], '
+                 f'"v": [1, 1, 1], "c": {HUGE_INT}}}\n',
+        f"error: field 'c': non-finite entry {HUGE_INT} on line 1"),
+    "batch-solve-huge-integer-T": (
+        "batch", '{"command": "solve", "group": "so3", '
+                 f'"T": [{HUGE_INT}, 1, 1]}}\n',
+        f"error: field 'T': non-finite entry {HUGE_INT} on line 1"),
+    "certify-from-huge-integer-v": (
+        "certify --from", '{"command": "solve", "group": "so3", '
+                          '"T": [1, 1, 1], "solutions": '
+                          f'[{{"v": [{HUGE_INT}, 1, 1], "c": 2}}]}}\n',
+        f"error: field 'v': non-finite entry {HUGE_INT} on line 1"),
 }
 
 

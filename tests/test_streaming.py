@@ -1,6 +1,7 @@
 """`sweep` and `batch` write each chunk's records before they answer the
 next chunk: the memory a command takes is bounded by the chunk, not by the
 output, and an unwritable --out fails at the first chunk."""
+import gc
 import json
 import tracemalloc
 
@@ -22,7 +23,10 @@ def write_jobs(path, count):
 
 
 def peak(argv) -> int:
-    """The peak of the memory `cli.main(argv)` allocates, in bytes."""
+    """The peak of the memory `cli.main(argv)` allocates, in bytes, from a
+    collector that has just run: a full collection landing inside one run
+    would raise its peak by the garbage it had not yet freed."""
+    gc.collect()
     tracemalloc.start()
     try:
         assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_CERT_FAILURE)
