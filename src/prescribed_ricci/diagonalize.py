@@ -33,8 +33,16 @@ class DiagonalizationResult:
 
 def symmetric_from_upper(entries) -> np.ndarray:
     """Build a symmetric 3x3 matrix from the six independent entries in
-    row-major upper-triangle order (t11, t12, t13, t22, t23, t33)."""
-    e = [float(t) for t in entries]
+    row-major upper-triangle order (t11, t12, t13, t22, t23, t33).  Raises
+    ValueError for a str, bytes, non-number, out-of-range int or a count
+    other than six, read as `curvature.tensor_components` reads a tensor."""
+    try:
+        if isinstance(entries, (str, bytes)):
+            raise TypeError
+        e = [float(t) for t in entries]
+    except (TypeError, OverflowError):
+        raise ValueError(f"upper-triangle entries must be numbers in the "
+                         f"float range, got {entries!r}") from None
     if len(e) != 6:
         raise ValueError(f"expected 6 upper-triangle entries, got {len(e)}")
     t11, t12, t13, t22, t23, t33 = e
@@ -48,9 +56,14 @@ def diagonalize_so3(T_full) -> DiagonalizationResult:
     returned rotation R satisfies R^T T R = diag(d) with d descending and
     det(R) = +1 (a column is flipped if needed), so it is a bracket-preserving
     SO3 frame change.  Raises ValueError unless the input is a finite
-    symmetric 3x3 matrix (symmetric relative to its largest entry).
+    symmetric 3x3 matrix (symmetric relative to its largest entry) or its
+    6 upper-triangle entries, every entry a number in the float range.
     """
-    T_full = np.asarray(T_full, dtype=float)
+    try:
+        T_full = np.asarray(T_full, dtype=float)
+    except (TypeError, OverflowError):
+        raise ValueError(f"tensor components must be numbers in the float "
+                         f"range, got {T_full!r}") from None
     if T_full.shape == (6,):
         T_full = symmetric_from_upper(T_full)
     if T_full.shape != (3, 3):

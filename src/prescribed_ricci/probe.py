@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -243,15 +244,12 @@ def _keeps_diagonal(Ms: np.ndarray, T) -> np.ndarray:
 def _pullbacks(Minv: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Gram matrices in the original frame of metrics diagonal in the new
     ones: Minv^T diag(v) Minv lane by lane, Minv the inverse changes."""
-    D = np.zeros(v.shape + (3,))
-    D[:, range(3), range(3)] = v
-    return Minv.swapaxes(-1, -2) @ D @ Minv
+    return Minv.swapaxes(-1, -2) @ (v[:, :, None] * np.eye(3)) @ Minv
 
 
 def _proportional(G: np.ndarray, v_base: np.ndarray) -> np.ndarray:
     """Whether each G is proportional to diag(v_base), to PROBE_TOL."""
-    D = np.zeros(v_base.shape + (3,))
-    D[:, range(3), range(3)] = v_base / v_base.max(axis=1, keepdims=True)
+    D = (v_base / v_base.max(axis=1, keepdims=True))[:, :, None] * np.eye(3)
     return (np.abs(G / np.abs(G).max(axis=(1, 2), keepdims=True) - D)
             .max(axis=(1, 2)) <= PROBE_TOL)
 
@@ -260,15 +258,18 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     """Re-solve (group, T) across n admissible frame changes and compare.
 
     c_spread is the worst relative deviation of the constant across frames
-    (branch-matched by nearest c in the two-solution case, 0.0 when c is
-    unconstrained).  metric_match reports pulled-back metrics proportional to
-    the base metric wherever the outcome claims metric uniqueness; for family
-    outcomes the pulled-back family sample is instead certified against the
-    original tensor through the curvature oracle.
+    (0.0 when c is unconstrained).  metric_match reports pulled-back
+    metrics proportional to the base metric wherever the outcome claims
+    metric uniqueness; every pulled-back solution, a family's sample
+    included, is certified against the original tensor through the
+    curvature oracle.
 
     T and the n transformed tensors are answered by one `_columns` call,
-    read with no outcome built, and every pullback, oracle residual and
-    proportionality test runs on one stack; each lane has the bits of the
+    read with no outcome built.  Every kind takes one slot path: a frame
+    of the base's kind has the base's count of (v, c) slots (one for a
+    family, its sample), and each base slot is matched to the frame's slot
+    of nearest c.  A frame of another kind fails.  The matched slots are
+    pulled back and checked in one stack, each lane with the bits of the
     frame-by-frame computation.
 
     Raises ValueError when (group, T) has no solution: before sampling
@@ -291,50 +292,29 @@ def probe(group, T, n: int = 16, rng=0) -> ProbeReport:
     if kind == "NoSolution":
         raise nothing
 
-    # one lane per solution pulled back, frame by frame: its frame f, v and
-    # c, the base metric it must be proportional to (none for a family
-    # sample) and the relative deviation of c; a frame whose kind differs
-    # from the base's fails
-    bad = [k != kind for k in answers.kinds[1:]]
-    frames = np.flatnonzero(~np.array(bad, dtype=bool))
-    v, c = answers.v[frames + 1], answers.c[frames + 1]
-    if kind in ("Unique", "TwoSolutions"):
-        # each base solution against the frame's solution of nearest c
-        base = np.arange(answers.n[0])
-        live = np.arange(2) < answers.n[frames + 1, None, None]
-        dist = np.where(live, abs(c[:, None, :] - answers.c[0, base, None]),
-                        np.inf)
-        nearest = dist.argmin(axis=2)
-        c = np.take_along_axis(c, nearest, axis=1).ravel()
-        v = np.take_along_axis(v, nearest[:, :, None], axis=1).reshape(-1, 3)
-        b = np.tile(answers.c[0, base], len(frames))
-        rel = abs(c - b) / np.maximum(abs(b), 1e-300)
-        v_base = np.tile(answers.v[0, base], (len(frames), 1))
-        frames = np.repeat(frames, len(base))
-    else:
-        v, c = v[:, 0], c[:, 0]
-        rel = (abs(c - answers.c[0, 0]) / abs(answers.c[0, 0])
-               if kind == "FamilyFixedC" else np.zeros(len(frames)))
-        v_base = None
-
-    c_spread = 0.0
-    metric_match = True
-    residuals, props = [], []
-    if len(frames):
-        # every lane is pulled back and checked in one stack; a family
-        # sample claims no metric uniqueness, so it has no proportionality test
-        G = _pullbacks(np.linalg.inv(Ms)[frames], v)
-        residuals = oracle_residual_many(
-            group, G, c, np.broadcast_to(T, (len(c), 3))).tolist()
-        props = ([True] * len(c) if v_base is None
-                 else _proportional(G, v_base).tolist())
-    for f, rel, res, prop in zip(frames.tolist(), rel.tolist(), residuals,
-                                 props):
-        c_spread = max(c_spread, rel)
-        metric_match = metric_match and prop
-        bad[f] = bad[f] or not (prop and rel <= PROBE_TOL and res <= PROBE_TOL)
-
+    # one row per frame of the base's kind and one column per base slot:
+    # the frame's slot of nearest c is 1 only where slot 1 is strictly
+    # nearer (a dead slot is nan, which compares false)
+    bad = np.array(answers.kinds[1:]) != kind
+    frames = np.flatnonzero(~bad)
+    k = answers.n[0]
+    b = answers.c[0, :k]
+    c, v = answers.c[frames + 1], answers.v[frames + 1]
+    slot = (abs(c[:, 1:] - b) < abs(c[:, :1] - b)).astype(int)
+    rows = np.arange(len(frames))[:, None]
+    c, v = c[rows, slot], v[rows, slot].reshape(-1, 3)
+    rel = (np.zeros(c.size) if kind == "FamilyAnyC"
+           else (abs(c - b) / np.maximum(abs(b), 1e-300)).ravel())
+    c = c.ravel()
+    frames = np.repeat(frames, k)
+    G = _pullbacks(np.linalg.inv(Ms)[frames], v)
+    res = oracle_residual_many(group, G, c, np.broadcast_to(T, (len(c), 3)))
+    # a family sample claims no metric uniqueness: no proportionality test
+    prop = (np.ones(len(c), bool) if kind.startswith("Family")
+            else _proportional(G, np.resize(answers.v[0, :k], (len(c), 3))))
+    bad[frames[~(prop & (rel <= PROBE_TOL) & (res <= PROBE_TOL))]] = True
     return ProbeReport(samples=len(changes), base_kind=kind,
-                       c_spread=c_spread, metric_match=metric_match,
+                       c_spread=max([0.0, *rel.tolist()]),
+                       metric_match=bool(prop.all()),
                        c_unconstrained=kind == "FamilyAnyC",
-                       violations=tuple(M for M, b in zip(changes, bad) if b))
+                       violations=tuple(compress(changes, bad)))

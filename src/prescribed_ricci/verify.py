@@ -55,7 +55,7 @@ def _normalized_residuals(ric, c, target, t) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         scale = abs(c) * m
         res = (abs(ric - c.reshape((n,) + (1,) * (ric.ndim - 1)) * target)
-               .reshape(n, -1).max(axis=1) / (1.0 + scale))
+               .max(axis=tuple(range(1, ric.ndim))) / (1.0 + scale))
         over = scale == np.inf
         if over.any():
             s = 1.0 / abs(c[over]) / m[over]

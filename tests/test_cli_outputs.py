@@ -1,12 +1,12 @@
 """`scripts/cli_outputs.py` writes each command's output, stderr and exit
-code for a seed; run here for seed 1."""
+code for a seed, the probe reports included; run here for seed 1."""
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_outputs.py"
 NAMES = ("batch.jsonl", "batch.txt", "sweep.jsonl", "sweep.txt",
-         "certify-from.jsonl")
+         "certify-from.jsonl", "probe.json")
 
 
 def test_every_command_runs_and_leaves_its_files(tmp_path):

@@ -8,7 +8,7 @@ in float loses about eps * cond of it.
 import numpy as np
 import pytest
 
-from prescribed_ricci import residual, solve_many
+from prescribed_ricci import certify, residual, solve_many
 
 from conftest import ALL_GROUPS, random_solvable
 from exact_residual import exact_residual
@@ -75,7 +75,15 @@ PINNED_SL2 = [
 
 @pytest.mark.parametrize("T, v, c", PINNED_SL2)
 def test_pinned_sl2_claims_are_right_to_rounding(T, v, c):
-    # exact residuals 5.0e-17 to 1.01e-16.  Float `certify` fails all six
-    # (closed form 6.9e-10 to 2.8e-8): its x_i sums two large components
-    # that nearly cancel, keeping about eps * cond correct digits
+    # exact residuals 5.0e-17 to 1.01e-16
     assert exact_residual("sl2", v, c, T) <= 2.2e-16
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "float certify fails all six.  Its closed form reads 6.9e-10 to 2.8e-8 "
+    "(only the third claim passes that half): x_i sums two large components "
+    "that nearly cancel, keeping about eps * cond correct digits.  Its "
+    "Koszul oracle reads 2.6e-9 to 1.4e-7 on these metrics of cond 3e7 to "
+    "3e9.  The mark goes once both routes are accurate"))
+def test_pinned_sl2_claims_certify():
+    assert all(certify("sl2", v, c, T).passed for T, v, c in PINNED_SL2)

@@ -415,3 +415,54 @@ def test_probe_report_consistency(rng):
         if rep.violations == ():
             assert rep.c_spread <= 1e-8
             assert rep.metric_match
+
+
+KINDS = ("Unique", "TwoSolutions", "FamilyFixedC", "FamilyAnyC")
+# one tensor of each base kind, in the order of KINDS
+BASES = [(SO3, (3.0, 2.0, 1.0)), (SO3, (10.0, -1.0, -1.0)),
+         (SL2, (-1.0, -1.0, 1.0)), (E2, (0.0, 0.0, 0.0))]
+
+
+@pytest.mark.parametrize("step", (1, 2), ids=("every", "every-other"))
+@pytest.mark.parametrize("kind, group, T",
+                         [(k, g, T) for k, (g, T) in zip(KINDS, BASES)],
+                         ids=KINDS)
+def test_frames_of_another_kind_are_the_violations(monkeypatch, kind, group,
+                                                   T, step):
+    # every step-th frame lane, from the first, is told it has the next
+    # kind: those frames, and only those, are the violations, as the very
+    # arrays the sampler returned and in their order.  The frames left agree
+    # with the base; with every frame refused none is left, so the spread
+    # is 0.0 and the metrics match
+    sampled = []
+
+    def sampler(*args):
+        sampled.extend(sample_diagonal_preserving_changes(*args))
+        return sampled
+
+    def columns(group, Ts):
+        answers = solver._columns(group, Ts)
+        other = KINDS[(KINDS.index(kind) + 1) % len(KINDS)]
+        kinds = list(answers.kinds)
+        kinds[1::step] = [other] * len(kinds[1::step])
+        return answers._replace(kinds=kinds)
+
+    monkeypatch.setattr(probe_module, "sample_diagonal_preserving_changes",
+                        sampler)
+    monkeypatch.setattr(probe_module, "_columns", columns)
+    rep = probe(group, T, n=8, rng=3)
+    assert rep.base_kind == kind and rep.samples == 8
+    assert len(rep.violations) == len(sampled[::step])
+    assert all(M is F for M, F in zip(rep.violations, sampled[::step]))
+    assert (rep.c_spread == 0.0) if step == 1 else (rep.c_spread <= 1e-9)
+    assert rep.metric_match is True
+
+
+def test_report_fields_are_python_scalars():
+    # c_spread and metric_match are read off arrays, but reported as a
+    # Python float and bool
+    golden = importlib.import_module("test_probe_golden")
+    for group, T, rng in golden.inputs():
+        rep = probe(group, tuple(T), n=golden.SAMPLES, rng=rng)
+        assert type(rep.c_spread) is float
+        assert type(rep.metric_match) is bool

@@ -12,6 +12,7 @@ import pytest
 from prescribed_ricci import SO3, DiagonalMetric, certify, cli, residual
 from prescribed_ricci.cubic import CubicPoly
 from prescribed_ricci.curvature import ricci_diagonal, x_coefficients
+from prescribed_ricci.diagonalize import diagonalize_so3, symmetric_from_upper
 from prescribed_ricci.groups import UnimodularGroup, check_milnor_frame
 from prescribed_ricci.solver import _check_slots, classify_signature, solve
 from prescribed_ricci.verify import certify_arrays
@@ -132,6 +133,27 @@ INVALID_CALLS = {
                     "basis change must be 3x3, got shape (2, 2)"),
     "cubic-length": (lambda: CubicPoly((1.0, 2.0, 3.0)),
                      "cubic needs four coefficients (a3, a2, a1, a0)"),
+    # the six entries are read as a tensor's three are: a str or bytes is
+    # not six digits, and no TypeError or OverflowError escapes
+    "upper-str": (lambda: symmetric_from_upper("123456"),
+                  "upper-triangle entries must be numbers in the float "
+                  "range, got '123456'"),
+    "upper-bytes": (lambda: symmetric_from_upper(b"123456"),
+                    "upper-triangle entries must be numbers in the float "
+                    "range, got b'123456'"),
+    "upper-none": (lambda: symmetric_from_upper([1, 2, 3, 4, 5, None]),
+                   "upper-triangle entries must be numbers in the float "
+                   "range, got [1, 2, 3, 4, 5, None]"),
+    "upper-scalar": (lambda: symmetric_from_upper(5),
+                     "upper-triangle entries must be numbers in the float "
+                     "range, got 5"),
+    "upper-int-overflow": (lambda: symmetric_from_upper([1, 2, 3, 4, 5, HUGE]),
+                           "upper-triangle entries must be numbers in the "
+                           f"float range, got [1, 2, 3, 4, 5, {HUGE}]"),
+    "diagonalize-int-overflow": (
+        lambda: diagonalize_so3([[HUGE, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        "tensor components must be numbers in the float range, got "
+        f"[[{HUGE}, 0, 0], [0, 1, 0], [0, 0, 1]]"),
 }
 
 

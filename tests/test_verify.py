@@ -6,7 +6,8 @@ import pytest
 
 from prescribed_ricci import (SL2, SO3, H3, DiagonalMetric, DiagonalTensor,
                               certify, cli, residual, solve)
-from prescribed_ricci.verify import certify_arrays, oracle_residual
+from prescribed_ricci.verify import (certify_arrays, oracle_residual,
+                                     oracle_residual_many)
 
 from conftest import ALL_GROUPS, INVALID_TENSORS, random_solvable
 
@@ -19,6 +20,14 @@ def test_residual_exact_solutions():
 def test_residual_wrong_constant():
     # Ric = (2,2,2), cT = (1,1,1): max gap 1 over denominator 1 + 1
     assert abs(residual(SO3, (1, 1, 1), 1.0, (1, 1, 1)) - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("group", ALL_GROUPS, ids=lambda g: g.name)
+def test_oracle_residual_many_of_no_claims_is_empty(group):
+    # `probe` checks a stack that is empty when no frame has the base's kind
+    out = oracle_residual_many(group, np.zeros((0, 3, 3)), np.zeros(0),
+                               np.zeros((0, 3)))
+    assert out.dtype == float and out.shape == (0,)
 
 
 def test_residual_of_overflowing_metric_is_inf_without_warnings():
