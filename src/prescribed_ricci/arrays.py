@@ -1,13 +1,12 @@
-"""The cubic kernel: every SO3 and SL2 case row that the reduction cubic
-decides is answered here, for one lane or a chunk of them.
+"""The cubic kernel: the roots of the reduction cubic of SO3 and SL2 lanes
+and each root's metric, for one lane or a chunk of them, a row per root.
 
-One lane per tensor: root isolation (`cubic.roots_in_interval_many`), the
-cube-root reconstruction of each root's metric and its metric polish run on
-numpy arrays of lanes.  The polish works on (P, 3) arrays, a row per root:
-metrics, tensors, the residual and, as one (P, 3, 3) broadcast, the
-Jacobian.  A lane's float operations never depend on the other lanes, so
-`solve` (one lane) and `solve_many` (a chunk) give every lane the same
-bits.  A lane that would raise carries its ValueError in the columns.
+Root isolation (`cubic.roots_in_interval_many`) runs on arrays of lanes, the
+cube-root reconstruction and the metric polish on (P, 3) arrays: metrics,
+tensors, the residual and, as one (P, 3, 3) broadcast, the Jacobian.  A
+lane's float operations never depend on the other lanes, so `solve` (one
+lane) and `solve_many` (a chunk) give every lane the same bits.  It lays
+out no slot: `solver._columns` lays the roots into their lanes' slots.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .cubic import roots_in_interval_many
 
-__all__ = ["cubic_columns"]
+__all__ = ["cubic_roots"]
 
 # the metric polish stops at a residual of POLISH_TOL * |T|_inf: five units
 # in the last place
@@ -54,23 +53,13 @@ def _jacobian(group, v, x):
     return J
 
 
-def cubic_columns(group, size, lanes, T, lo, hi, take, order) -> tuple:
-    """The cubic answers of a chunk of `size` lanes whose cubic lanes are
-    `lanes`, C of them, a row of T (C, 3) each: the roots of a lane's cubic
-    in its open interval (lo, hi) (or the one root an interval lo == hi
-    pins), the first `take` of them reconstructed and polished, and each
-    metric put in the caller's axes by `order` (C, 3), the axis of each
-    position of T.
-
-    The answers are seven columns, a row per lane: the root count n (0 on
-    a lane that is not cubic) and, per root slot (ascending in c,
-    nan-padded; 0 in mult), c, v (caller's axis order), p, q, mult for
-    T / 8^k; and the ValueError of each lane that raises, by lane."""
-    c, p, q = np.full((3, size, 2), np.nan)
-    n, v, mult, error = (np.zeros(size, int), np.full((size, 2, 3), np.nan),
-                         np.zeros((size, 2), int), {})
-    if not len(lanes):
-        return n, c, v, p, q, mult, error
+def cubic_roots(group, T, lo, hi, take) -> tuple:
+    """The roots of the reduction cubic of C lanes, a row of T' (C, 3)
+    each, in a lane's open interval (lo, hi) (or the one root lo == hi
+    pins), of which the first `take` are reconstructed and polished: per
+    root, its lane, slot (its place among its lane's roots, in ascending
+    p), p, multiplicity, v (T' axes), c and q, and the ValueError of each
+    inadmissible root, by its index."""
     T1, T2, T3 = T.T
     sgn = _T3_SIGN[group.name]
     # the reduction cubic 2 p^3 + (T1 + T2 +- T3) p^2 -+ T1 T2 T3
@@ -79,24 +68,11 @@ def cubic_columns(group, size, lanes, T, lo, hi, take, order) -> tuple:
     pinned = lo == hi
     roots[pinned, 0], mults[pinned, 0] = lo[pinned], 1
     taken = (mults > 0) & (np.cumsum(mults > 0, axis=1) <= take[:, None])
-    lane, slot = np.nonzero(taken)
-    vs, cs, qs, errors = _reconstruct_many(group, T[lane], roots[lane, slot])
-    row = lanes[lane]
-    # a lane raises for its first inadmissible root, as roots are taken
-    for r, exc in errors.items():
-        error.setdefault(int(row[r]), exc)
-    # a lane's roots fill its slots in turn, back in the caller's axis order
-    pos = np.cumsum(taken, axis=1)[lane, slot] - 1
-    c[row, pos], p[row, pos] = cs, roots[lane, slot]
-    q[row, pos], mult[row, pos] = qs, mults[lane, slot]
-    v[row[:, None], pos[:, None], order[lane]] = vs
-    n[lanes] = taken.sum(axis=1)
-    # each lane in ascending c; equal c keep their order, as a stable sort,
-    # and a lane with fewer than two roots has a nan and never swaps
-    swap = c[:, 1] < c[:, 0]
-    for col in (c, v, p, q, mult):
-        col[swap] = col[swap][:, ::-1]
-    return n, c, v, p, q, mult, error
+    lane, col = np.nonzero(taken)
+    p = roots[lane, col]
+    v, c, q, errors = _reconstruct_many(group, T[lane], p)
+    slot = np.cumsum(taken, axis=1)[lane, col] - 1
+    return lane, slot, p, mults[lane, col], v, c, q, errors
 
 
 def _reconstruct_many(group, T, p):

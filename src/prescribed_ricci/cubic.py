@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import _floats
+
 __all__ = ["CubicPoly", "RootReport", "roots_in_interval",
            "roots_in_interval_many"]
 
@@ -43,10 +45,10 @@ class CubicPoly:
     coeffs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        c = tuple(float(t) for t in self.coeffs)
-        if len(c) != 4:
+        c = _floats(self.coeffs, "cubic coefficients")
+        if c.shape != (4,):
             raise ValueError("cubic needs four coefficients (a3, a2, a1, a0)")
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
 
     def __call__(self, p: float) -> float:
         a3, a2, a1, a0 = self.coeffs
@@ -102,11 +104,11 @@ def roots_in_interval(poly: CubicPoly, lo: float, hi: float) -> RootReport:
 def _newton(a3, a2, a0, a, b, left):
     """The root of a3*p^3 + a2*p^2 + a0 on each piece [a, b], all lanes at
     once (inside np.errstate(all="ignore")), by Newton from a where `left`,
-    else from b; and the steps the slowest lane took.  A lane stops once a
-    step is at most ROOT_TOL * max(1, |x|) or does not move it away from its
-    start (rounding level, or nan), and is frozen there, not compacted out;
-    one more step is kept if it stays in [a, b].  A lane still moving after
-    NEWTON_STEPS steps stops there and raises nothing."""
+    else from b.  A lane stops once a step is at most ROOT_TOL * max(1, |x|)
+    or does not move it away from its start (rounding level, or nan), and
+    is frozen there, not compacted out; one more step is kept if it stays
+    in [a, b].  A lane still moving after NEWTON_STEPS steps stops there
+    and raises nothing."""
     c2 = 2.0 * a2
 
     def step(x):
@@ -115,14 +117,14 @@ def _newton(a3, a2, a0, a, b, left):
 
     x, d = np.where(left, a, b), np.where(left, 1.0, -1.0)
     live = np.ones(len(x), dtype=bool)
-    for steps in range(1, NEWTON_STEPS + 1):
+    for _ in range(NEWTON_STEPS):
         xn = step(x)
         x, live = np.where(live, xn, x), live & (
             (xn - x) * d > ROOT_TOL * np.maximum(1.0, np.abs(xn)))
         if not live.any():
             break
     xp = step(x)
-    return np.where((a <= xp) & (xp <= b), xp, x), steps
+    return np.where((a <= xp) & (xp <= b), xp, x)
 
 
 def roots_in_interval_many(coeffs, lo, hi):
@@ -179,7 +181,7 @@ def roots_in_interval_many(coeffs, lo, hi):
                 fb != 0.0)
             # the pieces of the monotone run left of crit take slot 0
             slot = (cols + neg[rows] > 1).astype(int)
-            roots[rows, slot], _ = _newton(a3, a2, a0, a, b, left)
+            roots[rows, slot] = _newton(a3, a2, a0, a, b, left)
         mults = ((lo[:, None] < roots) & (roots < hi[:, None])).astype(int)
         roots[double, 0] = crit[double]
         mults[double, 0] = 2

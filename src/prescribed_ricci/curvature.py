@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import as_group, structure_constants
+from .groups import _floats, as_group, structure_constants
 
 __all__ = ["DiagonalMetric", "x_coefficients", "ricci_diagonal", "ricci_koszul"]
 
@@ -100,7 +100,7 @@ class DiagonalMetric:
 
 
 def _components(m) -> np.ndarray:
-    v = np.asarray(getattr(m, "v", m), dtype=float)
+    v = _floats(getattr(m, "v", m), "metric components")
     if v.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components along the last axis, got {v.shape}")
     return v
@@ -149,8 +149,8 @@ def ricci_koszul(sc: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Raises ValueError if any g is non-symmetric or non-positive-definite.
     """
-    sc = np.asarray(sc, dtype=float)
-    g = np.asarray(g, dtype=float)
+    sc = _floats(sc, "structure constants")
+    g = _floats(g, "Gram matrix entries")
     if g.shape[-2:] != (3, 3):
         raise ValueError(f"metric Gram matrix must be 3x3, got {g.shape}")
     if (np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))

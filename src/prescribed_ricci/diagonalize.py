@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import DiagonalTensor
+from .groups import _floats
 
 __all__ = ["DiagonalizationResult", "diagonalize_so3", "symmetric_from_upper"]
 
@@ -40,7 +41,7 @@ def symmetric_from_upper(entries) -> np.ndarray:
         if isinstance(entries, (str, bytes)):
             raise TypeError
         e = [float(t) for t in entries]
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"upper-triangle entries must be numbers in the "
                          f"float range, got {entries!r}") from None
     if len(e) != 6:
@@ -59,11 +60,7 @@ def diagonalize_so3(T_full) -> DiagonalizationResult:
     symmetric 3x3 matrix (symmetric relative to its largest entry) or its
     6 upper-triangle entries, every entry a number in the float range.
     """
-    try:
-        T_full = np.asarray(T_full, dtype=float)
-    except (TypeError, OverflowError):
-        raise ValueError(f"tensor components must be numbers in the float "
-                         f"range, got {T_full!r}") from None
+    T_full = _floats(T_full, "tensor components")
     if T_full.shape == (6,):
         T_full = symmetric_from_upper(T_full)
     if T_full.shape != (3, 3):

@@ -115,6 +115,16 @@ def bracket(sc: np.ndarray, u, v) -> np.ndarray:
 FRAME_TOL = 1e-10
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """x as a float array, the conversion of the array readers; raises
+    ValueError naming `what` where an entry is no number in the float range."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be numbers in the float range, got "
+                         f"{x!r}") from None
+
+
 def check_milnor_frame(group, M) -> bool:
     """True iff the columns of M form another frame with the same brackets.
 
@@ -124,7 +134,7 @@ def check_milnor_frame(group, M) -> bool:
 
     Raises ValueError when M is singular (not a basis at all).
     """
-    M = np.asarray(M, dtype=float)
+    M = _floats(M, "basis change entries")
     if M.shape != (3, 3):
         raise ValueError(f"basis change must be 3x3, got shape {M.shape}")
     return bool(check_milnor_frame_many(group, M[None])[0])
@@ -158,7 +168,7 @@ def check_milnor_frame_many(group, Ms) -> np.ndarray:
     Raises ValueError when any M is singular.
     """
     group = as_group(group)
-    M = np.asarray(Ms, dtype=float)
+    M = _floats(Ms, "basis change entries")
     if M.ndim != 3 or M.shape[1:] != (3, 3):
         raise ValueError(f"expected a stack of 3x3 basis changes, got shape "
                          f"{M.shape}")

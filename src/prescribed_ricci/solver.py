@@ -37,12 +37,12 @@ matches two rows of a group, so the order of the rows decides nothing.
 
 A chunk of tensors has one columnar answer (`_columns`): the matcher
 (`_match`) finds each lane's row on arrays and answers nothing, the cubic
-kernel (`arrays.cubic_columns`) answers the cubic lanes together, each with
-the bits it gets alone, each closed-form lane runs its row's answer once,
-and every number is mapped back to the caller's units on arrays.
-`solve_many` builds outcomes from it, CHUNK tensors at a time, and `solve`
-is the same on one lane; `classify_signature`, `probe` and every CLI
-command read it without building any.
+kernel (`arrays.cubic_roots`) answers the cubic lanes' roots together, each
+with the bits it gets alone, each closed-form lane runs its row's answer
+once, and `_columns` lays every answer into slots in the caller's axes and
+units.  `solve_many` builds outcomes from it, CHUNK tensors at a time, and
+`solve` is the same on one lane; `classify_signature`, `probe` and every
+CLI command read it without building any.
 """
 from __future__ import annotations
 
@@ -54,13 +54,13 @@ from functools import partial
 
 import numpy as np
 
-from .arrays import _T3_SIGN, _reconstruct_many, cubic_columns
+from .arrays import _T3_SIGN, _reconstruct_many, cubic_roots
 # roots_in_interval is imported only for bench/spans.py, which wraps it
-# here by name; the solver isolates roots through `cubic_columns`
+# here by name; the solver isolates roots through `cubic_roots`
 from .cubic import roots_in_interval  # noqa: F401
 from .curvature import (DiagonalMetric, DiagonalTensor, _check_metrics,
                         ricci_diagonal, tensor_components)
-from .groups import GROUPS, as_group
+from .groups import GROUPS, _floats, as_group
 
 __all__ = [
     "DiagonalTensor", "Solution", "Family", "CubicSolveTrace", "SolveOutcome",
@@ -130,8 +130,8 @@ def reconstruct_from_p(group, T, p: float) -> tuple[DiagonalMetric, float]:
     T = tensor_components(T)
     if group.name not in _T3_SIGN:
         raise ValueError(f"no cubic correspondence for group {group.name}")
-    v, c, _, errors = _reconstruct_many(group, np.array([T]),
-                                        np.array([float(p)]))
+    p = _floats(p, "root p").item()
+    v, c, _, errors = _reconstruct_many(group, np.array([T]), np.array([p]))
     if errors:
         raise errors[0]
     return DiagonalMetric(v[0]), float(c[0])
@@ -230,12 +230,9 @@ def _match(group, Ts) -> _Match:
     return _Match(k, row, errors, T, order, signs)
 
 
-def _cubic_lanes(group, match) -> tuple:
-    """The cubic lanes of a match and `cubic_columns`'s arguments for them:
-    T', the interval (lo, hi) on one side of 0 that holds a lane's roots
-    (lo == hi pins one: SL2 T1 = T2), the roots to take and `order`."""
-    table = _TABLES[group.name]
-    lanes = table.cubic[match.row].nonzero()[0]
+def _cubic_ends(table, match, lanes) -> tuple:
+    """The interval (lo, hi) on one side of 0 that holds the roots of each
+    cubic lane of `match` in `lanes` (lo == hi pins one: SL2 T1 = T2)."""
     rows, T = match.row[lanes], match.T[lanes]
     lo = hi = np.zeros(len(lanes))
     for r in set(rows.tolist()):
@@ -249,51 +246,64 @@ def _cubic_lanes(group, match) -> tuple:
             pin = here & (match.signs[6, lanes] == 0)
             t1, t3 = T[pin, 0], T[pin, 2]
             lo[pin] = hi[pin] = (t3 + np.sqrt(t3 * t3 - 8.0 * t1 * t3)) / 4.0
-    return lanes, T, lo, hi, table.take[rows], match.order[lanes]
+    return lo, hi
 
 
 # a chunk's answers in the caller's units, a row per lane: the lists of
 # kinds and case labels; `shape`, 3 * (row + 1) + n (0 where no row
 # matches); n, the count of the lane's (v, c) slots (a family's one slot
-# is its sample, whose c is 8^-k when c is free); per slot (nan-padded; 0
-# in mult) c, v (caller's axis order) and the root's p, q and mult (a
-# closed form's slot has none); by lane, each closed-form lane's family
-# `constraint` (None if it has none) and the note of each lane that has
-# one, `_sl2_note` bound to its numbers and called where the note is
-# shown; and `errors`, what each lane that raises raises
+# is its sample, whose c is 8^-k when c is free); per slot (ascending in
+# c, nan-padded; 0 in mult) c, v (caller's axes) and the root's p, q and
+# mult (a closed form's slot has none); by lane, each closed-form lane's
+# `constraint` and the note of each lane that has one, `_sl2_note` bound
+# to its numbers, called where it is shown; and what each lane raises
 _Answers = namedtuple("_Answers", "kinds labels shape n c v p q mult "
                                   "constraint notes errors")
 
 
 def _columns(group, Ts) -> _Answers:
-    """The `_Answers` of the list Ts.  The case table is matched on arrays
-    of lanes, the cubic lanes go through the cubic kernel together, and each
-    closed-form lane runs its row's answer once, in Python floats.  Every
-    answer, found for T / 8^k, is mapped back to T on arrays, each number
-    exactly: v * 2^k, c * 8^-k, p * 8^k and q * 16^k.  A lane with a slot
-    whose c leaves the float range (only for |T|_inf outside
-    [1e-300, 1e300]) or whose v is not positive and finite raises the
-    ValueError that `_outcomes` would raise building its records."""
+    """The `_Answers` of the list Ts, laid out here alone.  The cubic
+    lanes' roots come from the cubic kernel together, and each closed-form
+    lane runs its row's answer once, in Python floats, all for T / 8^k in
+    T' axes.  Each lane's slots ascend in c; v goes to the caller's axes
+    and every number back to T exactly: v * 2^k, c * 8^-k, p * 8^k and
+    q * 16^k.  A lane with a slot whose c leaves the float range (only for
+    |T|_inf outside [1e-300, 1e300]) or whose v is not positive and finite
+    raises the ValueError that `_outcomes` would raise for its records."""
     table = _TABLES[group.name]
     match = _match(group, Ts)
-    n, c, v, p, q, mult, errors = cubic_columns(
-        group, len(match.k), *_cubic_lanes(group, match))
-    errors.update(match.errors)
+    size = len(match.k)
+    c, p, q = np.full((3, size, 2), np.nan)
+    n, v, mult, errors = (np.zeros(size, int), np.full((size, 2, 3), np.nan),
+                          np.zeros((size, 2), int), dict(match.errors))
+    lanes = table.cubic[match.row].nonzero()[0]
+    if lanes.size:
+        lane, slot, cp, cm, cv, cc, cq, root_errors = cubic_roots(
+            group, match.T[lanes], *_cubic_ends(table, match, lanes),
+            table.take[match.row[lanes]])
+        row = lanes[lane]
+        # a lane raises for its first inadmissible root, as roots are taken
+        for r, exc in root_errors.items():
+            errors.setdefault(int(row[r]), exc)
+        # v in the caller's axes: axis j of T' is the caller's order[j]
+        v[row[:, None], slot[:, None], match.order[row]] = cv
+        c[row, slot], p[row, slot], q[row, slot] = cc, cp, cq
+        mult[row, slot] = cm
+        n += np.bincount(row, minlength=size)
+        # each lane in ascending c; equal c keep their order, as a stable
+        # sort, and a lane with fewer than two roots has a nan and never
+        # swaps (a closed-form lane has one slot)
+        swap = c[:, 1] < c[:, 0]
+        for col in (c, v, p, q, mult):
+            col[swap] = col[swap][:, ::-1]
     at = table.closed[match.row].nonzero()[0]
     n[at] = 1
     shape = 3 * match.row + 3 + n
-    kinds, labels = table.kinds[shape].tolist(), table.labels[shape].tolist()
-    constraint, notes, vs, cs = {}, {}, [], []
-    for i, r, t, o in zip(at.tolist(), match.row[at].tolist(),
-                          match.T[at].tolist(), match.order[at].tolist()):
-        kinds[i], sv, sc, constraint[i], *note = table.rows[r][2](tuple(t),
-                                                                 tuple(o))
-        vs.append(sv)
-        cs.append(sc)
-        if note:
-            notes[i] = note[0]
-    if vs:
-        v[at, 0], c[at, 0] = vs, cs
+    picked = [table.rows[r][2] for r in match.row[at].tolist()]
+    Tc = [tuple(t) for t in match.T[at].tolist()]
+    closed = [answer.answer(t) for answer, t in zip(picked, Tc)]
+    if closed:
+        v[at[:, None], 0, match.order[at]], c[at, 0] = zip(*closed)
     # back to T; 16^k as two factors: from |T|_inf ~ 8^256 ~ 1.6e231 on,
     # 16^k is no float and q * 16^k is inf
     k = match.k[:, None]
@@ -304,9 +314,11 @@ def _columns(group, Ts) -> _Answers:
         p *= p_up
         q *= q_up
         q *= q_up
-    # each note bound to its c in the caller's units, computed when shown
-    notes = {i: partial(_sl2_note, c[i, 0].item(), int(match.k[i]), *args)
-             for i, args in notes.items()}
+    # each note bound to its numbers and c in the caller's units
+    notes = {i: partial(_sl2_note, c[i, 0].item(), int(match.k[i]),
+                        answer.note, *vc, t)
+             for i, answer, vc, t in zip(at.tolist(), picked, closed, Tc)
+             if answer.note is not None}
     # per slot (written out: numpy reduces a 2- or 3-long axis slowly)
     pos = (v > 0.0) & (v < np.inf)
     good = ((c > 0.0) & (c < np.inf) & pos[:, :, 0] & pos[:, :, 1]
@@ -318,7 +330,10 @@ def _columns(group, Ts) -> _Answers:
                          v[i, :n[i]].tolist())
         except ValueError as exc:
             errors.setdefault(i, exc)
-    return _Answers(kinds, labels, shape, n, c, v, p, q, mult, constraint,
+    return _Answers(table.kinds[shape].tolist(), table.labels[shape].tolist(),
+                    shape, n, c, v, p, q, mult,
+                    dict(zip(at.tolist(), table.constraints[
+                        match.row[at], match.order[at, 0]].tolist())),
                     notes, errors)
 
 
@@ -388,47 +403,31 @@ def _cubic_kind(label: str, n: int) -> tuple[str, str]:
 
 
 # A closed-form row's answer is a function of one lane's T' as three floats
-# (SO3: descending) and `order`, giving (kind, v, c, constraint) and, for a
-# lane with a note, the note's arguments: (v, c) is the one solution (a
-# family's sample, with c = 1 when c is free) in the caller's axes.
+# (SO3: descending), giving its one (v, c) in T' axes: the solution, or a
+# family's sample, with c = 1 when c is free.
 
-def _family(i: int, num: float, v, constraint, T, order=None):
-    """A FamilyFixedC row: c = num / T_i, and its sample is v normalized."""
-    c = num / T[i]
-    return "FamilyFixedC", _normalized(v, c), c, constraint
+def _fixed(i: int, num: float, v, constraint, note=None):
+    """A FamilyFixedC row: c = num / T'_i, and its sample is v normalized."""
+    def answer(T):
+        c = num / T[i]
+        return _normalized(v, c), c
+    return _Closed("FamilyFixedC", answer, constraint, note)
 
 
-def _any_c(constraint, T, order):
+def _any_c(T):
     """A FamilyAnyC row: every metric on the constraint, and c is free."""
-    return "FamilyAnyC", (1.0, 1.0, 1.0), 1.0, constraint
+    return (1.0, 1.0, 1.0), 1.0
 
 
-def _so3_axis_family(T, order):
-    """SO3 (+,0,0): c = 8/T1, and the constraint names the axes in the
-    caller's order, the positive component's on the left."""
-    (a, j, k), v = order, [1.0, 1.0, 1.0]
-    v[a] = 2.0
-    j, k = sorted((j, k))
-    return _family(0, 8.0, v, f"v{a + 1}=v{j + 1}+v{k + 1}", T)
-
-
-def _sl2_zero_family(i, v, constraint, T, order):
-    """SL2 (vi)/(vii): T_i < 0 for i in {0, 1}, other components zero.
-
-    The curvature equations force one x to vanish; the surviving equation
-    reads -8 = c*T_i, so c = -8/T_i.  The sign convention matters: the other
-    orientation, c = -T_i/8, is checked against the residual in the note
-    (`_sl2_note`), which gets the sample, c and T here.
-    """
-    raw = _family(i, -8.0, v, constraint, T)
-    return raw + ((i, -T[i] / 8.0, raw[1], raw[2], T),)
-
-
-def _sl2_note(c_back: float, k: int, i: int, alt: float, sample, c: float,
-              T) -> str:
-    """The (vi)/(vii) note in the caller's units (c_back is c there, and
-    alt ~ T_i scales as 8^k); both residuals are taken on the normalized
-    sample, c and T, where neither overflows."""
+def _sl2_note(c_back: float, k: int, i: int, sample, c: float, T) -> str:
+    """The note of SL2 (vi)/(vii), T_i < 0 (i in {0, 1}) and the other
+    components zero, in the caller's units (c_back is c there).  The
+    curvature equations force one x to vanish, and the surviving one reads
+    -8 = c*T_i, so c = -8/T_i.  The sign convention matters: the other
+    orientation, alt = -T_i/8 (it scales as 8^k), is checked against the
+    residual too, both on the normalized sample, c and T, where neither
+    overflows."""
+    alt = -T[i] / 8.0
     ric, size = ricci_diagonal("SL2", sample).tolist(), max(map(abs, T))
     res_c, res_alt = [
         max(abs(r - x * t) for r, t in zip(ric, T)) / (1.0 + abs(x) * size)
@@ -440,7 +439,7 @@ def _sl2_note(c_back: float, k: int, i: int, alt: float, sample, c: float,
             f"residual {res_alt:.3g})")
 
 
-def _l3zero(lambdas, T, order):
+def _l3zero(lambdas, T):
     """E2 and E11 (+,-,-) and (-,+,-): the third bracket coefficient is zero,
     so the system collapses.  The ratio of the first two equations pins
     v1/v2 = -T1/T2; the third (independent of v3) pins c; the first
@@ -455,14 +454,14 @@ def _l3zero(lambdas, T, order):
     # sign of (v1 - 1)/T1 > 0 in both sign orders
     c = (2.0 * x[0] * x[1] / (v1 * v2)) / T3
     v3 = 2.0 * x[1] * x[2] / (v2 * c * T1)
-    return "Unique", _normalized((v1, v2, v3), c), c, None
+    return _normalized((v1, v2, v3), c), c
 
 
-def _h3(T, order):
+def _h3(T):
     """H3 (+,-,-): the one metric and c in closed form."""
     T1, T2, T3 = T
     c = 2.0 * T1 / (T2 * T3)
-    return "Unique", _normalized((1.0, -T2 / T1, -T3 / T1), c), c, None
+    return _normalized((1.0, -T2 / T1, -T3 / T1), c), c
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +474,19 @@ def _h3(T, order):
 # all); with `pin`, both ends are the one root where T1 - T2 is 0
 _Cubic = namedtuple("_Cubic", "lo hi take pin", defaults=(False,))
 
+# A closed-form row's answer: its kind, the `answer` of a lane's T', the
+# family's constraint in the caller's axes (None if none; SO3 (+,0,0): by
+# the caller's axis of T'_1) and the i of the (vi)/(vii) note, if any
+_Closed = namedtuple("_Closed", "kind answer constraint note",
+                     defaults=(None, None))
+
 # a group's rows (label, signs, answer); their sign `patterns` by form, row
 # and a lane axis, and `free` where any sign matches; whether each row is a
 # cubic or a closed-form row (False at row -1, no match) and its `take`;
-# `_cubic_kind` at 3 * (row + 1) + n, NoSolution at 0
-_Table = namedtuple("_Table",
-                    "rows patterns free cubic closed take kinds labels")
+# the kind and label at 3 * (row + 1) + n (`_cubic_kind`, or a closed-form
+# row's at n = 1; NoSolution at 0) and its constraint by the axis of T'_1
+_Table = namedtuple("_Table", "rows patterns free cubic closed take kinds "
+                              "labels constraints")
 
 _SIGNS = {"-": -1, "0": 0, "+": 1, ".": 2}
 
@@ -488,8 +494,7 @@ _SIGNS = {"-": -1, "0": 0, "+": 1, ".": 2}
 def _table(*rows) -> _Table:
     """A group's table from its rows (label, signs, answer): signs holds
     '+', '-', '0' or '.' (any sign) for the forms in order, and the forms
-    past its end take any sign; the answer is a `_Cubic` or a closed form
-    (see `_family`)."""
+    past its end take any sign; the answer is a `_Cubic` or a `_Closed`."""
     width = max(len(signs) for _, signs, _ in rows)
     patterns = np.array([[_SIGNS[c] for c in signs.ljust(width, ".")]
                          for _, signs, _ in rows]).T[:, :, None]
@@ -497,11 +502,15 @@ def _table(*rows) -> _Table:
     kinds, labels = (np.array(col, dtype=object) for col in zip(*[
         _cubic_kind(label, n)
         for label in ("",) + tuple(r[0] for r in rows) for n in range(3)]))
+    constraints = np.full((len(rows), 3), None, dtype=object)
+    for r, (*_, answer) in enumerate(rows):
+        if isinstance(answer, _Closed):
+            kinds[3 * r + 4], constraints[r] = answer.kind, answer.constraint
     return _Table(
         rows, patterns, patterns == 2, np.array(cubic + [False]),
         np.array([not c for c in cubic] + [False]),
         np.array([r[2].take if c else 0 for r, c in zip(rows, cubic)]),
-        kinds, labels)
+        kinds, labels, constraints)
 
 
 # the interval ends that cubic rows name, on T of shape (N, 3)
@@ -512,36 +521,34 @@ _ENDS = {"0": lambda T: 0.0, "inf": lambda T: np.inf,
          "min(-T1,-T2)": lambda T: np.minimum(-T[:, 0], -T[:, 1])}
 
 
-_E2, _E11 = (partial(_l3zero, GROUPS[name].lambdas) for name in ("E2", "E11"))
+_E2, _E11 = (_Closed("Unique", partial(_l3zero, GROUPS[name].lambdas))
+             for name in ("E2", "E11"))
 
 #   signs of the forms  T1 T2 T3 T1+T2 T1+T3 T2+T3 T1-T2
 _TABLES = {
     "SO3": _table(
         ("SO3 (+,+,+)", "+++", _Cubic("0", "inf", 2)),
         ("SO3 (+,-,-)", "+--", _Cubic("-T1", "0", 2)),
-        ("SO3 (+,0,0)", "+00", _so3_axis_family)),
+        ("SO3 (+,0,0)", "+00", _fixed(0, 8, (2, 1, 1), (
+            "v1=v2+v3", "v2=v1+v3", "v3=v1+v2")))),
     "SL2": _table(
-        ("SL2 case (vi)", "-00",
-         partial(_sl2_zero_family, 0, (1.0, 2.0, 1.0), "v2=v1+v3")),
-        ("SL2 case (vii)", "0-0",
-         partial(_sl2_zero_family, 1, (2.0, 1.0, 1.0), "v1=v2+v3")),
-        ("SL2 case (v)", "--+.0.0",
-         partial(_family, 2, 8.0, (1.0, 1.0, 2.0), "v3=v1+v2")),
+        ("SL2 case (vi)", "-00", _fixed(0, -8, (1, 2, 1), "v2=v1+v3", 0)),
+        ("SL2 case (vii)", "0-0", _fixed(1, -8, (2, 1, 1), "v1=v2+v3", 1)),
+        ("SL2 case (v)", "--+.0.0", _fixed(2, 8, (1, 1, 2), "v3=v1+v2")),
         ("SL2 case (i)", "+--.+", _Cubic("-T1", "T3", 1)),
         ("SL2 case (ii)", "-+-..+", _Cubic("-T2", "T3", 1)),
         ("SL2 case (iii)", "--+.++", _Cubic("max(-T1,-T2)", "T3", 1, True)),
         ("SL2 case (iv)", "--+.--", _Cubic("T3", "min(-T1,-T2)", 1, True))),
     "E2": _table(
-        ("E2 (0,0,0)", "000", partial(_any_c, "v1=v2")),
+        ("E2 (0,0,0)", "000", _Closed("FamilyAnyC", _any_c, "v1=v2")),
         ("E2 (+,-,-)", "+--+", _E2),
         ("E2 (-,+,-)", "-+-+", _E2)),
     "E11": _table(
-        ("E11 (0,0,-)", "00-", partial(_family, 2, -8.0, (1.0, 1.0, 1.0),
-                                       "v1=v2")),
+        ("E11 (0,0,-)", "00-", _fixed(2, -8, (1, 1, 1), "v1=v2")),
         ("E11 (+,-,-)", "+--+", _E11),
         ("E11 (-,+,-)", "-+-+", _E11)),
-    "H3": _table(("H3 (+,-,-)", "+--", _h3)),
-    "R3": _table(("R3 (0,0,0)", "000", partial(_any_c, None))),
+    "H3": _table(("H3 (+,-,-)", "+--", _Closed("Unique", _h3))),
+    "R3": _table(("R3 (0,0,0)", "000", _Closed("FamilyAnyC", _any_c))),
 }
 
 

@@ -40,7 +40,7 @@ def _constant(c) -> float:
     try:
         if math.isfinite(x := float(c)):
             return x
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"constant c must be a finite number, got {c!r}")
 
@@ -81,7 +81,7 @@ def oracle_residual(group, gram: np.ndarray, c: float, T) -> float:
     """Same normalized residual, but from the Koszul oracle on a full Gram
     matrix; usable for non-diagonal pullbacks of diagonal solutions.
     `oracle_residual_many` on one lane."""
-    return float(oracle_residual_many(group, [gram], [c],
+    return float(oracle_residual_many(group, [gram], [_constant(c)],
                                       [tensor_components(T)])[0])
 
 

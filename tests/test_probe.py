@@ -351,7 +351,8 @@ def test_probe_answers_each_tensor_once(monkeypatch):
         calls.append(args)
         return answer(*args)
 
-    rows = [(label, signs, functools.partial(counted, answer)
+    rows = [(label, signs, answer._replace(
+                answer=functools.partial(counted, answer.answer))
              if label in ("SL2 case (vi)", "SL2 case (vii)") else answer)
             for label, signs, answer in solver._TABLES["SL2"].rows]
     monkeypatch.setitem(solver._TABLES, "SL2", solver._table(*rows))

@@ -102,6 +102,18 @@ def test_so3_family_unsorted_input_constraint_follows_permutation():
     check_sound(SO3, out, (0.0, 2.0, 0.0))
 
 
+@pytest.mark.parametrize("T, constraint", [
+    ((5.0, -1e-13, 1e-13), "v1=v2+v3"), ((5.0, 1e-13, -1e-13), "v1=v2+v3"),
+    ((1e-13, 5.0, -1e-13), "v2=v1+v3"), ((-1e-13, 5.0, 1e-13), "v2=v1+v3"),
+    ((-1e-13, 1e-13, 5.0), "v3=v1+v2"), ((1e-13, -1e-13, 5.0), "v3=v1+v2")])
+def test_so3_family_constraint_names_the_positive_axis(T, constraint):
+    # the two zero components are a +-1e-13 tie in either order: the
+    # positive axis is on the left and the other two follow ascending
+    out = solve(SO3, T)
+    assert out.case_label == "SO3 (+,0,0)"
+    assert out.family.constraint == constraint
+
+
 def test_so3_boundary_double_root_is_unique():
     # 2p^3 + 6p^2 - 8 = 2 (p+2)^2 (p-1): double root at the critical point
     out = solve(SO3, (8.0, -1.0, -1.0))
@@ -467,8 +479,10 @@ def test_cubic_intervals_lie_on_one_side_of_zero(g, seed, integers, shrunk,
          else np.asarray(integers, dtype=float))
     if shrunk >= 0:
         T[shrunk] *= 10.0 ** shrink
-    _, _, lo, hi, _, _ = solver._cubic_lanes(
-        g, solver._match(g, [tuple(10.0 ** exponent * T)]))
+    match = solver._match(g, [tuple(10.0 ** exponent * T)])
+    table = solver._TABLES[g.name]
+    lo, hi = solver._cubic_ends(table, match,
+                                table.cubic[match.row].nonzero()[0])
     inside = (lo < 0.0) & (0.0 < hi)
     assert not inside.any(), (lo, hi)
 

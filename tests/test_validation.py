@@ -11,11 +11,15 @@ import pytest
 
 from prescribed_ricci import SO3, DiagonalMetric, certify, cli, residual
 from prescribed_ricci.cubic import CubicPoly
-from prescribed_ricci.curvature import ricci_diagonal, x_coefficients
+from prescribed_ricci.curvature import (ricci_diagonal, ricci_koszul,
+                                        x_coefficients)
 from prescribed_ricci.diagonalize import diagonalize_so3, symmetric_from_upper
-from prescribed_ricci.groups import UnimodularGroup, check_milnor_frame
-from prescribed_ricci.solver import _check_slots, classify_signature, solve
-from prescribed_ricci.verify import certify_arrays
+from prescribed_ricci.groups import (UnimodularGroup, check_milnor_frame,
+                                     check_milnor_frame_many,
+                                     structure_constants)
+from prescribed_ricci.solver import (_check_slots, classify_signature,
+                                     reconstruct_from_p, solve)
+from prescribed_ricci.verify import certify_arrays, oracle_residual
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "prescribed_ricci"
 
@@ -42,6 +46,7 @@ BAD_METRICS = {
 BAD_CONSTANTS = {
     "int-overflow": (HUGE, f"constant c must be a finite number, got {HUGE}"),
     "nan": (NAN, "constant c must be a finite number, got nan"),
+    "str": ("x", "constant c must be a finite number, got 'x'"),
 }
 
 
@@ -67,6 +72,7 @@ def test_every_layer_names_a_bad_constant_alike(c, message):
     v = T = (1.0, 1.0, 1.0)
     for check in (lambda: certify("so3", v, c, T),
                   lambda: residual(SO3, v, c, T),
+                  lambda: oracle_residual(SO3, np.eye(3), c, T),
                   lambda: certify_arrays(SO3, [v], [c], [T])):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             check()
@@ -147,6 +153,9 @@ INVALID_CALLS = {
     "upper-scalar": (lambda: symmetric_from_upper(5),
                      "upper-triangle entries must be numbers in the float "
                      "range, got 5"),
+    "upper-str-entry": (lambda: symmetric_from_upper([1, 2, 3, 4, 5, "a"]),
+                        "upper-triangle entries must be numbers in the "
+                        "float range, got [1, 2, 3, 4, 5, 'a']"),
     "upper-int-overflow": (lambda: symmetric_from_upper([1, 2, 3, 4, 5, HUGE]),
                            "upper-triangle entries must be numbers in the "
                            f"float range, got [1, 2, 3, 4, 5, {HUGE}]"),
@@ -154,6 +163,41 @@ INVALID_CALLS = {
         lambda: diagonalize_so3([[HUGE, 0, 0], [0, 1, 0], [0, 0, 1]]),
         "tensor components must be numbers in the float range, got "
         f"[[{HUGE}, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    "diagonalize-str": (
+        lambda: diagonalize_so3([[1, 2, "a"], [2, 1, 0], [0, 0, 1]]),
+        "tensor components must be numbers in the float range, got "
+        "[[1, 2, 'a'], [2, 1, 0], [0, 0, 1]]"),
+    # every array reader converts under one try: an int beyond the float
+    # range is no OverflowError
+    "ricci-int-overflow": (
+        lambda: ricci_diagonal("so3", (HUGE, 1, 1)),
+        f"metric components must be numbers in the float range, got "
+        f"({HUGE}, 1, 1)"),
+    "x-int-overflow": (
+        lambda: x_coefficients("so3", (HUGE, 1, 1)),
+        f"metric components must be numbers in the float range, got "
+        f"({HUGE}, 1, 1)"),
+    "koszul-int-overflow": (
+        lambda: ricci_koszul(structure_constants(SO3),
+                             [[HUGE, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        "Gram matrix entries must be numbers in the float range, got "
+        f"[[{HUGE}, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    "frame-int-overflow": (
+        lambda: check_milnor_frame(SO3, [[HUGE, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        "basis change entries must be numbers in the float range, got "
+        f"[[{HUGE}, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    "frames-int-overflow": (
+        lambda: check_milnor_frame_many(
+            SO3, [[[HUGE, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+        "basis change entries must be numbers in the float range, got "
+        f"[[[{HUGE}, 0, 0], [0, 1, 0], [0, 0, 1]]]"),
+    "root-int-overflow": (
+        lambda: reconstruct_from_p(SO3, (3.0, 2.0, 1.0), HUGE),
+        f"root p must be numbers in the float range, got {HUGE}"),
+    "cubic-int-overflow": (
+        lambda: CubicPoly((1, 0, 0, HUGE)),
+        "cubic coefficients must be numbers in the float range, got "
+        f"(1, 0, 0, {HUGE})"),
 }
 
 
